@@ -96,6 +96,17 @@ class JsonFields
         return raw(key, std::to_string(value));
     }
 
+    /** Nested object. */
+    JsonFields &
+    add(const std::string &key, const JsonFields &object)
+    {
+        std::string text = "{";
+        for (std::size_t f = 0; f < object._fields.size(); ++f)
+            text += (f ? ", " : "") + jsonQuote(object._fields[f].first) +
+                    ": " + object._fields[f].second;
+        return raw(key, text + "}");
+    }
+
     const std::vector<std::pair<std::string, std::string>> &
     fields() const
     {

@@ -23,7 +23,8 @@
  *    caching can ever save (flatten + schedule + ca-dd all cached).
  *
  * Use --json FILE to append the numbers to the BENCH_*.json
- * trajectory.
+ * trajectory; every sample carries a per-pass "pass_ms" breakdown
+ * (PassMetric wall time over the whole ensemble).
  *
  *   $ ./perf_ensemble --instances 100 --threads-list 1,2,4,8
  *   $ ./perf_ensemble --json BENCH_perf_ensemble.json
@@ -128,6 +129,7 @@ struct Sample
     std::size_t prefixLength = 0;
     std::size_t prefixHits = 0;
     int instances = 0;
+    std::vector<PassMetric> passes; //!< ms over the whole ensemble
 
     double
     instancesPerSecond() const
@@ -194,6 +196,46 @@ parse(int argc, char **argv)
     return options;
 }
 
+/**
+ * Wall-clock ms each pass spent on the whole ensemble, in pipeline
+ * order: the cached prefix counts once (its timings are replicated
+ * into every instance's metrics), every other pass sums over the
+ * instances.
+ */
+std::vector<PassMetric>
+passMillis(const EnsembleResult &result)
+{
+    std::vector<PassMetric> total = result.prefixMetrics;
+    for (const CompilationResult &instance : result.instances) {
+        for (std::size_t p = result.prefixLength;
+             p < instance.metrics.size(); ++p) {
+            if (total.size() <= p)
+                total.push_back(PassMetric{instance.metrics[p].name});
+            total[p].millis += instance.metrics[p].millis;
+        }
+    }
+    return total;
+}
+
+/** A measured sample of one finished ensemble. */
+Sample
+sampleOf(const std::string &workload, unsigned threads,
+         const EnsembleResult &result)
+{
+    Sample sample;
+    sample.workload = workload;
+    sample.threads = threads;
+    // Record whether caching actually happened, not whether it was
+    // requested: a twirl-first pipeline bypasses the cache.
+    sample.cached = result.prefixLength > 0;
+    sample.wallMillis = result.wallMillis;
+    sample.prefixLength = result.prefixLength;
+    sample.prefixHits = result.prefixHits;
+    sample.instances = int(result.instances.size());
+    sample.passes = passMillis(result);
+    return sample;
+}
+
 /** Schedules of one configuration, for byte-identity checks. */
 std::vector<std::string>
 fingerprints(const EnsembleResult &result)
@@ -221,17 +263,7 @@ measure(const std::string &workload, PassManager &pipeline,
                   << " diverged from the serial schedules\n";
         std::exit(1);
     }
-    Sample sample;
-    sample.workload = workload;
-    sample.threads = ensemble.threads;
-    // Record whether caching actually happened, not whether it was
-    // requested: a twirl-first pipeline bypasses the cache.
-    sample.cached = result.prefixLength > 0;
-    sample.wallMillis = result.wallMillis;
-    sample.prefixLength = result.prefixLength;
-    sample.prefixHits = result.prefixHits;
-    sample.instances = int(result.instances.size());
-    return sample;
+    return sampleOf(workload, ensemble.threads, result);
 }
 
 void
@@ -268,13 +300,17 @@ writeJson(const std::string &path,
         .add("depth", options.depth)
         .add("instances", options.instances);
     for (const Sample &s : samples) {
-        json.newSample()
-            .add("workload", s.workload)
+        bench::JsonFields &sample = json.newSample();
+        sample.add("workload", s.workload)
             .add("threads", s.threads)
             .add("cached", s.cached)
             .add("prefix_length", s.prefixLength)
             .add("wall_ms", s.wallMillis, 3)
             .add("instances_per_s", s.instancesPerSecond(), 1);
+        bench::JsonFields passes;
+        for (const PassMetric &pass : s.passes)
+            passes.add(pass.name, pass.millis, 3);
+        sample.add("pass_ms", passes);
     }
     json.write(path);
 }
@@ -317,10 +353,7 @@ main(int argc, char **argv)
     EnsembleResult serial =
         twirl_first.runEnsemble(logical, backend, ensemble);
     const auto twirled_expected = fingerprints(serial);
-    Sample serial_sample;
-    serial_sample.workload = "twirl-first";
-    serial_sample.wallMillis = serial.wallMillis;
-    serial_sample.instances = int(serial.instances.size());
+    const Sample serial_sample = sampleOf("twirl-first", 1, serial);
     all.push_back(serial_sample);
 
     std::vector<Sample> twirled_samples{serial_sample};
@@ -366,10 +399,8 @@ main(int argc, char **argv)
         ensemble.prefixCache = false;
         EnsembleResult reference = first_pipeline.runEnsemble(
             logical, backend, ensemble);
-        Sample base_sample;
-        base_sample.workload = strategyName(strategy) + ":first";
-        base_sample.wallMillis = reference.wallMillis;
-        base_sample.instances = int(reference.instances.size());
+        const Sample base_sample = sampleOf(
+            strategyName(strategy) + ":first", 1, reference);
         all.push_back(base_sample);
 
         ensemble.prefixCache = true;
@@ -409,10 +440,8 @@ main(int argc, char **argv)
         ensemble.prefixCache = false;
         EnsembleResult reference = first_pipeline.runEnsemble(
             heisenberg, backend, ensemble);
-        Sample base_sample;
-        base_sample.workload = "heisenberg:first";
-        base_sample.wallMillis = reference.wallMillis;
-        base_sample.instances = int(reference.instances.size());
+        const Sample base_sample =
+            sampleOf("heisenberg:first", 1, reference);
         all.push_back(base_sample);
 
         std::vector<Sample> native_samples{base_sample};
@@ -456,10 +485,8 @@ main(int argc, char **argv)
         ensemble.prefixCache = false;
         EnsembleResult reference = first_pipeline.runEnsemble(
             caec_chain, backend, ensemble);
-        Sample base_sample;
-        base_sample.workload = "caec-native:first";
-        base_sample.wallMillis = reference.wallMillis;
-        base_sample.instances = int(reference.instances.size());
+        const Sample base_sample =
+            sampleOf("caec-native:first", 1, reference);
         all.push_back(base_sample);
 
         std::vector<Sample> caec_samples{base_sample};
@@ -503,10 +530,8 @@ main(int argc, char **argv)
     EnsembleResult late_serial =
         late.runEnsemble(logical, backend, ensemble);
     const auto late_expected = fingerprints(late_serial);
-    Sample late_sample;
-    late_sample.workload = "late-stochastic";
-    late_sample.wallMillis = late_serial.wallMillis;
-    late_sample.instances = int(late_serial.instances.size());
+    const Sample late_sample =
+        sampleOf("late-stochastic", 1, late_serial);
     all.push_back(late_sample);
 
     std::vector<Sample> late_samples{late_sample};

@@ -89,6 +89,9 @@ class ScheduledCircuit
     /** Append keeping (start, insertion) order; updates duration. */
     void add(TimedInstruction timed);
 
+    /** Reserve room for n instructions in total. */
+    void reserve(std::size_t n) { _insts.reserve(n); }
+
     /** Stable-sort instructions by start time. */
     void sortByStart();
 

@@ -1,7 +1,7 @@
 #include "passes/ca_dd.hh"
 
 #include <algorithm>
-#include <functional>
+#include <numeric>
 #include <set>
 
 #include "common/logging.hh"
@@ -25,39 +25,130 @@ overlapsSpan(const IdleWindow &w, double start, double end)
     return w.start < end - 1e-9 && start < w.end - 1e-9;
 }
 
-/** Union-find grouping of windows by overlap + adjacency. */
+/**
+ * The echoed two-qubit gates of a schedule in start order, built once
+ * per pass so that each window or group visits only the gates near
+ * its span instead of rescanning the whole schedule.
+ */
+class EchoIndex
+{
+  public:
+    explicit EchoIndex(const ScheduledCircuit &schedule)
+    {
+        for (const auto &timed : schedule.instructions()) {
+            if (!isEchoedTwoQubitOp(timed.inst.op) ||
+                timed.duration <= 0.0) {
+                continue;
+            }
+            _gates.push_back(&timed);
+            _longest = std::max(_longest, timed.duration);
+        }
+        std::stable_sort(_gates.begin(), _gates.end(),
+                         [](const TimedInstruction *a,
+                            const TimedInstruction *b) {
+                             return a->start < b->start;
+                         });
+    }
+
+    /**
+     * Visit a superset of the gates overlapping [start, end): every
+     * gate that starts before `end` and could still be running at
+     * `start`.  The pointers address the schedule, so comparing them
+     * compares schedule positions.
+     */
+    template <typename Visit>
+    void
+    forEachNear(double start, double end, Visit &&visit) const
+    {
+        // A gate running at `start` began less than the longest gate
+        // duration earlier (the margin absorbs rounding).
+        auto it = std::lower_bound(
+            _gates.begin(), _gates.end(), start - _longest - 1e-6,
+            [](const TimedInstruction *gate, double t) {
+                return gate->start < t;
+            });
+        for (; it != _gates.end() && (*it)->start < end; ++it)
+            visit(**it);
+    }
+
+  private:
+    std::vector<const TimedInstruction *> _gates;
+    double _longest = 0.0;
+};
+
+/**
+ * Union-find grouping of windows by overlap + adjacency.  Candidates
+ * for window i come only from the time-sorted windows of i's
+ * crosstalk neighbours, but the unite(i, j) calls keep the
+ * lexicographic (i, j) order an all-pairs scan makes.  That order
+ * decides the union-find roots, the roots decide the group order,
+ * and collectJointDelays' unstable sort passes the group order on to
+ * the schedule bytes.
+ */
 std::vector<std::vector<IdleWindow>>
 groupWindows(const std::vector<IdleWindow> &windows,
              const CrosstalkGraph &graph)
 {
-    std::vector<int> parent(windows.size());
-    for (std::size_t i = 0; i < windows.size(); ++i)
-        parent[i] = int(i);
-    std::function<int(int)> find = [&](int x) {
+    const std::size_t n = windows.size();
+    std::vector<std::size_t> parent(n);
+    std::iota(parent.begin(), parent.end(), std::size_t(0));
+    auto find = [&](std::size_t x) {
         while (parent[x] != x) {
             parent[x] = parent[parent[x]];
             x = parent[x];
         }
         return x;
     };
-    auto unite = [&](int a, int b) {
-        parent[find(a)] = find(b);
+
+    // Window indices by (qubit, start): each qubit's windows form a
+    // time-sorted run.
+    auto key = [&](std::size_t j) {
+        return std::make_pair(windows[j].qubit, windows[j].start);
     };
-    for (std::size_t i = 0; i < windows.size(); ++i) {
-        for (std::size_t j = i + 1; j < windows.size(); ++j) {
-            if (overlaps(windows[i], windows[j]) &&
-                graph.connected(windows[i].qubit,
-                                windows[j].qubit)) {
-                unite(int(i), int(j));
+    std::vector<std::size_t> by_qubit(n);
+    std::iota(by_qubit.begin(), by_qubit.end(), std::size_t(0));
+    std::sort(by_qubit.begin(), by_qubit.end(),
+              [&](std::size_t a, std::size_t b) {
+                  return key(a) < key(b);
+              });
+    double longest = 0.0;
+    for (const auto &w : windows)
+        longest = std::max(longest, w.duration());
+
+    std::vector<std::size_t> partners;
+    for (std::size_t i = 0; i < n; ++i) {
+        const IdleWindow &a = windows[i];
+        partners.clear();
+        for (std::uint32_t r : graph.neighbors(a.qubit)) {
+            // A window overlapping a began less than the longest
+            // window earlier (the margin absorbs rounding).
+            auto it = std::lower_bound(
+                by_qubit.begin(), by_qubit.end(),
+                std::make_pair(r, a.start - longest - 1e-6),
+                [&](std::size_t j,
+                    const std::pair<std::uint32_t, double> &bound) {
+                    return key(j) < bound;
+                });
+            for (; it != by_qubit.end() && windows[*it].qubit == r &&
+                   windows[*it].start < a.end;
+                 ++it) {
+                if (*it > i && overlaps(a, windows[*it]))
+                    partners.push_back(*it);
             }
         }
+        std::sort(partners.begin(), partners.end());
+        for (std::size_t j : partners)
+            parent[find(i)] = find(j);
     }
-    std::map<int, std::vector<IdleWindow>> buckets;
-    for (std::size_t i = 0; i < windows.size(); ++i)
-        buckets[find(int(i))].push_back(windows[i]);
+
+    // Groups in root order, members in window order.
+    std::vector<std::vector<IdleWindow>> by_root(n);
+    for (std::size_t i = 0; i < n; ++i)
+        by_root[find(i)].push_back(windows[i]);
     std::vector<std::vector<IdleWindow>> out;
-    for (auto &[root, group] : buckets)
-        out.push_back(std::move(group));
+    for (auto &group : by_root)
+        if (!group.empty())
+            out.push_back(std::move(group));
     return out;
 }
 
@@ -131,10 +222,6 @@ splitGroup(std::vector<IdleWindow> group, double min_duration,
         splitGroup(std::move(sub), min_duration, graph, out);
 }
 
-} // namespace
-
-namespace {
-
 /**
  * Split idle windows at the start/end times of echoed two-qubit
  * gates running on crosstalk-adjacent qubits, so that spectator
@@ -144,27 +231,26 @@ namespace {
  */
 std::vector<IdleWindow>
 splitAtContextBoundaries(const std::vector<IdleWindow> &windows,
-                         const ScheduledCircuit &schedule,
+                         const EchoIndex &echoes,
                          const CrosstalkGraph &graph,
                          double min_duration)
 {
     std::vector<IdleWindow> out;
+    std::vector<double> cuts;
     for (const auto &w : windows) {
-        std::vector<double> cuts{w.start, w.end};
-        for (const auto &timed : schedule.instructions()) {
-            if (!isEchoedTwoQubitOp(timed.inst.op) ||
-                timed.duration <= 0.0) {
-                continue;
-            }
+        cuts.assign({w.start, w.end});
+        echoes.forEachNear(w.start, w.end,
+                           [&](const TimedInstruction &timed) {
             bool adjacent = false;
             for (auto gq : timed.inst.qubits)
                 adjacent |= graph.connected(gq, w.qubit);
             if (!adjacent)
-                continue;
+                return;
             for (double t : {timed.start, timed.end()})
                 if (t > w.start + 1e-9 && t < w.end - 1e-9)
                     cuts.push_back(t);
-        }
+        });
+        // Sorted doubles do not depend on the visiting order.
         std::sort(cuts.begin(), cuts.end());
         for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
             if (cuts[i + 1] - cuts[i] >= min_duration) {
@@ -176,14 +262,13 @@ splitAtContextBoundaries(const std::vector<IdleWindow> &windows,
     return out;
 }
 
-} // namespace
-
 std::vector<JointDelayGroup>
 collectJointDelays(const ScheduledCircuit &schedule,
+                   const EchoIndex &echoes,
                    const CrosstalkGraph &graph, double min_duration)
 {
     const std::vector<IdleWindow> windows = splitAtContextBoundaries(
-        schedule.idleWindows(min_duration), schedule, graph,
+        schedule.idleWindows(min_duration), echoes, graph,
         min_duration);
     std::vector<JointDelayGroup> out;
     for (auto &group : groupWindows(windows, graph))
@@ -196,8 +281,7 @@ collectJointDelays(const ScheduledCircuit &schedule,
 }
 
 ColoredGroup
-colorGroup(const JointDelayGroup &group,
-           const ScheduledCircuit &schedule,
+colorGroup(const JointDelayGroup &group, const EchoIndex &echoes,
            const CrosstalkGraph &graph, int max_color)
 {
     ColoredGroup result;
@@ -209,18 +293,21 @@ colorGroup(const JointDelayGroup &group,
     for (const auto &w : group.members)
         member_qubits.insert(w.qubit);
 
-    for (const auto &timed : schedule.instructions()) {
-        if (!isEchoedTwoQubitOp(timed.inst.op) ||
-            timed.duration <= 0.0) {
-            continue;
+    // Later gates overwrite earlier pins, so the concurrent gates
+    // are applied in schedule order.
+    std::vector<const TimedInstruction *> concurrent;
+    echoes.forEachNear(group.start, group.end,
+                       [&](const TimedInstruction &timed) {
+        if (timed.end() > group.start + 1e-9 &&
+            timed.start < group.end - 1e-9) {
+            concurrent.push_back(&timed);
         }
-        if (timed.end() <= group.start + 1e-9 ||
-            timed.start >= group.end - 1e-9) {
-            continue;
-        }
+    });
+    std::sort(concurrent.begin(), concurrent.end());
+    for (const TimedInstruction *timed : concurrent) {
         // Only gates whose qubits neighbour a member matter.
-        for (std::size_t k = 0; k < timed.inst.qubits.size(); ++k) {
-            const std::uint32_t gq = timed.inst.qubits[k];
+        for (std::size_t k = 0; k < timed->inst.qubits.size(); ++k) {
+            const std::uint32_t gq = timed->inst.qubits[k];
             bool relevant = false;
             for (auto m : member_qubits)
                 if (graph.connected(gq, m))
@@ -248,30 +335,72 @@ colorGroup(const JointDelayGroup &group,
     return result;
 }
 
+/** An idle window and the sequence that pads it. */
+struct Pad
+{
+    IdleWindow window;
+    const DdSequence *seq = nullptr;
+};
+
+/**
+ * Copy of the schedule with every pad's pulses appended in pad order
+ * and one stable sort at the end, which orders ties exactly as a
+ * sort after each window would (the input is already start-sorted).
+ */
+ScheduledCircuit
+padSchedule(const ScheduledCircuit &schedule,
+            const std::vector<Pad> &pads, double pulse_duration)
+{
+    std::size_t pulses = 0;
+    for (const Pad &pad : pads)
+        pulses += pad.seq->numPulses();
+    ScheduledCircuit out = schedule;
+    out.reserve(schedule.instructions().size() + pulses);
+    for (const Pad &pad : pads) {
+        insertDdPulses(out, pad.window.qubit, pad.window.start,
+                       pad.window.end, *pad.seq, pulse_duration);
+    }
+    out.sortByStart();
+    return out;
+}
+
+} // namespace
+
+std::vector<JointDelayGroup>
+collectJointDelays(const ScheduledCircuit &schedule,
+                   const CrosstalkGraph &graph, double min_duration)
+{
+    return collectJointDelays(schedule, EchoIndex(schedule), graph,
+                              min_duration);
+}
+
+ColoredGroup
+colorGroup(const JointDelayGroup &group,
+           const ScheduledCircuit &schedule,
+           const CrosstalkGraph &graph, int max_color)
+{
+    return colorGroup(group, EchoIndex(schedule), graph, max_color);
+}
+
 ScheduledCircuit
 applyCaDd(const ScheduledCircuit &schedule, const Backend &backend,
           const CaddOptions &options)
 {
     const CrosstalkGraph graph =
         backend.crosstalkGraph(options.minZzRateMhz);
-    const std::vector<JointDelayGroup> groups =
-        collectJointDelays(schedule, graph, options.minDuration);
-
-    ScheduledCircuit out = schedule;
-    for (const auto &group : groups) {
+    const EchoIndex echoes(schedule);
+    std::vector<Pad> pads;
+    for (const auto &group : collectJointDelays(
+             schedule, echoes, graph, options.minDuration)) {
         const ColoredGroup colored =
-            colorGroup(group, schedule, graph,
-                       options.maxWalshIndex);
+            colorGroup(group, echoes, graph, options.maxWalshIndex);
         for (const auto &member : colored.group.members) {
             const int color = colored.colors.at(member.qubit);
-            const DdSequence seq =
-                walshSequence(color, colored.slots);
-            insertDdPulses(out, member.qubit, member.start,
-                           member.end, seq,
-                           backend.durations().oneQubit);
+            pads.push_back(
+                Pad{member, &walshSequence(color, colored.slots)});
         }
     }
-    return out;
+    return padSchedule(schedule, pads, backend.durations().oneQubit);
 }
 
 ScheduledCircuit
@@ -293,26 +422,30 @@ applyUniformDd(const ScheduledCircuit &schedule,
     }
     std::sort(grid.begin(), grid.end());
 
-    ScheduledCircuit out = schedule;
+    const DdSequence aligned = alignedX2();
+    const DdSequence offset = offsetX2();
+    std::vector<Pad> pads;
     for (const auto &window : schedule.idleWindows(min_duration)) {
-        std::vector<double> cuts{window.start, window.end};
-        for (double t : grid)
-            if (t > window.start + 1e-9 && t < window.end - 1e-9)
-                cuts.push_back(t);
-        std::sort(cuts.begin(), cuts.end());
-        for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
-            if (cuts[i + 1] - cuts[i] < min_duration)
-                continue;
-            DdSequence seq = alignedX2();
-            if (style == UniformDdStyle::StaggeredByParity &&
-                window.qubit % 2 == 1) {
-                seq = offsetX2();
-            }
-            insertDdPulses(out, window.qubit, cuts[i], cuts[i + 1],
-                           seq, durations.oneQubit);
+        const DdSequence *seq =
+            style == UniformDdStyle::StaggeredByParity &&
+                    window.qubit % 2 == 1
+                ? &offset
+                : &aligned;
+        // Cut the window at the grid points strictly inside it.
+        double from = window.start;
+        auto cut = [&](double to) {
+            if (to - from >= min_duration)
+                pads.push_back(Pad{{window.qubit, from, to}, seq});
+            from = to;
+        };
+        for (auto t = std::upper_bound(grid.begin(), grid.end(),
+                                       window.start + 1e-9);
+             t != grid.end() && *t < window.end - 1e-9; ++t) {
+            cut(*t);
         }
+        cut(window.end);
     }
-    return out;
+    return padSchedule(schedule, pads, durations.oneQubit);
 }
 
 } // namespace casq

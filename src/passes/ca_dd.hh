@@ -30,7 +30,7 @@ struct CaddOptions
     /** Ignore crosstalk edges weaker than this (MHz). */
     double minZzRateMhz = 0.0;
 
-    /** Highest Walsh row available to the colouring. */
+    /** Highest Walsh row available to the colouring (<= kMaxWalshRow). */
     int maxWalshIndex = 15;
 };
 

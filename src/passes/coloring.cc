@@ -7,20 +7,33 @@
 
 namespace casq {
 
-std::vector<int>
+const std::vector<int> &
 colorPreferenceOrder(int max_color)
 {
-    std::vector<int> order;
-    for (int k = 1; k <= max_color; ++k)
-        order.push_back(k);
-    std::stable_sort(order.begin(), order.end(), [](int a, int b) {
-        const std::size_t pa = walshPulseCount(a);
-        const std::size_t pb = walshPulseCount(b);
-        if (pa != pb)
-            return pa < pb;
-        return a < b;
-    });
-    return order;
+    // orders[m] is the preference order of rows 1..m, built once.
+    static const std::vector<std::vector<int>> orders = [] {
+        std::vector<std::vector<int>> out(kMaxWalshRow + 1);
+        for (int m = 1; m <= kMaxWalshRow; ++m) {
+            std::vector<int> &order = out[m];
+            for (int k = 1; k <= m; ++k)
+                order.push_back(k);
+            std::stable_sort(order.begin(), order.end(),
+                             [](int a, int b) {
+                                 const std::size_t pa =
+                                     walshPulseCount(a);
+                                 const std::size_t pb =
+                                     walshPulseCount(b);
+                                 if (pa != pb)
+                                     return pa < pb;
+                                 return a < b;
+                             });
+        }
+        return out;
+    }();
+    casq_assert(max_color <= kMaxWalshRow, "maxColor ", max_color,
+                " exceeds the highest tabulated Walsh row ",
+                kMaxWalshRow);
+    return orders[std::max(max_color, 0)];
 }
 
 std::map<std::uint32_t, int>
@@ -28,7 +41,7 @@ greedyColor(const ColoringProblem &problem,
             const CrosstalkGraph &graph)
 {
     std::map<std::uint32_t, int> colors;
-    const std::vector<int> preference =
+    const std::vector<int> &preference =
         colorPreferenceOrder(problem.maxColor);
 
     // Constrained-first ordering: idle qubits adjacent to pinned

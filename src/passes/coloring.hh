@@ -40,7 +40,7 @@ struct ColoringProblem
      */
     std::map<std::uint32_t, int> pinned;
 
-    /** Highest Walsh row the compiler may use. */
+    /** Highest Walsh row the compiler may use (<= kMaxWalshRow). */
     int maxColor = 15;
 };
 
@@ -55,10 +55,12 @@ std::map<std::uint32_t, int> greedyColor(
     const ColoringProblem &problem, const CrosstalkGraph &graph);
 
 /**
- * Candidate colour order: rows sorted by (pulse count, index), the
- * paper's "minimize pulses while staying low in the hierarchy".
+ * Candidate colour order: rows 1..max_color sorted by (pulse count,
+ * index), the paper's "minimize pulses while staying low in the
+ * hierarchy".  Looked up in a table built once; max_color must not
+ * exceed kMaxWalshRow.
  */
-std::vector<int> colorPreferenceOrder(int max_color);
+const std::vector<int> &colorPreferenceOrder(int max_color);
 
 } // namespace casq
 

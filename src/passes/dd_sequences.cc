@@ -19,12 +19,27 @@ offsetX2()
     return DdSequence{{0.5, 1.0}};
 }
 
-DdSequence
+const DdSequence &
 walshSequence(int k, std::size_t slots)
 {
+    // Every row 0..kMaxWalshRow at every power-of-two slot count up
+    // to walshSlots(kMaxWalshRow), built once.  The level with S
+    // slots holds rows 0..S-1 and starts at index S - 4.
+    static const std::vector<DdSequence> table = [] {
+        std::vector<DdSequence> rows;
+        for (std::size_t s = 4; s <= walshSlots(kMaxWalshRow); s *= 2)
+            for (std::size_t k = 0; k < s; ++k)
+                rows.push_back(DdSequence{walshPulseFractions(int(k), s)});
+        return rows;
+    }();
     if (slots == 0)
         slots = walshSlots(k);
-    return DdSequence{walshPulseFractions(k, slots)};
+    casq_assert(isWalshShape(k, slots) &&
+                    slots <= walshSlots(kMaxWalshRow),
+                "Walsh row ", k, " needs a power-of-two slot count >= 4",
+                " above it and at most ", walshSlots(kMaxWalshRow),
+                ", got ", slots);
+    return table[slots - 4 + std::size_t(k)];
 }
 
 bool
@@ -59,7 +74,6 @@ insertDdPulses(ScheduledCircuit &schedule, std::uint32_t qubit,
         schedule.add(TimedInstruction{std::move(x), s,
                                       pulse_duration});
     }
-    schedule.sortByStart();
     return true;
 }
 

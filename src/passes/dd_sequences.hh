@@ -33,15 +33,24 @@ DdSequence alignedX2();
 /** X2 shifted to 1/2 and 1 (end), the staggered partner of X2. */
 DdSequence offsetX2();
 
-/** Walsh row k at its native slot count. */
-DdSequence walshSequence(int k, std::size_t slots = 0);
+/**
+ * Walsh row k over `slots` (0: its native slot count), looked up in
+ * a table built once for rows up to kMaxWalshRow.
+ */
+const DdSequence &walshSequence(int k, std::size_t slots = 0);
 
 /**
- * Insert the sequence into [start, end) on the qubit as tagged X
+ * Append the sequence in [start, end) on the qubit as tagged X
  * gates of the given duration.  Pulses are centered on their
  * fractions and clamped inside the window.  Returns false (and
  * inserts nothing) when the window cannot fit the pulses without
  * overlap.
+ *
+ * The pulses are appended in time order at the end of the schedule,
+ * which is left unsorted: the caller calls sortByStart() once after
+ * its last insertion.  Because that sort is stable, appending every
+ * window in turn and sorting once yields the same instruction order
+ * as sorting after each window.
  */
 bool insertDdPulses(ScheduledCircuit &schedule, std::uint32_t qubit,
                     double start, double end, const DdSequence &seq,

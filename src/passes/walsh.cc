@@ -1,5 +1,8 @@
 #include "passes/walsh.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/logging.hh"
 
 namespace casq {
@@ -14,11 +17,19 @@ walshSlots(int k)
     return slots;
 }
 
+bool
+isWalshShape(int k, std::size_t slots)
+{
+    return k >= 0 && slots >= 4 && std::has_single_bit(slots) &&
+           std::size_t(k) < slots;
+}
+
 std::vector<int>
 walshSigns(int k, std::size_t slots)
 {
-    casq_assert(slots >= walshSlots(k) || std::size_t(k) < slots,
-                "too few slots for Walsh row ", k);
+    casq_assert(isWalshShape(k, slots), "Walsh row ", k,
+                " needs a power-of-two slot count >= 4 above it, got ",
+                slots);
     std::vector<int> signs(slots);
     for (std::size_t j = 0; j < slots; ++j)
         signs[j] =

@@ -23,10 +23,25 @@
 
 namespace casq {
 
+/**
+ * Highest Walsh row the memoised sequence and colour-order tables
+ * hold (walshSequence(), colorPreferenceOrder()).
+ */
+inline constexpr int kMaxWalshRow = 63;
+
 /** Number of slots needed to realize Walsh row k (min 4). */
 std::size_t walshSlots(int k);
 
-/** Sign pattern of row k over the given number of slots (+-1). */
+/**
+ * True when row k can be realized over `slots`: a power of two that
+ * is at least 4 and greater than k.
+ */
+bool isWalshShape(int k, std::size_t slots);
+
+/**
+ * Sign pattern of row k over the given number of slots (+-1).
+ * Asserts isWalshShape(k, slots).
+ */
 std::vector<int> walshSigns(int k, std::size_t slots);
 
 /**

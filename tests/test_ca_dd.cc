@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "passes/ca_dd.hh"
+#include "passes/dd_sequences.hh"
 #include "passes/walsh.hh"
 
 namespace casq {
@@ -248,6 +250,125 @@ TEST(CaDd, NnnEdgeForcesThirdColor)
     for (const auto &[q, c] : colored.colors)
         distinct.insert(c);
     EXPECT_EQ(distinct.size(), 3u);
+}
+
+/**
+ * Reference DD insertion in the historical shape: every window is
+ * padded and the whole schedule re-sorted before the next one.
+ */
+ScheduledCircuit
+perWindowSortReference(const ScheduledCircuit &schedule,
+                       const Backend &backend, bool context_aware,
+                       UniformDdStyle style)
+{
+    const double pulse = backend.durations().oneQubit;
+    ScheduledCircuit out = schedule;
+    if (context_aware) {
+        const CrosstalkGraph graph = backend.crosstalkGraph();
+        for (const auto &group :
+             collectJointDelays(schedule, graph, 150.0)) {
+            const ColoredGroup colored =
+                colorGroup(group, schedule, graph, 15);
+            for (const auto &m : colored.group.members) {
+                insertDdPulses(out, m.qubit, m.start, m.end,
+                               walshSequence(colored.colors.at(m.qubit),
+                                             colored.slots),
+                               pulse);
+                out.sortByStart();
+            }
+        }
+        return out;
+    }
+    std::vector<double> grid;
+    for (const auto &timed : schedule.instructions()) {
+        if (timed.inst.op == Op::Barrier || timed.duration <= 0.0)
+            continue;
+        grid.push_back(timed.start);
+        grid.push_back(timed.end());
+    }
+    for (const auto &window : schedule.idleWindows(150.0)) {
+        std::vector<double> cuts{window.start, window.end};
+        for (double t : grid)
+            if (t > window.start + 1e-9 && t < window.end - 1e-9)
+                cuts.push_back(t);
+        std::sort(cuts.begin(), cuts.end());
+        for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+            if (cuts[i + 1] - cuts[i] < 150.0)
+                continue;
+            const bool odd = style == UniformDdStyle::StaggeredByParity &&
+                             window.qubit % 2 == 1;
+            insertDdPulses(out, window.qubit, cuts[i], cuts[i + 1],
+                           odd ? offsetX2() : alignedX2(), pulse);
+            out.sortByStart();
+        }
+    }
+    return out;
+}
+
+std::size_t
+ddCount(const ScheduledCircuit &schedule)
+{
+    return std::count_if(schedule.instructions().begin(),
+                         schedule.instructions().end(),
+                         [](const TimedInstruction &t) {
+                             return t.inst.tag == InstTag::DD;
+                         });
+}
+
+TEST(CaDd, PassesSortOnceAndMatchPerWindowSort)
+{
+    // An 8-qubit chain with an NNN triangle, idle spectators next to
+    // staggered ECRs, and a long shared delay.
+    Backend backend = makeFakeLinear(8, 3);
+    backend.addNnnPair(0, 2, 0.01);
+    Circuit qc(8, 0);
+    for (int layer = 0; layer < 4; ++layer) {
+        for (std::uint32_t q = layer % 2; q + 1 < 8; q += 3)
+            qc.ecr(q, q + 1);
+        qc.barrier();
+        for (std::uint32_t q = 0; q < 8; ++q)
+            qc.delay(q, 400.0 + 100.0 * q);
+        qc.barrier();
+    }
+    const ScheduledCircuit sched =
+        scheduleASAP(qc, backend.durations());
+
+    for (int variant = 0; variant < 3; ++variant) {
+        const bool context_aware = variant == 2;
+        const UniformDdStyle style =
+            variant == 1 ? UniformDdStyle::StaggeredByParity
+                         : UniformDdStyle::Aligned;
+        const ScheduledCircuit dressed =
+            context_aware
+                ? applyCaDd(sched, backend)
+                : applyUniformDd(sched, backend.durations(), style);
+        const ScheduledCircuit reference = perWindowSortReference(
+            sched, backend, context_aware, style);
+
+        const auto &insts = dressed.instructions();
+        EXPECT_TRUE(std::is_sorted(
+            insts.begin(), insts.end(),
+            [](const TimedInstruction &a, const TimedInstruction &b) {
+                return a.start < b.start;
+            }))
+            << "variant " << variant;
+        EXPECT_EQ(dressed.findOverlap(), -1) << "variant " << variant;
+        EXPECT_GT(ddCount(dressed), 0u) << "variant " << variant;
+        EXPECT_EQ(ddCount(dressed), ddCount(reference))
+            << "variant " << variant;
+
+        // Same instructions in the same order, bit for bit.
+        ASSERT_EQ(insts.size(), reference.instructions().size());
+        for (std::size_t i = 0; i < insts.size(); ++i) {
+            const TimedInstruction &a = insts[i];
+            const TimedInstruction &b = reference.instructions()[i];
+            EXPECT_TRUE(a.inst.op == b.inst.op &&
+                        a.inst.qubits == b.inst.qubits &&
+                        a.inst.tag == b.inst.tag &&
+                        a.start == b.start && a.duration == b.duration)
+                << "variant " << variant << " instruction " << i;
+        }
+    }
 }
 
 } // namespace

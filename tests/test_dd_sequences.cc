@@ -63,11 +63,29 @@ TEST(DdSequences, PulsesDoNotOverlapEachOther)
                                    walshSequence(1, 8), 40.0);
     EXPECT_TRUE(ok);
     EXPECT_EQ(sched.findOverlap(), -1);
+    // Insertion only appends; ordering is the caller's sort.
+    sched.sortByStart();
     double prev_end = -1.0;
     for (const auto &t : sched.instructions()) {
         EXPECT_GE(t.start, prev_end - 1e-9);
         prev_end = t.end();
     }
+}
+
+TEST(DdSequences, InsertAppendsWithoutSorting)
+{
+    ScheduledCircuit sched(2, 0);
+    sched.add(
+        TimedInstruction{Instruction(Op::SX, {1}), 2000.0, 35.0});
+    ASSERT_TRUE(insertDdPulses(sched, 0, 0.0, 1000.0, alignedX2(),
+                               40.0));
+    ASSERT_EQ(sched.instructions().size(), 3u);
+    // The earlier pulses stay behind the later gate until the
+    // caller sorts.
+    EXPECT_EQ(sched.instructions()[0].inst.op, Op::SX);
+    EXPECT_EQ(sched.instructions()[1].inst.tag, InstTag::DD);
+    sched.sortByStart();
+    EXPECT_EQ(sched.instructions()[2].inst.op, Op::SX);
 }
 
 TEST(DdSequences, EmptySequenceIsNoop)

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "passes/dd_sequences.hh"
 #include "passes/walsh.hh"
 
 namespace casq {
@@ -33,6 +34,33 @@ TEST(Walsh, PaperSequenceTimings)
     // Target spectator: tau/2 - X - tau/2 - X (row 2).
     EXPECT_EQ(walshPulseFractions(2, 4),
               (std::vector<double>{0.5, 1.0}));
+}
+
+TEST(WalshDeath, RejectsSlotCountsThatAreNotWalsh)
+{
+    // Six slots is not a power of two: no Walsh row exists there,
+    // even though the row index fits.
+    EXPECT_DEATH(walshSequence(1, 6), "power-of-two slot count >= 4");
+    EXPECT_DEATH(walshSigns(1, 6), "power-of-two slot count >= 4");
+    EXPECT_DEATH(walshPulseFractions(3, 2), "power-of-two");
+    // Row 4 needs eight slots.
+    EXPECT_DEATH(walshSigns(4, 4), "power-of-two");
+    EXPECT_TRUE(isWalshShape(4, 8));
+    EXPECT_FALSE(isWalshShape(4, 4));
+    EXPECT_FALSE(isWalshShape(1, 6));
+    EXPECT_FALSE(isWalshShape(-1, 4));
+}
+
+TEST(Walsh, TabulatedSequencesMatchDirectComputation)
+{
+    for (std::size_t slots = 4; slots <= walshSlots(kMaxWalshRow);
+         slots *= 2) {
+        for (int k = 0; std::size_t(k) < slots; ++k)
+            EXPECT_EQ(walshSequence(k, slots).fractions,
+                      walshPulseFractions(k, slots))
+                << "row " << k << " slots " << slots;
+    }
+    EXPECT_EQ(&walshSequence(5), &walshSequence(5, 8));
 }
 
 class WalshRowProperties : public ::testing::TestWithParam<int>
