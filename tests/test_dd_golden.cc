@@ -1,6 +1,6 @@
 /**
  * @file
- * Golden schedule fingerprints of every stock strategy.
+ * Golden schedule fingerprints of the stock compile pipelines.
  *
  * tests/golden/dd_schedules.txt holds one exact hash per compiled
  * instance over every field of every timed instruction (op, qubits,
@@ -10,8 +10,17 @@
  * a single bit of a schedule fails here.  The captures must hold for
  * every thread count and with the ensemble prefix cache on or off.
  *
+ * tests/golden/twirl_reference_schedules.txt pins the twirl and
+ * CA-EC orderings the same way: it was captured from the historical
+ * compile path that twirled before lowering (Pauli frames sampled on
+ * the layered circuit, Algorithm 2 walked over the layered twirled
+ * circuit) before that path was retired.  Each line also records
+ * the pass-published twirl-gate count and CA-EC statistics.  The
+ * stock pipeline (frames sampled after lowering, the compensation
+ * walk on the flat stream) must keep reproducing it.
+ *
  * On a mismatch the fresh capture is written to
- * dd_schedules.actual.txt in the working directory for inspection.
+ * <golden>.actual.txt in the working directory for inspection.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +31,8 @@
 #include <sstream>
 
 #include "common/serialize.hh"
+#include "experiments/ramsey.hh"
+#include "passes/builtin.hh"
 #include "passes/pipeline.hh"
 
 namespace casq {
@@ -201,26 +212,336 @@ TEST(DdGolden, NnnDeviceNeedsAThirdColour)
     EXPECT_GE(max_color, 3);
 }
 
-TEST(DdGolden, SchedulesMatchCommittedFingerprints)
+/** Non-comment lines of a committed golden file. */
+std::vector<std::string>
+readGolden(const std::string &file)
 {
-    const std::vector<std::string> fresh = captureLines();
-
-    std::ifstream in(std::string(CASQ_GOLDEN_DIR) + "/dd_schedules.txt");
+    std::ifstream in(std::string(CASQ_GOLDEN_DIR) + "/" + file);
     std::vector<std::string> golden;
     for (std::string line; std::getline(in, line);)
         if (!line.empty() && line[0] != '#')
             golden.push_back(line);
+    return golden;
+}
 
+/**
+ * Compare a fresh capture against a committed golden file line by
+ * line, writing <stem>.actual.txt on a mismatch.
+ */
+void
+expectMatchesGolden(const std::vector<std::string> &fresh,
+                    const std::vector<std::string> &golden,
+                    const std::string &file)
+{
     if (fresh != golden) {
-        std::ofstream out("dd_schedules.actual.txt");
+        const std::string stem = file.substr(0, file.rfind('.'));
+        std::ofstream out(stem + ".actual.txt");
         for (const std::string &line : fresh)
             out << line << "\n";
     }
-    ASSERT_FALSE(golden.empty())
-        << "missing tests/golden/dd_schedules.txt";
+    ASSERT_FALSE(golden.empty()) << "missing tests/golden/" << file;
     ASSERT_EQ(fresh.size(), golden.size());
     for (std::size_t i = 0; i < fresh.size(); ++i)
-        EXPECT_EQ(fresh[i], golden[i]) << "line " << i + 1;
+        EXPECT_EQ(fresh[i], golden[i]) << file << " line " << i + 1;
+}
+
+TEST(DdGolden, SchedulesMatchCommittedFingerprints)
+{
+    expectMatchesGolden(captureLines(), readGolden("dd_schedules.txt"),
+                        "dd_schedules.txt");
+}
+
+// ------------------------------------------------------------------
+// Twirl and CA-EC reference.  The workloads are frozen copies of the
+// ones the ordering A/B tests used, kept here so that editing a
+// behavioural test's workload cannot silently move a golden input.
+// ------------------------------------------------------------------
+
+/** Gates, idles, and parallel ECR contexts on a 4-qubit chain. */
+LayeredCircuit
+equivalenceWorkload()
+{
+    LayeredCircuit circuit = buildCaseControlControl(4, 1, 0, 2, 3,
+                                                     2);
+    Layer idle{LayerKind::OneQubit, {}};
+    for (std::uint32_t q = 0; q < 4; ++q)
+        idle.insts.emplace_back(Op::Delay,
+                                std::vector<std::uint32_t>{q},
+                                std::vector<double>{900.0});
+    circuit.addLayer(std::move(idle));
+    return circuit;
+}
+
+/**
+ * Every scheduling path late twirling must reproduce: parallel ECR
+ * and mixed rzz/can two-qubit layers, idle and sx one-qubit layers,
+ * and a measure -> feedforward dynamic tail followed by one more
+ * twirled layer.
+ */
+LayeredCircuit
+twirlWorkload()
+{
+    LayeredCircuit circuit(5, 1);
+
+    Layer ecr{LayerKind::TwoQubit, {}};
+    ecr.insts.emplace_back(Op::ECR,
+                           std::vector<std::uint32_t>{0, 1});
+    ecr.insts.emplace_back(Op::ECR,
+                           std::vector<std::uint32_t>{2, 3});
+    circuit.addLayer(std::move(ecr));
+
+    Layer idle{LayerKind::OneQubit, {}};
+    for (std::uint32_t q = 0; q < 5; ++q)
+        idle.insts.emplace_back(Op::Delay,
+                                std::vector<std::uint32_t>{q},
+                                std::vector<double>{600.0});
+    circuit.addLayer(std::move(idle));
+
+    Layer mixed{LayerKind::TwoQubit, {}};
+    mixed.insts.emplace_back(Op::RZZ,
+                             std::vector<std::uint32_t>{1, 2},
+                             std::vector<double>{0.37});
+    mixed.insts.emplace_back(
+        Op::Can, std::vector<std::uint32_t>{3, 4},
+        std::vector<double>{0.3, 0.2, 0.1});
+    circuit.addLayer(std::move(mixed));
+
+    Layer ones{LayerKind::OneQubit, {}};
+    for (std::uint32_t q = 0; q < 5; ++q)
+        ones.insts.emplace_back(Op::SX,
+                                std::vector<std::uint32_t>{q});
+    circuit.addLayer(std::move(ones));
+
+    Layer measure{LayerKind::Dynamic, {}};
+    Instruction m(Op::Measure, {0});
+    m.cbit = 0;
+    measure.insts.push_back(m);
+    circuit.addLayer(std::move(measure));
+
+    Layer feedforward{LayerKind::Dynamic, {}};
+    Instruction fx(Op::X, {2});
+    fx.condBit = 0;
+    fx.condValue = 1;
+    feedforward.insts.push_back(fx);
+    circuit.addLayer(std::move(feedforward));
+
+    Layer tail{LayerKind::TwoQubit, {}};
+    tail.insts.emplace_back(Op::ECR,
+                            std::vector<std::uint32_t>{1, 2});
+    circuit.addLayer(std::move(tail));
+
+    return circuit;
+}
+
+/**
+ * Every compensation path of Algorithm 2: absorber gates (can/rzz),
+ * a Clifford layer the pending angles transform through, idle
+ * accumulation, and a measure -> feedforward tail (the Fig. 9b
+ * conditional-rz rule) followed by one more gate layer.
+ */
+LayeredCircuit
+caecWalkWorkload()
+{
+    LayeredCircuit circuit(5, 1);
+
+    Layer gates{LayerKind::TwoQubit, {}};
+    gates.insts.emplace_back(Op::ECR,
+                             std::vector<std::uint32_t>{0, 1});
+    gates.insts.emplace_back(
+        Op::Can, std::vector<std::uint32_t>{2, 3},
+        std::vector<double>{0.3, 0.2, 0.1});
+    circuit.addLayer(std::move(gates));
+
+    Layer idle{LayerKind::OneQubit, {}};
+    for (std::uint32_t q = 0; q < 5; ++q)
+        idle.insts.emplace_back(Op::Delay,
+                                std::vector<std::uint32_t>{q},
+                                std::vector<double>{700.0});
+    circuit.addLayer(std::move(idle));
+
+    Layer absorbers{LayerKind::TwoQubit, {}};
+    absorbers.insts.emplace_back(Op::RZZ,
+                                 std::vector<std::uint32_t>{1, 2},
+                                 std::vector<double>{0.37});
+    absorbers.insts.emplace_back(
+        Op::Can, std::vector<std::uint32_t>{3, 4},
+        std::vector<double>{0.25, 0.15, 0.05});
+    circuit.addLayer(std::move(absorbers));
+
+    Layer idle2{LayerKind::OneQubit, {}};
+    for (std::uint32_t q = 0; q < 5; ++q)
+        idle2.insts.emplace_back(Op::Delay,
+                                 std::vector<std::uint32_t>{q},
+                                 std::vector<double>{500.0});
+    circuit.addLayer(std::move(idle2));
+
+    Layer measure{LayerKind::Dynamic, {}};
+    Instruction m(Op::Measure, {1});
+    m.cbit = 0;
+    measure.insts.push_back(m);
+    circuit.addLayer(std::move(measure));
+
+    Layer feedforward{LayerKind::Dynamic, {}};
+    Instruction fx(Op::X, {3});
+    fx.condBit = 0;
+    fx.condValue = 1;
+    feedforward.insts.push_back(fx);
+    circuit.addLayer(std::move(feedforward));
+
+    Layer tail{LayerKind::TwoQubit, {}};
+    tail.insts.emplace_back(Op::ECR,
+                            std::vector<std::uint32_t>{2, 3});
+    circuit.addLayer(std::move(tail));
+
+    return circuit;
+}
+
+/**
+ * One golden compile configuration.  instances == 0 compiles once
+ * through PassManager::compile() with Rng(seed) (the single-shot
+ * compileCircuit() path); instances > 0 runs an ensemble.
+ */
+struct ReferenceRun
+{
+    std::string name;
+    const LayeredCircuit *circuit;
+    const Backend *backend;
+    Strategy strategy;
+    bool native;
+    bool twirl;
+    std::uint64_t seed;
+    int instances;
+};
+
+/** "<pre-lowering twirl gates> <CaecStats fields>" of a result. */
+std::string
+publishedCounts(const CompilationResult &result)
+{
+    std::ostringstream os;
+    if (const auto *gates = result.property<std::size_t>(kTwirlGatesKey))
+        os << "twirl_gates=" << *gates;
+    else
+        os << "twirl_gates=-";
+    if (const auto *stats = result.property<CaecStats>(kCaecStatsKey))
+        os << " caec=" << stats->absorbedIntoGates << "/"
+           << stats->insertedRz << "/" << stats->insertedRzz << "/"
+           << stats->conditionalRz << "/" << stats->flushedEarly;
+    else
+        os << " caec=-";
+    return os.str();
+}
+
+/**
+ * One line per compiled instance:
+ * "<case> <strategy> native=<0|1> twirl=<0|1> (rng=<s> | seed=<s>
+ * k=<k>) n=<insts> twirl_gates=<g> caec=<absorbed/rz/rzz/cond/
+ * flushed> <hash>".  Ensembles must agree across threads {1, 8}
+ * and prefix cache on/off (a disagreement is reported as a
+ * failure, not captured).
+ */
+std::vector<std::string>
+captureRun(const ReferenceRun &run)
+{
+    CompileOptions options;
+    options.strategy = run.strategy;
+    options.lowerToNative = run.native;
+    options.twirl = run.twirl;
+    PassManager pipeline = buildPipeline(options);
+
+    const auto line = [&](const std::string &which,
+                          const CompilationResult &result) {
+        std::ostringstream os;
+        os << run.name << " " << strategyName(run.strategy)
+           << " native=" << run.native << " twirl=" << run.twirl
+           << " " << which
+           << " n=" << result.scheduled.instructions().size() << " "
+           << publishedCounts(result) << " " << std::hex
+           << std::setw(16) << std::setfill('0')
+           << scheduleHash(result.scheduled);
+        return os.str();
+    };
+
+    if (run.instances == 0) {
+        Rng rng(run.seed);
+        return {line("rng=" + std::to_string(run.seed),
+                     pipeline.compile(*run.circuit, *run.backend,
+                                      rng))};
+    }
+
+    std::vector<std::string> reference;
+    for (unsigned threads : {1u, 8u}) {
+        for (bool cache : {true, false}) {
+            EnsembleOptions ensemble;
+            ensemble.instances = run.instances;
+            ensemble.seed = run.seed;
+            ensemble.threads = threads;
+            ensemble.prefixCache = cache;
+            const EnsembleResult result = pipeline.runEnsemble(
+                *run.circuit, *run.backend, ensemble);
+            std::vector<std::string> got;
+            for (std::size_t k = 0; k < result.instances.size(); ++k)
+                got.push_back(line("seed=" + std::to_string(run.seed) +
+                                       " k=" + std::to_string(k),
+                                   result.instances[k]));
+            if (reference.empty())
+                reference = got;
+            EXPECT_EQ(got, reference)
+                << run.name << " " << strategyName(run.strategy)
+                << " threads=" << threads << " prefixCache=" << cache;
+        }
+    }
+    return reference;
+}
+
+std::vector<std::string>
+captureTwirlReference()
+{
+    const Backend chain4 = makeFakeLinear(4, 1);
+    const Backend chain5 = makeFakeLinear(5, 7);
+    const LayeredCircuit equivalence = equivalenceWorkload();
+    const LayeredCircuit late = twirlWorkload();
+    const LayeredCircuit walk = caecWalkWorkload();
+
+    std::vector<ReferenceRun> runs;
+    // Single-shot compiles of every strategy, untwirled and twirled.
+    for (Strategy strategy : allStrategies())
+        for (bool twirl : {false, true})
+            runs.push_back({"equivalence", &equivalence, &chain4,
+                            strategy, false, twirl, 42, 0});
+    for (Strategy strategy : {Strategy::Ec, Strategy::CaDd})
+        runs.push_back({"equivalence", &equivalence, &chain4,
+                        strategy, true, true, 7, 0});
+    runs.push_back({"equivalence", &equivalence, &chain4,
+                    Strategy::Combined, false, true, 2024, 4});
+    for (Strategy strategy : allStrategies())
+        for (bool native : {false, true})
+            runs.push_back({"late-twirl", &late, &chain5, strategy,
+                            native, true, 2024, 6});
+    for (Strategy strategy :
+         {Strategy::Ec, Strategy::EcAlignedDd, Strategy::Combined})
+        for (bool native : {false, true})
+            runs.push_back({"caec-walk", &walk, &chain5, strategy,
+                            native, true, 4242, 6});
+
+    std::vector<std::string> lines;
+    for (const ReferenceRun &run : runs) {
+        const std::vector<std::string> got = captureRun(run);
+        lines.insert(lines.end(), got.begin(), got.end());
+    }
+    return lines;
+}
+
+TEST(DdGolden, TwirlReferenceMatchesCommittedFingerprints)
+{
+    // The partial-barrier lines are checked once the late ordering
+    // accepts partial barriers inside layers.
+    std::vector<std::string> golden;
+    for (const std::string &line :
+         readGolden("twirl_reference_schedules.txt"))
+        if (line.rfind("partial-barrier ", 0) != 0)
+            golden.push_back(line);
+    expectMatchesGolden(captureTwirlReference(), golden,
+                        "twirl_reference_schedules.txt");
 }
 
 } // namespace
