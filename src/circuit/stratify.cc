@@ -22,12 +22,21 @@ Layer::gateOn(std::uint32_t qubit) const
     return nullptr;
 }
 
+bool
+isLayerSeparator(const Instruction &inst, std::size_t num_qubits)
+{
+    return inst.op == Op::Barrier && inst.qubits.size() == num_qubits;
+}
+
 void
 LayeredCircuit::addLayer(Layer layer)
 {
-    // Instructions within a layer must touch disjoint qubits.
+    // Instructions within a layer must touch disjoint qubits, and
+    // all-qubit barriers are reserved as layer separators.
     std::vector<bool> used(_numQubits, false);
     for (const auto &inst : layer.insts) {
+        casq_assert(!isLayerSeparator(inst, _numQubits),
+                    "a layer may not hold an all-qubit barrier");
         for (auto q : inst.qubits) {
             casq_assert(!used[q],
                         "layer instructions overlap on qubit q", q);

@@ -43,6 +43,12 @@ struct Layer
     const Instruction *gateOn(std::uint32_t qubit) const;
 };
 
+/**
+ * True for an all-qubit barrier: the separator flatten() emits
+ * between layers, which therefore may not appear inside one.
+ */
+bool isLayerSeparator(const Instruction &inst, std::size_t num_qubits);
+
 /** A circuit organized as an ordered list of disjoint layers. */
 class LayeredCircuit
 {
@@ -58,7 +64,13 @@ class LayeredCircuit
     std::vector<Layer> &layers() { return _layers; }
     const std::vector<Layer> &layers() const { return _layers; }
 
-    /** Append a layer (instruction qubits must be disjoint). */
+    /**
+     * Append a layer.  Instruction qubits must be disjoint, and the
+     * layer may not hold an all-qubit barrier: flatten() reserves
+     * those as layer separators, and the late-twirl and CA-EC passes
+     * recover layers by splitting on them.  Partial barriers are
+     * fine.
+     */
     void addLayer(Layer layer);
 
     /**

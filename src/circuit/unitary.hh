@@ -101,8 +101,8 @@ Circuit transpileToNative(const Circuit &circuit,
  * into an already-lowered stream) to the native set.  Because
  * transpileToNative() rewrites instruction by instruction, lowering
  * a fragment equals lowering it as part of the whole circuit -- the
- * property the late-twirl and scheduled CA-EC passes rely on for
- * byte-identity with the twirl-first pipelines.
+ * property the late-twirl and CA-EC passes rely on when they splice
+ * frame and compensation layers into a lowered stream.
  */
 std::vector<Instruction> transpileFragment(
     std::vector<Instruction> insts, std::size_t num_qubits,

@@ -17,19 +17,6 @@ countTag(const ScheduledCircuit &schedule, InstTag tag)
 } // namespace
 
 void
-TwirlPass::run(PassContext &context)
-{
-    LayeredCircuit twirled =
-        pauliTwirl(context.layered(), context.rng(), *_cache);
-    std::size_t gates = 0;
-    for (const Layer &layer : twirled.layers())
-        for (const Instruction &inst : layer.insts)
-            gates += inst.tag == InstTag::Twirl;
-    context.setProperty(kTwirlGatesKey, gates);
-    context.setLayered(std::move(twirled));
-}
-
-void
 TwirlPlanPass::run(PassContext &context)
 {
     TwirlPlan plan = makeTwirlPlan(context.layered());
@@ -38,8 +25,7 @@ TwirlPlanPass::run(PassContext &context)
     for (const TwirlPlan::LayerGates &target : plan.targets)
         for (const Instruction &gate : target.gates)
             _cache->tableFor(gate);
-    if (_publishPlan)
-        context.setProperty(kTwirlPlanKey, std::move(plan));
+    context.setProperty(kTwirlPlanKey, std::move(plan));
 }
 
 void
@@ -49,26 +35,14 @@ LateTwirlPass::run(PassContext &context)
         context.requireProperty<TwirlPlan>(kTwirlPlanKey);
     std::size_t frames = 0;
     TwirlFrames frame_insts;
-    context.setFlat(lateTwirl(context.flat(), plan, context.rng(),
-                              *_cache,
-                              _native ? &*_native : nullptr,
-                              &frames,
-                              _publishFrames ? &frame_insts
-                                             : nullptr));
+    context.setFlat(insertTwirlFrames(
+        context.flat(), plan, context.rng(), *_cache,
+        _native ? &*_native : nullptr, &frames,
+        _publishFrames ? &frame_insts : nullptr));
     context.setProperty(kTwirlGatesKey, frames);
     if (_publishFrames)
         context.setProperty(kTwirlFramesKey,
                             std::move(frame_insts));
-}
-
-void
-CaEcPass::run(PassContext &context)
-{
-    CaecStats stats;
-    context.setLayered(applyCaEc(context.layered(),
-                                 context.backend(), _options,
-                                 &stats));
-    context.setProperty(kCaecStatsKey, stats);
 }
 
 void

@@ -52,52 +52,20 @@ inline constexpr const char kIdleWindowsKey[] = "idle.windows";
 inline constexpr const char kDdPulsesKey[] = "dd.pulses";
 
 /**
- * Pauli-twirl the two-qubit layers (Layered stage).  The
- * conjugation-table cache persists across run() calls, so reusing
- * one manager across an ensemble builds each table once; passing a
- * shared cache lets a pipeline's twirl-plan prefix pass pre-build
- * the tables once per ensemble instead.
- */
-class TwirlPass : public Pass
-{
-  public:
-    explicit TwirlPass(
-        std::shared_ptr<TwirlTableCache> cache = nullptr)
-        : _cache(cache ? std::move(cache)
-                       : std::make_shared<TwirlTableCache>())
-    {
-    }
-
-    std::string name() const override { return "pauli-twirl"; }
-    void run(PassContext &context) override;
-    bool isStochastic() const override { return true; }
-
-  private:
-    std::shared_ptr<TwirlTableCache> _cache;
-};
-
-/**
  * Analysis-only pass (Layered stage, deterministic): publish the
  * twirl blueprint under kTwirlPlanKey and pre-build the conjugation
  * table of every targeted two-qubit gate into the shared cache.
  * Running in the deterministic prefix of an ensemble pipeline, it
  * moves both the blueprint capture and the numeric table
  * construction out of the per-instance suffix.
- *
- * Pass publish_plan = false when no LateTwirlPass follows (the
- * twirl-first orderings): the table warm-up still happens but the
- * blueprint is not stored, so per-instance context forks do not
- * copy a gate list nothing reads.
  */
 class TwirlPlanPass : public Pass
 {
   public:
     explicit TwirlPlanPass(
-        std::shared_ptr<TwirlTableCache> cache = nullptr,
-        bool publish_plan = true)
+        std::shared_ptr<TwirlTableCache> cache = nullptr)
         : _cache(cache ? std::move(cache)
-                       : std::make_shared<TwirlTableCache>()),
-          _publishPlan(publish_plan)
+                       : std::make_shared<TwirlTableCache>())
     {
     }
 
@@ -111,21 +79,22 @@ class TwirlPlanPass : public Pass
 
   private:
     std::shared_ptr<TwirlTableCache> _cache;
-    bool _publishPlan;
 };
 
 /**
  * Insert the Pauli-twirl frames into the lowered circuit (Flat
  * stage, after flatten and any transpile) from the blueprint a
- * TwirlPlanPass published.  Byte-for-byte equivalent to twirling
- * first at the same seed -- see lateTwirl() in twirling.hh for the
- * contract -- but because everything before this pass is
- * deterministic, ensemble compilation shares the flatten/transpile
- * prefix across all instances instead of recompiling it per twirl.
+ * TwirlPlanPass published (see insertTwirlFrames() in twirling.hh).
+ * Because everything before this pass is deterministic, ensemble
+ * compilation shares the flatten/transpile prefix across all
+ * instances instead of recompiling it per twirl.  The
+ * conjugation-table cache persists across run() calls; pass the
+ * pipeline's shared cache so the twirl-plan pass builds each table
+ * once per ensemble.
  *
  * Construct with the pipeline's TranspileOptions when the pipeline
  * lowers to the native gate set, so the frame gates receive the
- * identical lowering the twirl-first ordering would have applied.
+ * same lowering as the rest of the stream.
  *
  * Pass publish_frames = true when a CaEcFlatPass follows: the
  * sampled pre-lowering frames are then published under
@@ -157,31 +126,8 @@ class LateTwirlPass : public Pass
 };
 
 /**
- * Context-aware error compensation (Layered stage).  This is the
- * legacy layered walk, kept for the twirl-first orderings
- * (CompileOptions::lateTwirl = false) as the A/B reference of the
- * scheduled walk below.
- */
-class CaEcPass : public Pass
-{
-  public:
-    explicit CaEcPass(CaecOptions options = {})
-        : _options(options)
-    {
-    }
-
-    std::string name() const override { return "ca-ec"; }
-    void run(PassContext &context) override;
-
-    const CaecOptions &options() const { return _options; }
-
-  private:
-    CaecOptions _options;
-};
-
-/**
  * Analysis-only pass (Layered stage, deterministic): publish the
- * scheduled CA-EC walk's blueprint under kCaecPlanKey.  Runs in the
+ * CA-EC walk's blueprint under kCaecPlanKey.  Runs in the
  * deterministic prefix of an ensemble pipeline, so the pre-lowering
  * layer capture happens once per ensemble; the property holds a
  * shared_ptr, so per-instance context forks copy a pointer rather
@@ -195,14 +141,12 @@ class CaEcPlanPass : public Pass
 };
 
 /**
- * Scheduled-representation CA-EC (Flat stage, after flatten / any
+ * Context-aware error compensation (Flat stage, after flatten / any
  * transpile / late-twirl): runs Algorithm 2's walk over the layer
  * segments of the lowered stream, reconstructing the pre-lowering
  * twirled layers from the CaEcPlanPass blueprint and the frames the
- * LateTwirlPass published.  Byte-identical to the layered CaEcPass
- * under the twirl-first ordering at the same seed (the
- * applyCaEcFlat() contract); deterministic, so it extends the
- * ensemble prefix cache over the whole lowering front end.
+ * LateTwirlPass published (see applyCaEcFlat()).  Publishes its
+ * CaecStats under kCaecStatsKey.
  */
 class CaEcFlatPass : public Pass
 {
@@ -241,9 +185,8 @@ class CaEcFlatPass : public Pass
 
     /**
      * Conjugation tables for the walk's commute-through math,
-     * shared across ensemble instances (the legacy layered walk
-     * rebuilds them numerically per instance).  Pass the pipeline's
-     * cache so the twirl-plan pass warms it in the prefix.
+     * shared across ensemble instances.  Pass the pipeline's cache
+     * so the twirl-plan pass warms it in the prefix.
      */
     std::shared_ptr<TwirlTableCache> _tables;
 };

@@ -136,35 +136,99 @@ caecActiveOnlyOptions()
 namespace {
 
 /**
- * Emission interface of the walk.  The walk produces, in order, an
+ * Emission target of the walk, which produces, in order, an
  * interleaving of the input layers (possibly with absorbed gate
- * parameters) and freshly synthesized compensation layers; the
- * layered sink reproduces applyCaEc()'s LayeredCircuit, the flat
- * sink splices the stream into the lowered barrier segments.
+ * parameters) and freshly synthesized compensation layers.  The sink
+ * splices that stream into the lowered flat segments: untouched
+ * input layers pass their existing segment through verbatim,
+ * absorbed layers and compensation layers are lowered with the
+ * pipeline's transpile options (per-fragment lowering equals
+ * whole-circuit lowering, see transpileFragment()).
  */
-class CaEcSink
+class FlatSink
 {
   public:
-    virtual ~CaEcSink() = default;
+    FlatSink(std::vector<std::vector<Instruction>> segments,
+             std::size_t num_qubits, std::size_t num_clbits,
+             const TranspileOptions *native, TranspileCache *cache)
+        : _segments(std::move(segments)),
+          _numQubits(num_qubits),
+          _numClbits(num_clbits),
+          _native(native),
+          _cache(cache)
+    {
+        _out.reserve(_segments.size());
+    }
 
     /** A compensation layer synthesized by the walk. */
-    virtual void emitComp(Layer &&layer) = 0;
+    void
+    emitComp(Layer &&layer)
+    {
+        _out.push_back(lower(std::move(layer.insts)));
+    }
 
     /**
      * Input layer `index` after commute-through; `modified` is true
      * when absorption rewrote a gate parameter in `working`.
      */
-    virtual void emitInput(std::size_t index, const Layer &working,
-                          bool modified) = 0;
+    void
+    emitInput(std::size_t index, const Layer &working,
+              bool modified)
+    {
+        if (modified)
+            _out.push_back(lower(working.insts));
+        else
+            _out.push_back(std::move(_segments[index]));
+    }
+
+    /** Rejoin the output segments with the inter-layer barriers. */
+    Circuit
+    take()
+    {
+        Circuit out(_numQubits, _numClbits);
+        for (std::size_t s = 0; s < _out.size(); ++s) {
+            for (Instruction &inst : _out[s])
+                out.append(std::move(inst));
+            if (s + 1 < _out.size())
+                out.barrier();
+        }
+        return out;
+    }
+
+  private:
+    std::vector<std::vector<Instruction>> _segments;
+    std::vector<std::vector<Instruction>> _out;
+    std::size_t _numQubits;
+    std::size_t _numClbits;
+    const TranspileOptions *_native;
+    TranspileCache *_cache;
+
+    std::vector<Instruction>
+    lower(std::vector<Instruction> insts)
+    {
+        if (!_native)
+            return insts;
+        if (_cache) {
+            std::vector<Instruction> out;
+            out.reserve(insts.size());
+            for (const Instruction &inst : insts) {
+                const std::vector<Instruction> &frag =
+                    _cache->fragmentFor(inst);
+                out.insert(out.end(), frag.begin(), frag.end());
+            }
+            return out;
+        }
+        return transpileFragment(std::move(insts), _numQubits,
+                                 _numClbits, *_native);
+    }
 };
 
 /**
  * Implementation object carrying the walk state of Algorithm 2,
- * decoupled from the circuit representation: it reads a sequence of
- * (borrowed) pre-lowering layers and emits through a CaEcSink.  The
- * walk consumes no randomness.  Internal linkage: the public pass
- * objects wrapping applyCaEc() / applyCaEcFlat() are casq::CaEcPass
- * and casq::CaEcFlatPass (passes/builtin.hh), distinct classes.
+ * over a sequence of (borrowed) pre-lowering layers, emitting through
+ * a FlatSink.  The walk consumes no randomness.  Internal linkage:
+ * the public pass object wrapping applyCaEcFlat() is
+ * casq::CaEcFlatPass (passes/builtin.hh).
  */
 class CaEcWalk
 {
@@ -172,7 +236,7 @@ class CaEcWalk
     CaEcWalk(const std::vector<const Layer *> &layers,
              std::size_t num_qubits, const Backend &backend,
              const CaecOptions &options, CaecStats *stats,
-             CaEcSink &sink, TwirlTableCache *tables = nullptr)
+             FlatSink &sink, TwirlTableCache *tables)
         : _layers(layers),
           _numQubits(num_qubits),
           _backend(backend),
@@ -207,7 +271,7 @@ class CaEcWalk
     const Backend &_backend;
     const CaecOptions &_opts;
     CaecStats *_stats;
-    CaEcSink &_sink;
+    FlatSink &_sink;
 
     std::vector<double> _err1q;
     std::map<QubitPair, double> _err2q;
@@ -776,139 +840,12 @@ class CaEcWalk
     }
 };
 
-/** Rebuilds applyCaEc()'s layered output. */
-class LayeredSink : public CaEcSink
-{
-  public:
-    LayeredSink(std::size_t num_qubits, std::size_t num_clbits)
-        : _out(num_qubits, num_clbits)
-    {
-    }
-
-    void
-    emitComp(Layer &&layer) override
-    {
-        _out.addLayer(std::move(layer));
-    }
-
-    void
-    emitInput(std::size_t, const Layer &working, bool) override
-    {
-        _out.addLayer(working);
-    }
-
-    LayeredCircuit take() { return std::move(_out); }
-
-  private:
-    LayeredCircuit _out;
-};
-
-/**
- * Splices the walk's stream into the lowered flat segments:
- * untouched input layers pass their existing segment through
- * verbatim, absorbed layers and compensation layers are lowered
- * with the pipeline's transpile options (per-fragment lowering
- * equals whole-circuit lowering, see transpileFragment()).
- */
-class FlatSink : public CaEcSink
-{
-  public:
-    FlatSink(std::vector<std::vector<Instruction>> segments,
-             std::size_t num_qubits, std::size_t num_clbits,
-             const TranspileOptions *native, TranspileCache *cache)
-        : _segments(std::move(segments)),
-          _numQubits(num_qubits),
-          _numClbits(num_clbits),
-          _native(native),
-          _cache(cache)
-    {
-        _out.reserve(_segments.size());
-    }
-
-    void
-    emitComp(Layer &&layer) override
-    {
-        _out.push_back(lower(std::move(layer.insts)));
-    }
-
-    void
-    emitInput(std::size_t index, const Layer &working,
-              bool modified) override
-    {
-        if (modified)
-            _out.push_back(lower(working.insts));
-        else
-            _out.push_back(std::move(_segments[index]));
-    }
-
-    /** Rejoin the output segments with the inter-layer barriers. */
-    Circuit
-    take()
-    {
-        Circuit out(_numQubits, _numClbits);
-        for (std::size_t s = 0; s < _out.size(); ++s) {
-            for (Instruction &inst : _out[s])
-                out.append(std::move(inst));
-            if (s + 1 < _out.size())
-                out.barrier();
-        }
-        return out;
-    }
-
-  private:
-    std::vector<std::vector<Instruction>> _segments;
-    std::vector<std::vector<Instruction>> _out;
-    std::size_t _numQubits;
-    std::size_t _numClbits;
-    const TranspileOptions *_native;
-    TranspileCache *_cache;
-
-    std::vector<Instruction>
-    lower(std::vector<Instruction> insts)
-    {
-        if (!_native)
-            return insts;
-        if (_cache) {
-            std::vector<Instruction> out;
-            out.reserve(insts.size());
-            for (const Instruction &inst : insts) {
-                const std::vector<Instruction> &frag =
-                    _cache->fragmentFor(inst);
-                out.insert(out.end(), frag.begin(), frag.end());
-            }
-            return out;
-        }
-        return transpileFragment(std::move(insts), _numQubits,
-                                 _numClbits, *_native);
-    }
-};
-
 } // namespace
-
-LayeredCircuit
-applyCaEc(const LayeredCircuit &circuit, const Backend &backend,
-          const CaecOptions &options, CaecStats *stats)
-{
-    std::vector<const Layer *> view;
-    view.reserve(circuit.layers().size());
-    for (const Layer &layer : circuit.layers())
-        view.push_back(&layer);
-    LayeredSink sink(circuit.numQubits(), circuit.numClbits());
-    CaEcWalk pass(view, circuit.numQubits(), backend, options,
-                  stats, sink);
-    pass.walk();
-    return sink.take();
-}
 
 CaecPlan
 makeCaecPlan(const LayeredCircuit &circuit)
 {
-    CaecPlan plan;
-    plan.layered = circuit;
-    for (const Layer &layer : circuit.layers())
-        for (const Instruction &inst : layer.insts)
-            plan.barrierFree &= inst.op != Op::Barrier;
-    return plan;
+    return CaecPlan{circuit};
 }
 
 Circuit
@@ -921,18 +858,14 @@ applyCaEcFlat(const Circuit &flat, const CaecPlan &plan,
     const std::vector<Layer> &layers = plan.layered.layers();
     if (layers.empty())
         return flat;
-    casq_assert(plan.barrierFree,
-                "scheduled CA-EC requires barrier-free layers "
-                "(a barrier inside a layer shifts the segment "
-                "recovery); compile this circuit twirl-first");
 
     std::vector<std::vector<Instruction>> segments =
         barrierSegments(flat);
 
-    // Rebuild the twirled pre-lowering layer sequence the legacy
-    // layered walk saw: the plan's layers with the late-sampled
-    // frame layers spliced around each target, empty frame layers
-    // elided exactly as pauliTwirl() elides them.
+    // Rebuild the twirled pre-lowering layer sequence: the plan's
+    // layers with the late-sampled frame layers spliced around each
+    // target, empty frame layers elided exactly as
+    // insertTwirlFrames() elides them.
     std::deque<Layer> frame_storage; // stable addresses
     std::vector<const Layer *> view;
     view.reserve(segments.size());

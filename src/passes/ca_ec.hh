@@ -2,18 +2,23 @@
  * @file
  * Context-Aware Error Compensation (paper Algorithm 2).
  *
- * The pass walks the layered circuit, accumulating the known
- * coherent Z / ZZ error angles per qubit and coupled pair (rates
- * from the backend tables integrated against the toggling-frame sign
- * functions of each layer context), carries the accumulated angles
- * forward through layers (flipping signs through Pauli twirl gates,
- * transforming through Clifford two-qubit gates), and discharges
- * them:
+ * The pass walks the twirled layer sequence of a circuit,
+ * accumulating the known coherent Z / ZZ error angles per qubit and
+ * coupled pair (rates from the backend tables integrated against the
+ * toggling-frame sign functions of each layer context), carries the
+ * accumulated angles forward through layers (flipping signs through
+ * Pauli twirl gates, transforming through Clifford two-qubit gates),
+ * and discharges them:
  *  - Z compensations as free virtual rz gates,
  *  - ZZ compensations absorbed into canonical / rzz gates at zero
  *    cost, or inserted as native pulse-stretched rzz rotations,
  *  - pairs with a measured qubit as outcome-conditioned rz gates
  *    (the dynamic-circuit rule of paper Fig. 9b).
+ *
+ * The walk runs on the flat (scheduled-representation) stream, after
+ * lowering and late twirling: applyCaEcFlat() rebuilds the twirled
+ * pre-lowering layers from a CaecPlan and the sampled TwirlFrames,
+ * and splices its output back into the lowered layer segments.
  */
 
 #ifndef CASQ_PASSES_CA_EC_HH
@@ -78,16 +83,6 @@ struct CaecStats
 };
 
 /**
- * Apply Algorithm 2 and return the compensated circuit.  The input
- * should already contain any twirl layers (the pass commutes
- * compensation through them with the correct signs).
- */
-LayeredCircuit applyCaEc(const LayeredCircuit &circuit,
-                         const Backend &backend,
-                         const CaecOptions &options = {},
-                         CaecStats *stats = nullptr);
-
-/**
  * Options preset for the combined CA-EC + CA-DD strategy: only
  * compensate what DD cannot address (gate-active pairs, paper
  * Sec. V E), leaving idle periods to the decoupling pass.
@@ -95,28 +90,21 @@ LayeredCircuit applyCaEc(const LayeredCircuit &circuit,
 CaecOptions caecActiveOnlyOptions();
 
 /**
- * Deterministic blueprint for the scheduled (flat-stage) CA-EC
- * walk: the pre-twirl layered circuit captured before lowering,
- * from which applyCaEcFlat() reconstructs -- together with the
- * frames the late-twirl pass sampled -- the exact layer sequence
- * the legacy layered walk would have operated on.  Captured once
- * in a pipeline's deterministic prefix and shared across ensemble
- * instances (the property map stores it as a shared_ptr so the
- * per-instance context forks copy a pointer, not the circuit).
+ * Deterministic blueprint for the flat-stage CA-EC walk: the
+ * pre-twirl layered circuit captured before lowering, from which
+ * applyCaEcFlat() reconstructs -- together with the frames the
+ * late-twirl pass sampled -- the twirled layer sequence the walk
+ * runs over.  Captured once in a pipeline's deterministic prefix and
+ * shared across ensemble instances (the property map stores it as a
+ * shared_ptr so the per-instance context forks copy a pointer, not
+ * the circuit).
  */
 struct CaecPlan
 {
     LayeredCircuit layered{0, 0};
-
-    /**
-     * False when some layer holds a Barrier instruction, which
-     * would shift the flat segment recovery; applyCaEcFlat()
-     * rejects such plans (twirl-first pipelines accept them).
-     */
-    bool barrierFree = true;
 };
 
-/** Capture the scheduled-walk blueprint of a layered circuit. */
+/** Capture the CA-EC walk blueprint of a layered circuit. */
 CaecPlan makeCaecPlan(const LayeredCircuit &circuit);
 
 /**
@@ -130,21 +118,19 @@ CaecPlan makeCaecPlan(const LayeredCircuit &circuit);
  * absorbed compensation into, and splices freshly lowered
  * compensation layers between segments.
  *
- * Equivalence contract: at the same seed this returns byte-for-byte
- * what flatten() (+ transpileToNative()) of applyCaEc() on the
- * twirled circuit produces -- same instructions, same order, same
- * barriers -- so scheduling it yields schedules byte-identical to
- * the legacy twirl-first CA-EC pipeline.  The walk itself consumes
- * no randomness; `frames == nullptr` means the stream is untwirled.
+ * The output is pinned bit for bit, at a given seed, by
+ * tests/golden/twirl_reference_schedules.txt.  The walk itself
+ * consumes no randomness; `frames == nullptr` means the stream is
+ * untwirled.
  *
  * `cache`, when given, memoizes the per-instruction re-lowering of
  * absorbed and compensation layers across calls (share one cache
  * across an ensemble; see TranspileCache).  It must have been
  * constructed with the same options as `native`.  `tables`, when
  * given, shares the walk's Pauli-conjugation tables across calls
- * (tables are pure functions of the gate kind; the legacy layered
- * walk rebuilds them per call) -- typically the pipeline's
- * TwirlTableCache, already warmed by the twirl-plan pass.
+ * (tables are pure functions of the gate kind) -- typically the
+ * pipeline's TwirlTableCache, already warmed by the twirl-plan
+ * pass.
  */
 Circuit applyCaEcFlat(const Circuit &flat, const CaecPlan &plan,
                       const TwirlFrames *frames,

@@ -85,36 +85,23 @@ buildPipeline(const CompileOptions &options)
 {
     PassManager manager;
 
-    // Every strategy defaults to the late ordering: sample the
-    // twirl frames -- and, for the CA-EC strategies, run the
-    // compensation walk -- on the lowered circuit, which leaves the
-    // whole flatten/(transpile) front end deterministic and
+    // Sample the twirl frames -- and, for the CA-EC strategies, run
+    // the compensation walk -- on the lowered circuit, which leaves
+    // the whole flatten/(transpile) front end deterministic and
     // therefore shareable across ensemble instances.
-    // CompileOptions::lateTwirl = false restores the historical
-    // twirl-first ordering (the A/B reference).
     const bool uses_caec = options.strategy == Strategy::Ec ||
                            options.strategy == Strategy::EcAlignedDd ||
                            options.strategy == Strategy::Combined;
-    const bool late_twirl = options.twirl && options.lateTwirl;
-    const bool scheduled_caec = uses_caec && options.lateTwirl;
 
     std::shared_ptr<TwirlTableCache> tables;
     if (options.twirl) {
         // One conjugation-table cache for the whole pipeline: the
-        // plan pass warms it in the deterministic prefix, the twirl
-        // pass (either ordering) samples from it.
+        // plan pass warms it in the deterministic prefix, late-twirl
+        // and the CA-EC walk read it.
         tables = std::make_shared<TwirlTableCache>();
-        manager.emplace<TwirlPlanPass>(tables, late_twirl);
-        if (!late_twirl)
-            manager.emplace<TwirlPass>(tables);
+        manager.emplace<TwirlPlanPass>(tables);
     }
-
-    // Layered-stage compensation: the legacy walk under the
-    // twirl-first ordering, the blueprint capture otherwise (the
-    // walk itself then runs at the flat stage below).
-    if (uses_caec && !scheduled_caec)
-        manager.emplace<CaEcPass>(caecOptionsFor(options));
-    if (scheduled_caec)
+    if (uses_caec)
         manager.emplace<CaEcPlanPass>();
 
     const std::optional<TranspileOptions> native =
@@ -124,10 +111,9 @@ buildPipeline(const CompileOptions &options)
     manager.emplace<FlattenPass>();
     if (options.lowerToNative)
         manager.emplace<TranspilePass>(options.transpile);
-    if (late_twirl)
-        manager.emplace<LateTwirlPass>(tables, native,
-                                       scheduled_caec);
-    if (scheduled_caec)
+    if (options.twirl)
+        manager.emplace<LateTwirlPass>(tables, native, uses_caec);
+    if (uses_caec)
         manager.emplace<CaEcFlatPass>(caecOptionsFor(options),
                                       native, tables);
     manager.emplace<SchedulePass>();

@@ -8,19 +8,16 @@
  * timings and diagnostics (pass_manager.hh).  The error-suppression
  * strategies the paper's figures compare are prebuilt pipelines:
  * buildPipeline(options) assembles the pass list for a Strategy
- * from the built-in passes in builtin.hh.  Every pipeline is
- * prefix-friendly by default: twirl-plan -> (ca-ec-plan) -> flatten
- * -> (transpile) -> late-twirl -> (ca-ec) -> schedule -> (DD
- * variant), so everything before the stochastic late-twirl pass
- * compiles once per ensemble.  The CA-EC strategies run the
- * compensation walk on the flat stream (the scheduled
- * representation), reconstructing the twirled pre-lowering layers
- * from the ca-ec-plan blueprint plus the frames late-twirl sampled;
- * CompileOptions::lateTwirl = false restores the historical
- * twirl-first ordering (twirl-plan -> twirl -> CA-EC variant ->
- * flatten -> schedule -> (DD variant)) everywhere.  Both orderings
- * produce byte-identical schedules at the same seed (pinned by
- * tests/test_late_twirl.cc and tests/test_ca_ec.cc).
+ * from the built-in passes in builtin.hh.  Every pipeline has one
+ * shape: [twirl-plan] -> [ca-ec-plan] -> flatten -> [transpile] ->
+ * [late-twirl] -> [ca-ec] -> schedule -> [DD variant], so everything
+ * before the stochastic late-twirl pass compiles once per ensemble.
+ * The CA-EC strategies run the compensation walk on the flat stream
+ * (the scheduled representation), reconstructing the twirled
+ * pre-lowering layers from the ca-ec-plan blueprint plus the frames
+ * late-twirl sampled.  The schedules are pinned bit for bit by
+ * tests/golden/twirl_reference_schedules.txt and
+ * tests/golden/dd_schedules.txt.
  *
  * compileCircuit / compileEnsemble are convenience wrappers that
  * build and run the pipeline in one call; callers that sweep a
@@ -85,20 +82,6 @@ struct CompileOptions
 
     /** Insert Pauli-twirl layers around two-qubit layers. */
     bool twirl = true;
-
-    /**
-     * Sample the twirl frames *after* deterministic lowering
-     * (flatten/transpile) instead of before it, so ensemble
-     * compilation shares the lowered prefix across instances.  For
-     * the CA-EC strategies this also moves the compensation walk to
-     * the flat stage (the scheduled representation), fed by the
-     * ca-ec-plan blueprint and the late-sampled frames.  The
-     * schedules are byte-identical either way at the same seed;
-     * false restores the historical twirl-first ordering with the
-     * layered walk (the baseline the equivalence tests and CI diff
-     * against).
-     */
-    bool lateTwirl = true;
 
     /** Lower to the native {rz, sx, x, cx, rzz} set (expands can). */
     bool lowerToNative = false;

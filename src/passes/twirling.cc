@@ -51,6 +51,14 @@ TwirlTableCache::tableFor(const Instruction &inst)
     return _tables.emplace(key, std::move(table)).first->second;
 }
 
+namespace {
+
+/**
+ * Sample one Pauli frame per two-qubit gate of `insts` (non-2q
+ * instructions are skipped) and append the non-identity frame gates:
+ * the sampled Pauli P before the gate, its conjugation Q = U P
+ * U^dagger after.
+ */
 void
 sampleTwirlFrames(const std::vector<Instruction> &insts, Rng &rng,
                   TwirlTableCache &cache,
@@ -85,35 +93,7 @@ sampleTwirlFrames(const std::vector<Instruction> &insts, Rng &rng,
     }
 }
 
-LayeredCircuit
-pauliTwirl(const LayeredCircuit &circuit, Rng &rng,
-           TwirlTableCache &cache)
-{
-    LayeredCircuit out(circuit.numQubits(), circuit.numClbits());
-    for (const Layer &layer : circuit.layers()) {
-        if (layer.kind != LayerKind::TwoQubit) {
-            out.addLayer(layer);
-            continue;
-        }
-        Layer pre{LayerKind::OneQubit, {}};
-        Layer post{LayerKind::OneQubit, {}};
-        sampleTwirlFrames(layer.insts, rng, cache, pre.insts,
-                          post.insts);
-        if (!pre.insts.empty())
-            out.addLayer(std::move(pre));
-        out.addLayer(layer);
-        if (!post.insts.empty())
-            out.addLayer(std::move(post));
-    }
-    return out;
-}
-
-LayeredCircuit
-pauliTwirl(const LayeredCircuit &circuit, Rng &rng)
-{
-    TwirlTableCache cache;
-    return pauliTwirl(circuit, rng, cache);
-}
+} // namespace
 
 std::size_t
 TwirlPlan::gateCount() const
@@ -131,13 +111,6 @@ makeTwirlPlan(const LayeredCircuit &circuit)
     plan.layerCount = circuit.layers().size();
     for (std::size_t li = 0; li < plan.layerCount; ++li) {
         const Layer &layer = circuit.layers()[li];
-        // Segment recovery in lateTwirl() splits the flat circuit
-        // on the barriers flatten() emits between layers; a barrier
-        // *inside* a layer would shift every segment after it.
-        // Only lateTwirl() cares, so record the fact instead of
-        // rejecting circuits that twirl-first pipelines accept.
-        for (const Instruction &inst : layer.insts)
-            plan.barrierFree &= inst.op != Op::Barrier;
         if (layer.kind != LayerKind::TwoQubit)
             continue;
         TwirlPlan::LayerGates target;
@@ -159,8 +132,7 @@ barrierSegments(const Circuit &flat)
     // untouched.
     std::vector<std::vector<Instruction>> segments(1);
     for (const Instruction &inst : flat.instructions()) {
-        if (inst.op == Op::Barrier &&
-            inst.qubits.size() == flat.numQubits())
+        if (isLayerSeparator(inst, flat.numQubits()))
             segments.emplace_back();
         else
             segments.back().push_back(inst);
@@ -169,18 +141,14 @@ barrierSegments(const Circuit &flat)
 }
 
 Circuit
-lateTwirl(const Circuit &flat, const TwirlPlan &plan, Rng &rng,
-          TwirlTableCache &cache, const TranspileOptions *native,
-          std::size_t *frames, TwirlFrames *frame_insts)
+insertTwirlFrames(const Circuit &flat, const TwirlPlan &plan, Rng &rng,
+                  TwirlTableCache &cache, const TranspileOptions *native,
+                  std::size_t *frames, TwirlFrames *frame_insts)
 {
     if (frames)
         *frames = 0;
     if (plan.layerCount == 0)
         return flat;
-    casq_assert(plan.barrierFree,
-                "late twirling requires barrier-free layers "
-                "(a barrier inside a layer shifts the segment "
-                "recovery); compile this circuit twirl-first");
 
     std::vector<std::vector<Instruction>> segments =
         barrierSegments(flat);
@@ -189,8 +157,8 @@ lateTwirl(const Circuit &flat, const TwirlPlan &plan, Rng &rng,
                 " barrier segment(s) but the twirl plan was "
                 "captured from ", plan.layerCount, " layer(s)");
 
-    // Frame gates receive the same lowering the twirl-first
-    // pipeline's transpile pass would have applied to them.
+    // Frame gates receive the same lowering the transpile pass
+    // applied to the rest of the stream.
     const auto lowered = [&](std::vector<Instruction> layer) {
         if (!native)
             return layer;
@@ -217,8 +185,7 @@ lateTwirl(const Circuit &flat, const TwirlPlan &plan, Rng &rng,
             frame_insts->targets.push_back(
                 {plan.targets[next].layer, pre, post});
         ++next;
-        // Empty frame layers are elided before lowering, exactly as
-        // pauliTwirl() skips empty pre/post layers.
+        // Empty frame layers are elided before lowering.
         if (!pre.empty())
             out_segments.push_back(lowered(std::move(pre)));
         out_segments.push_back(std::move(segments[li]));

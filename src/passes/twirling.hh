@@ -8,9 +8,13 @@
  * the commutant subset such as {II, XX, YY, ZZ} for Heisenberg
  * canonical blocks) and the conjugated Pauli Q = U P U^dagger is
  * inserted after the gate, leaving the logical circuit unchanged up
- * to a global sign.  Twirl gates are materialized as tagged
- * single-qubit Pauli layers so that the CA-EC pass can commute its
- * compensations through them exactly as in Algorithm 2.
+ * to a global sign.  The frames are sampled after lowering: a
+ * deterministic blueprint (TwirlPlan) is captured from the layered
+ * circuit, and insertTwirlFrames() splices the tagged single-qubit
+ * Pauli frame layers into the lowered stream around each two-qubit
+ * layer.  The sampled frames are also recorded (TwirlFrames) so that
+ * the CA-EC walk can commute its compensations through them exactly
+ * as in Algorithm 2.
  */
 
 #ifndef CASQ_PASSES_TWIRLING_HH
@@ -33,8 +37,8 @@ namespace casq {
  * Cache of numerically-built conjugation tables per gate kind.
  *
  * tableFor() is safe to call concurrently: parallel ensemble
- * compilation (PassManager::runEnsemble) shares one TwirlPass --
- * and therefore one cache -- across all worker threads.  Lookups
+ * compilation (PassManager::runEnsemble) shares one pipeline -- and
+ * therefore one cache -- across all worker threads.  Lookups
  * take a shared lock; the first miss per gate kind builds the
  * table under the exclusive lock.  Returned references stay valid
  * for the cache's lifetime (std::map nodes are stable).
@@ -51,35 +55,9 @@ class TwirlTableCache
 };
 
 /**
- * Produce one independently twirled instance of the layered
- * circuit: every TwoQubit layer gains a tagged Pauli layer before
- * and after.  The logical operation is unchanged (up to global
- * phase).
- */
-LayeredCircuit pauliTwirl(const LayeredCircuit &circuit, Rng &rng,
-                          TwirlTableCache &cache);
-
-/** Convenience overload with a private table cache. */
-LayeredCircuit pauliTwirl(const LayeredCircuit &circuit, Rng &rng);
-
-/**
- * Sample one Pauli frame per two-qubit gate of `insts` (non-2q
- * instructions are skipped) and append the non-identity frame gates:
- * the sampled Pauli P before the gate, its conjugation Q = U P
- * U^dagger after.  This is THE frame sampler -- pauliTwirl() and the
- * late-twirl pass both call it, which is what makes their rng
- * consumption (and therefore their sampled frames at a given seed)
- * identical by construction.
- */
-void sampleTwirlFrames(const std::vector<Instruction> &insts,
-                       Rng &rng, TwirlTableCache &cache,
-                       std::vector<Instruction> &pre,
-                       std::vector<Instruction> &post);
-
-/**
  * Deterministic twirl blueprint of a layered circuit: for every
- * TwoQubit layer, its index and the two-qubit gates pauliTwirl()
- * would sample frames for, in sampling order.
+ * TwoQubit layer, its index and its two-qubit gates, in sampling
+ * order.
  *
  * The blueprint is captured before lowering (by the twirl-plan
  * analysis pass) and consumed by the late-twirl pass after
@@ -102,13 +80,6 @@ struct TwirlPlan
     /** Layer count at plan time (= flat barrier segments). */
     std::size_t layerCount = 0;
 
-    /**
-     * False when some layer holds a Barrier instruction, which
-     * would shift lateTwirl()'s segment recovery; lateTwirl()
-     * rejects such plans (twirl-first pipelines accept them).
-     */
-    bool barrierFree = true;
-
     /** Total gates across targets (for diagnostics/tests). */
     std::size_t gateCount() const;
 };
@@ -117,14 +88,14 @@ struct TwirlPlan
 TwirlPlan makeTwirlPlan(const LayeredCircuit &circuit);
 
 /**
- * The frames lateTwirl() sampled, recorded *before* native
+ * The frames insertTwirlFrames() sampled, recorded *before* native
  * lowering: for every plan target, the tagged Pauli instructions of
  * the pre and post frame layers (possibly empty -- identity frames
- * insert no gates).  The scheduled CA-EC walk consumes this to
- * rebuild the twirled pre-lowering layer sequence the legacy
- * layered walk would have seen, because after transpilation the
- * frame gates are no longer recoverable from the lowered stream
- * (Y lowers to an untagged rz + x fragment, for example).
+ * insert no gates).  The CA-EC walk consumes this to rebuild the
+ * twirled pre-lowering layer sequence it runs over, because after
+ * transpilation the frame gates are no longer recoverable from the
+ * lowered stream (Y lowers to an untagged rz + x fragment, for
+ * example).
  */
 struct TwirlFrames
 {
@@ -144,8 +115,10 @@ struct TwirlFrames
  * one segment per stretch between consecutive all-qubit barriers
  * (the barriers themselves are dropped).  Transpilation passes
  * barriers through untouched, so the split works on lowered streams
- * too; both lateTwirl() and the scheduled CA-EC walk recover layer
- * boundaries this way.
+ * too; both insertTwirlFrames() and the CA-EC walk recover layer
+ * boundaries this way.  Partial barriers stay inside their segment:
+ * LayeredCircuit::addLayer() rejects all-qubit barriers inside a
+ * layer, so every full barrier is a layer separator.
  */
 std::vector<std::vector<Instruction>>
 barrierSegments(const Circuit &flat);
@@ -156,24 +129,23 @@ barrierSegments(const Circuit &flat);
  * from, optionally transpiled to the native set (pass the same
  * options through `native` so the frame gates receive the identical
  * lowering).  Layer boundaries are recovered from the full barriers
- * flatten() emits; frame layers are spliced around each target
- * segment exactly where flatten() would have put them.
+ * flatten() emits; for every target the sampled Pauli P of each
+ * two-qubit gate goes into a frame layer before the segment and its
+ * conjugation Q = U P U^dagger into one after it, exactly where
+ * flatten() would have put them.  Empty frame layers are elided.
  *
- * Equivalence contract: at the same rng state this returns
- * byte-for-byte what flatten() (+ transpileToNative()) of
- * pauliTwirl()'s output produces -- same instructions, same order,
- * same barriers -- so scheduling it yields schedules byte-identical
- * to the twirl-first pipeline.  `frames`, when given, receives the
- * number of non-identity frame gates before native lowering (the
- * kTwirlGatesKey convention); `frame_insts`, when given, receives
- * the sampled pre-lowering frame instructions per target (for the
- * scheduled CA-EC walk).
+ * The output is pinned bit for bit, at a given seed, by
+ * tests/golden/twirl_reference_schedules.txt.  `frames`, when
+ * given, receives the number of non-identity frame gates before
+ * native lowering (the kTwirlGatesKey convention); `frame_insts`,
+ * when given, receives the sampled pre-lowering frame instructions
+ * per target (for the CA-EC walk).
  */
-Circuit lateTwirl(const Circuit &flat, const TwirlPlan &plan,
-                  Rng &rng, TwirlTableCache &cache,
-                  const TranspileOptions *native = nullptr,
-                  std::size_t *frames = nullptr,
-                  TwirlFrames *frame_insts = nullptr);
+Circuit insertTwirlFrames(const Circuit &flat, const TwirlPlan &plan,
+                          Rng &rng, TwirlTableCache &cache,
+                          const TranspileOptions *native = nullptr,
+                          std::size_t *frames = nullptr,
+                          TwirlFrames *frame_insts = nullptr);
 
 } // namespace casq
 

@@ -181,8 +181,14 @@ readCircuit(ByteReader &r)
         for (std::size_t i = 0; i < n; ++i) {
             Instruction inst =
                 readInstruction(r, num_qubits, num_clbits);
-            // addLayer asserts disjointness; check it here so a
-            // corrupt payload throws instead of aborting.
+            // addLayer asserts both layer rules; check them here so
+            // a corrupt payload throws instead of aborting.
+            if (isLayerSeparator(inst, num_qubits)) {
+                throw SerializeError(
+                    "layer " + std::to_string(li) +
+                    " holds an all-qubit barrier (reserved as the "
+                    "layer separator)");
+            }
             for (std::uint32_t q : inst.qubits) {
                 if (used[q]) {
                     throw SerializeError(

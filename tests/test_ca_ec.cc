@@ -9,6 +9,7 @@
 #include "passes/pipeline.hh"
 #include "sim/executor.hh"
 #include "sim/shard.hh"
+#include "workloads.hh"
 
 namespace casq {
 namespace {
@@ -35,12 +36,12 @@ coherentBackend(std::size_t n, double zz = 0.08)
 }
 
 double
-ramseyFidelity(const LayeredCircuit &layered, const Backend &backend,
+ramseyFidelity(const Circuit &flat, const Backend &backend,
                const std::vector<std::uint32_t> &probes)
 {
     const Executor executor(backend, NoiseModel::coherentOnly());
     const ScheduledCircuit sched =
-        scheduleASAP(layered.flatten(), backend.durations());
+        scheduleASAP(flat, backend.durations());
     ExecutionOptions opts;
     opts.trajectories = 4;
     const auto obs =
@@ -49,17 +50,26 @@ ramseyFidelity(const LayeredCircuit &layered, const Backend &backend,
     return plusStateFidelity(result.means);
 }
 
+/** Algorithm 2 over an untwirled circuit's flat stream. */
+Circuit
+compensate(const LayeredCircuit &circuit, const Backend &backend,
+           const CaecOptions &options = {}, CaecStats *stats = nullptr)
+{
+    return applyCaEcFlat(circuit.flatten(), makeCaecPlan(circuit),
+                         nullptr, backend, options, nullptr, stats);
+}
+
 TEST(CaEc, CompensatesIdleIdleZz)
 {
     const Backend backend = coherentBackend(2);
     const LayeredCircuit base =
         buildCaseIdleIdle(2, 0, 1, 6, 500.0);
-    const double bare = ramseyFidelity(base, backend, {0, 1});
+    const double bare = ramseyFidelity(base.flatten(), backend, {0, 1});
     EXPECT_LT(bare, 0.9); // errors are significant
 
     CaecStats stats;
-    const LayeredCircuit fixed =
-        applyCaEc(base, backend, CaecOptions{}, &stats);
+    const Circuit fixed =
+        compensate(base, backend, CaecOptions{}, &stats);
     const double comp = ramseyFidelity(fixed, backend, {0, 1});
     EXPECT_GT(comp, 0.999);
     EXPECT_GT(stats.insertedRz, 0);
@@ -71,10 +81,10 @@ TEST(CaEc, CompensatesSpectatorZ)
     const Backend backend = coherentBackend(4);
     const LayeredCircuit base =
         buildCaseSpectator(4, 1, 2, 8, {0, 3});
-    const double bare = ramseyFidelity(base, backend, {0, 3});
+    const double bare = ramseyFidelity(base.flatten(), backend, {0, 3});
     EXPECT_LT(bare, 0.9);
 
-    const LayeredCircuit fixed = applyCaEc(base, backend);
+    const Circuit fixed = compensate(base, backend);
     const double comp = ramseyFidelity(fixed, backend, {0, 3});
     EXPECT_GT(comp, 0.999);
 }
@@ -84,12 +94,12 @@ TEST(CaEc, CompensatesControlControlZz)
     const Backend backend = coherentBackend(4);
     const LayeredCircuit base =
         buildCaseControlControl(4, 1, 0, 2, 3, 4);
-    const double bare = ramseyFidelity(base, backend, {1, 2});
+    const double bare = ramseyFidelity(base.flatten(), backend, {1, 2});
     EXPECT_LT(bare, 0.95);
 
     CaecStats stats;
-    const LayeredCircuit fixed =
-        applyCaEc(base, backend, CaecOptions{}, &stats);
+    const Circuit fixed =
+        compensate(base, backend, CaecOptions{}, &stats);
     const double comp = ramseyFidelity(fixed, backend, {1, 2});
     EXPECT_GT(comp, 0.99);
 }
@@ -119,17 +129,16 @@ TEST(CaEc, AbsorbsIntoCanGates)
     circuit.addLayer(std::move(gate));
 
     CaecStats stats;
-    const LayeredCircuit fixed =
-        applyCaEc(circuit, backend, CaecOptions{}, &stats);
+    const Circuit fixed =
+        compensate(circuit, backend, CaecOptions{}, &stats);
     EXPECT_GE(stats.absorbedIntoGates, 1);
     // Find the can gate: gamma must have moved from 0.4.
     bool found = false;
-    for (const auto &layer : fixed.layers())
-        for (const auto &inst : layer.insts)
-            if (inst.op == Op::Can) {
-                EXPECT_NE(inst.params[2], 0.4);
-                found = true;
-            }
+    for (const auto &inst : fixed.instructions())
+        if (inst.op == Op::Can) {
+            EXPECT_NE(inst.params[2], 0.4);
+            found = true;
+        }
     EXPECT_TRUE(found);
 }
 
@@ -152,15 +161,14 @@ TEST(CaEc, AbsorbsIntoRzzGates)
     circuit.addLayer(std::move(gate));
 
     CaecStats stats;
-    const LayeredCircuit fixed =
-        applyCaEc(circuit, backend, CaecOptions{}, &stats);
+    const Circuit fixed =
+        compensate(circuit, backend, CaecOptions{}, &stats);
     EXPECT_GE(stats.absorbedIntoGates, 1);
-    for (const auto &layer : fixed.layers())
-        for (const auto &inst : layer.insts)
-            if (inst.op == Op::RZZ &&
-                inst.tag != InstTag::Compensation) {
-                EXPECT_LT(inst.params[0], 0.9);
-            }
+    for (const auto &inst : fixed.instructions()) {
+        if (inst.op == Op::RZZ && inst.tag != InstTag::Compensation) {
+            EXPECT_LT(inst.params[0], 0.9);
+        }
+    }
 }
 
 TEST(CaEc, SignFlipsThroughTwirlPaulis)
@@ -190,7 +198,7 @@ TEST(CaEc, SignFlipsThroughTwirlPaulis)
             twirled.addLayer(std::move(undo));
         }
     }
-    const LayeredCircuit fixed = applyCaEc(twirled, backend);
+    const Circuit fixed = compensate(twirled, backend);
     const double comp = ramseyFidelity(fixed, backend, {0, 1});
     EXPECT_GT(comp, 0.995);
 }
@@ -203,7 +211,7 @@ TEST(CaEc, MinAngleSkipsTinyCompensations)
     CaecOptions opts;
     opts.minAngle = 1e-3;
     CaecStats stats;
-    applyCaEc(base, backend, opts, &stats);
+    compensate(base, backend, opts, &stats);
     EXPECT_EQ(stats.insertedRz, 0);
     EXPECT_EQ(stats.insertedRzz, 0);
 }
@@ -214,7 +222,7 @@ TEST(CaEc, ActiveOnlyOptionsSkipIdlePairs)
     const LayeredCircuit base =
         buildCaseIdleIdle(2, 0, 1, 6, 500.0);
     CaecStats stats;
-    applyCaEc(base, backend, caecActiveOnlyOptions(), &stats);
+    compensate(base, backend, caecActiveOnlyOptions(), &stats);
     EXPECT_EQ(stats.insertedRzz, 0);
 }
 
@@ -232,122 +240,18 @@ TEST(CaEc, StatsCountConditionalRules)
     circuit.addLayer(std::move(dyn));
 
     CaecStats stats;
-    applyCaEc(circuit, backend, CaecOptions{}, &stats);
+    compensate(circuit, backend, CaecOptions{}, &stats);
     // Pairs (0,1) and (1,2) accumulate during the measurement and
     // convert into conditional rules.
     EXPECT_GE(stats.conditionalRz, 1);
 }
 
-// ------------------- scheduled walk vs legacy layered walk -------
+// ------------------- the CA-EC pipeline end to end ---------------
 //
-// The scheduled-representation CA-EC pipeline (ca-ec-plan ->
-// flatten -> (transpile) -> late-twirl -> ca-ec on the flat stream)
-// must produce schedules byte-identical to the historical
-// twirl-first ordering with the layered walk, for every CA-EC
-// strategy, thread count, and lowering mode.
-
-const std::vector<Strategy> &
-caecStrategies()
-{
-    static const std::vector<Strategy> all{
-        Strategy::Ec, Strategy::EcAlignedDd, Strategy::Combined};
-    return all;
-}
-
-/**
- * Workload exercising every compensation path of Algorithm 2:
- * absorber gates (can/rzz), a Clifford 2q layer the pending angles
- * transform through, idle accumulation layers, and a measure ->
- * feedforward dynamic tail (the Fig. 9b conditional-rz rule)
- * followed by one more gate layer.
- */
-LayeredCircuit
-scheduledWalkWorkload()
-{
-    LayeredCircuit circuit(5, 1);
-
-    Layer gates{LayerKind::TwoQubit, {}};
-    gates.insts.emplace_back(Op::ECR,
-                             std::vector<std::uint32_t>{0, 1});
-    gates.insts.emplace_back(
-        Op::Can, std::vector<std::uint32_t>{2, 3},
-        std::vector<double>{0.3, 0.2, 0.1});
-    circuit.addLayer(std::move(gates));
-
-    Layer idle{LayerKind::OneQubit, {}};
-    for (std::uint32_t q = 0; q < 5; ++q)
-        idle.insts.emplace_back(Op::Delay,
-                                std::vector<std::uint32_t>{q},
-                                std::vector<double>{700.0});
-    circuit.addLayer(std::move(idle));
-
-    Layer absorbers{LayerKind::TwoQubit, {}};
-    absorbers.insts.emplace_back(Op::RZZ,
-                                 std::vector<std::uint32_t>{1, 2},
-                                 std::vector<double>{0.37});
-    absorbers.insts.emplace_back(
-        Op::Can, std::vector<std::uint32_t>{3, 4},
-        std::vector<double>{0.25, 0.15, 0.05});
-    circuit.addLayer(std::move(absorbers));
-
-    Layer idle2{LayerKind::OneQubit, {}};
-    for (std::uint32_t q = 0; q < 5; ++q)
-        idle2.insts.emplace_back(Op::Delay,
-                                 std::vector<std::uint32_t>{q},
-                                 std::vector<double>{500.0});
-    circuit.addLayer(std::move(idle2));
-
-    Layer measure{LayerKind::Dynamic, {}};
-    Instruction m(Op::Measure, {1});
-    m.cbit = 0;
-    measure.insts.push_back(m);
-    circuit.addLayer(std::move(measure));
-
-    Layer feedforward{LayerKind::Dynamic, {}};
-    Instruction fx(Op::X, {3});
-    fx.condBit = 0;
-    fx.condValue = 1;
-    feedforward.insts.push_back(fx);
-    circuit.addLayer(std::move(feedforward));
-
-    Layer tail{LayerKind::TwoQubit, {}};
-    tail.insts.emplace_back(Op::ECR,
-                            std::vector<std::uint32_t>{2, 3});
-    circuit.addLayer(std::move(tail));
-
-    return circuit;
-}
-
-/** Exact (bitwise) schedule equality, stricter than toString(). */
-void
-expectSameSchedule(const ScheduledCircuit &a,
-                   const ScheduledCircuit &b,
-                   const std::string &what)
-{
-    ASSERT_EQ(a.numQubits(), b.numQubits()) << what;
-    ASSERT_EQ(a.numClbits(), b.numClbits()) << what;
-    ASSERT_EQ(a.instructions().size(), b.instructions().size())
-        << what << "\n"
-        << a.toString() << "\nvs\n"
-        << b.toString();
-    for (std::size_t i = 0; i < a.instructions().size(); ++i) {
-        const TimedInstruction &ta = a.instructions()[i];
-        const TimedInstruction &tb = b.instructions()[i];
-        ASSERT_TRUE(ta.start == tb.start &&
-                    ta.duration == tb.duration &&
-                    ta.inst.op == tb.inst.op &&
-                    ta.inst.qubits == tb.inst.qubits &&
-                    ta.inst.params == tb.inst.params &&
-                    ta.inst.cbit == tb.inst.cbit &&
-                    ta.inst.condBit == tb.inst.condBit &&
-                    ta.inst.condValue == tb.inst.condValue &&
-                    ta.inst.tag == tb.inst.tag)
-            << what << ": instruction " << i << "\n  "
-            << ta.inst.toString() << " @ [" << ta.start << ", "
-            << ta.end() << ")\nvs\n  " << tb.inst.toString()
-            << " @ [" << tb.start << ", " << tb.end() << ")";
-    }
-}
+// ca-ec-plan -> flatten -> (transpile) -> late-twirl -> ca-ec on the
+// flat stream.  Its schedules for this workload are pinned bit for
+// bit by tests/golden/twirl_reference_schedules.txt (the caec-walk
+// lines); these tests check what the fingerprints cannot name.
 
 EnsembleResult
 runCaecStrategy(const CompileOptions &options,
@@ -363,88 +267,35 @@ runCaecStrategy(const CompileOptions &options,
     return pipeline.runEnsemble(circuit, backend, ensemble);
 }
 
-TEST(CaEcScheduled, ByteIdenticalToLegacyForEveryCaecStrategy)
-{
-    const Backend backend = makeFakeLinear(5, 7);
-    const LayeredCircuit circuit = scheduledWalkWorkload();
-    const int instances = 6;
-    const std::uint64_t seed = 4242;
-
-    for (Strategy strategy : caecStrategies()) {
-        for (bool native : {false, true}) {
-            CompileOptions first;
-            first.strategy = strategy;
-            first.lowerToNative = native;
-            first.lateTwirl = false;
-            const EnsembleResult reference = runCaecStrategy(
-                first, circuit, backend, instances, seed, 1);
-
-            CompileOptions late;
-            late.strategy = strategy;
-            late.lowerToNative = native;
-            for (unsigned threads : {1u, 8u}) {
-                const EnsembleResult result =
-                    runCaecStrategy(late, circuit, backend,
-                                    instances, seed, threads);
-                EXPECT_GT(result.prefixHits, 0u);
-                ASSERT_EQ(result.instances.size(),
-                          reference.instances.size());
-                for (std::size_t k = 0;
-                     k < result.instances.size(); ++k)
-                    expectSameSchedule(
-                        result.instances[k].scheduled,
-                        reference.instances[k].scheduled,
-                        strategyName(strategy) +
-                            (native ? " native" : "") +
-                            " instance " + std::to_string(k) +
-                            " threads " +
-                            std::to_string(threads));
-            }
-        }
-    }
-}
-
-TEST(CaEcScheduled, DynamicRuleMatchesLegacy)
+TEST(CaEcScheduled, DynamicRuleEmitsConditionalRz)
 {
     // Fig. 9b: pairs accumulating across a measurement discharge as
-    // outcome-conditioned rz rules.  The scheduled walk must emit
-    // the identical conditional instructions the layered walk does,
-    // and they must actually be present in the compiled schedule.
+    // outcome-conditioned rz rules, which must actually be present
+    // in every compiled instance's schedule.
     const Backend backend = makeFakeLinear(5, 7);
-    const LayeredCircuit circuit = scheduledWalkWorkload();
+    const LayeredCircuit circuit = caecWalkWorkload();
 
-    CompileOptions first;
-    first.strategy = Strategy::Ec;
-    first.lateTwirl = false;
-    const EnsembleResult reference =
-        runCaecStrategy(first, circuit, backend, 4, 7, 1);
-
-    CompileOptions late;
-    late.strategy = Strategy::Ec;
+    CompileOptions options;
+    options.strategy = Strategy::Ec;
     const EnsembleResult result =
-        runCaecStrategy(late, circuit, backend, 4, 7, 1);
+        runCaecStrategy(options, circuit, backend, 4, 7, 1);
 
-    ASSERT_EQ(result.instances.size(),
-              reference.instances.size());
-    bool any_conditional = false;
+    ASSERT_EQ(result.instances.size(), 4u);
     for (std::size_t k = 0; k < result.instances.size(); ++k) {
-        expectSameSchedule(result.instances[k].scheduled,
-                           reference.instances[k].scheduled,
-                           "dynamic instance " +
-                               std::to_string(k));
+        bool any_conditional = false;
         for (const TimedInstruction &timed :
              result.instances[k].scheduled.instructions())
             any_conditional |=
                 timed.inst.op == Op::RZ &&
                 timed.inst.condBit >= 0 &&
                 timed.inst.tag == InstTag::Compensation;
+        EXPECT_TRUE(any_conditional) << "instance " << k;
         const auto *stats =
             result.instances[k].property<CaecStats>(
                 kCaecStatsKey);
         ASSERT_NE(stats, nullptr);
         EXPECT_GE(stats->conditionalRz, 1);
     }
-    EXPECT_TRUE(any_conditional);
 }
 
 TEST(CaEcScheduled, ShardedMergesByteIdentical)
@@ -454,7 +305,7 @@ TEST(CaEcScheduled, ShardedMergesByteIdentical)
     // determinism contract -- S shards merge bit-identically to the
     // single-process run.
     ShardSpec spec;
-    spec.logical = scheduledWalkWorkload();
+    spec.logical = caecWalkWorkload();
     for (std::uint32_t q = 0; q < 5; ++q)
         spec.observables.push_back(
             PauliString::single(5, q, PauliOp::Z));

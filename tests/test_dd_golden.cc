@@ -31,9 +31,9 @@
 #include <sstream>
 
 #include "common/serialize.hh"
-#include "experiments/ramsey.hh"
 #include "passes/builtin.hh"
 #include "passes/pipeline.hh"
+#include "workloads.hh"
 
 namespace casq {
 namespace {
@@ -252,145 +252,46 @@ TEST(DdGolden, SchedulesMatchCommittedFingerprints)
 }
 
 // ------------------------------------------------------------------
-// Twirl and CA-EC reference.  The workloads are frozen copies of the
-// ones the ordering A/B tests used, kept here so that editing a
-// behavioural test's workload cannot silently move a golden input.
+// Twirl and CA-EC reference (workloads from workloads.hh).
 // ------------------------------------------------------------------
 
-/** Gates, idles, and parallel ECR contexts on a 4-qubit chain. */
-LayeredCircuit
-equivalenceWorkload()
-{
-    LayeredCircuit circuit = buildCaseControlControl(4, 1, 0, 2, 3,
-                                                     2);
-    Layer idle{LayerKind::OneQubit, {}};
-    for (std::uint32_t q = 0; q < 4; ++q)
-        idle.insts.emplace_back(Op::Delay,
-                                std::vector<std::uint32_t>{q},
-                                std::vector<double>{900.0});
-    circuit.addLayer(std::move(idle));
-    return circuit;
-}
-
 /**
- * Every scheduling path late twirling must reproduce: parallel ECR
- * and mixed rzz/can two-qubit layers, idle and sx one-qubit layers,
- * and a measure -> feedforward dynamic tail followed by one more
- * twirled layer.
+ * Partial barriers inside layers: the two-qubit layer holds
+ * ECR(0,1) next to a barrier on (2,3), and a later one-qubit layer
+ * holds a barrier on (0,1) next to sx gates.  Only all-qubit
+ * barriers separate layers, so neither shifts the layer recovery.
  */
 LayeredCircuit
-twirlWorkload()
+partialBarrierWorkload()
 {
-    LayeredCircuit circuit(5, 1);
+    LayeredCircuit circuit(4, 0);
 
-    Layer ecr{LayerKind::TwoQubit, {}};
-    ecr.insts.emplace_back(Op::ECR,
-                           std::vector<std::uint32_t>{0, 1});
-    ecr.insts.emplace_back(Op::ECR,
-                           std::vector<std::uint32_t>{2, 3});
-    circuit.addLayer(std::move(ecr));
+    Layer gates{LayerKind::TwoQubit, {}};
+    gates.insts.emplace_back(Op::ECR,
+                             std::vector<std::uint32_t>{0, 1});
+    gates.insts.emplace_back(Op::Barrier,
+                             std::vector<std::uint32_t>{2, 3});
+    circuit.addLayer(std::move(gates));
 
     Layer idle{LayerKind::OneQubit, {}};
-    for (std::uint32_t q = 0; q < 5; ++q)
+    for (std::uint32_t q = 0; q < 4; ++q)
         idle.insts.emplace_back(Op::Delay,
                                 std::vector<std::uint32_t>{q},
                                 std::vector<double>{600.0});
     circuit.addLayer(std::move(idle));
 
-    Layer mixed{LayerKind::TwoQubit, {}};
-    mixed.insts.emplace_back(Op::RZZ,
-                             std::vector<std::uint32_t>{1, 2},
-                             std::vector<double>{0.37});
-    mixed.insts.emplace_back(
-        Op::Can, std::vector<std::uint32_t>{3, 4},
-        std::vector<double>{0.3, 0.2, 0.1});
-    circuit.addLayer(std::move(mixed));
-
     Layer ones{LayerKind::OneQubit, {}};
-    for (std::uint32_t q = 0; q < 5; ++q)
-        ones.insts.emplace_back(Op::SX,
-                                std::vector<std::uint32_t>{q});
+    ones.insts.emplace_back(Op::Barrier,
+                            std::vector<std::uint32_t>{0, 1});
+    ones.insts.emplace_back(Op::SX, std::vector<std::uint32_t>{2});
+    ones.insts.emplace_back(Op::SX, std::vector<std::uint32_t>{3});
     circuit.addLayer(std::move(ones));
-
-    Layer measure{LayerKind::Dynamic, {}};
-    Instruction m(Op::Measure, {0});
-    m.cbit = 0;
-    measure.insts.push_back(m);
-    circuit.addLayer(std::move(measure));
-
-    Layer feedforward{LayerKind::Dynamic, {}};
-    Instruction fx(Op::X, {2});
-    fx.condBit = 0;
-    fx.condValue = 1;
-    feedforward.insts.push_back(fx);
-    circuit.addLayer(std::move(feedforward));
-
-    Layer tail{LayerKind::TwoQubit, {}};
-    tail.insts.emplace_back(Op::ECR,
-                            std::vector<std::uint32_t>{1, 2});
-    circuit.addLayer(std::move(tail));
-
-    return circuit;
-}
-
-/**
- * Every compensation path of Algorithm 2: absorber gates (can/rzz),
- * a Clifford layer the pending angles transform through, idle
- * accumulation, and a measure -> feedforward tail (the Fig. 9b
- * conditional-rz rule) followed by one more gate layer.
- */
-LayeredCircuit
-caecWalkWorkload()
-{
-    LayeredCircuit circuit(5, 1);
-
-    Layer gates{LayerKind::TwoQubit, {}};
-    gates.insts.emplace_back(Op::ECR,
-                             std::vector<std::uint32_t>{0, 1});
-    gates.insts.emplace_back(
-        Op::Can, std::vector<std::uint32_t>{2, 3},
-        std::vector<double>{0.3, 0.2, 0.1});
-    circuit.addLayer(std::move(gates));
-
-    Layer idle{LayerKind::OneQubit, {}};
-    for (std::uint32_t q = 0; q < 5; ++q)
-        idle.insts.emplace_back(Op::Delay,
-                                std::vector<std::uint32_t>{q},
-                                std::vector<double>{700.0});
-    circuit.addLayer(std::move(idle));
-
-    Layer absorbers{LayerKind::TwoQubit, {}};
-    absorbers.insts.emplace_back(Op::RZZ,
-                                 std::vector<std::uint32_t>{1, 2},
-                                 std::vector<double>{0.37});
-    absorbers.insts.emplace_back(
-        Op::Can, std::vector<std::uint32_t>{3, 4},
-        std::vector<double>{0.25, 0.15, 0.05});
-    circuit.addLayer(std::move(absorbers));
-
-    Layer idle2{LayerKind::OneQubit, {}};
-    for (std::uint32_t q = 0; q < 5; ++q)
-        idle2.insts.emplace_back(Op::Delay,
-                                 std::vector<std::uint32_t>{q},
-                                 std::vector<double>{500.0});
-    circuit.addLayer(std::move(idle2));
-
-    Layer measure{LayerKind::Dynamic, {}};
-    Instruction m(Op::Measure, {1});
-    m.cbit = 0;
-    measure.insts.push_back(m);
-    circuit.addLayer(std::move(measure));
-
-    Layer feedforward{LayerKind::Dynamic, {}};
-    Instruction fx(Op::X, {3});
-    fx.condBit = 0;
-    fx.condValue = 1;
-    feedforward.insts.push_back(fx);
-    circuit.addLayer(std::move(feedforward));
 
     Layer tail{LayerKind::TwoQubit, {}};
     tail.insts.emplace_back(Op::ECR,
                             std::vector<std::uint32_t>{2, 3});
+    tail.insts.emplace_back(Op::ECR,
+                            std::vector<std::uint32_t>{1, 0});
     circuit.addLayer(std::move(tail));
 
     return circuit;
@@ -501,6 +402,7 @@ captureTwirlReference()
     const LayeredCircuit equivalence = equivalenceWorkload();
     const LayeredCircuit late = twirlWorkload();
     const LayeredCircuit walk = caecWalkWorkload();
+    const LayeredCircuit barriers = partialBarrierWorkload();
 
     std::vector<ReferenceRun> runs;
     // Single-shot compiles of every strategy, untwirled and twirled.
@@ -522,6 +424,10 @@ captureTwirlReference()
         for (bool native : {false, true})
             runs.push_back({"caec-walk", &walk, &chain5, strategy,
                             native, true, 4242, 6});
+    for (Strategy strategy : allStrategies())
+        for (bool native : {false, true})
+            runs.push_back({"partial-barrier", &barriers, &chain4,
+                            strategy, native, true, 7, 3});
 
     std::vector<std::string> lines;
     for (const ReferenceRun &run : runs) {
@@ -533,14 +439,8 @@ captureTwirlReference()
 
 TEST(DdGolden, TwirlReferenceMatchesCommittedFingerprints)
 {
-    // The partial-barrier lines are checked once the late ordering
-    // accepts partial barriers inside layers.
-    std::vector<std::string> golden;
-    for (const std::string &line :
-         readGolden("twirl_reference_schedules.txt"))
-        if (line.rfind("partial-barrier ", 0) != 0)
-            golden.push_back(line);
-    expectMatchesGolden(captureTwirlReference(), golden,
+    expectMatchesGolden(captureTwirlReference(),
+                        readGolden("twirl_reference_schedules.txt"),
                         "twirl_reference_schedules.txt");
 }
 

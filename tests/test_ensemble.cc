@@ -171,17 +171,38 @@ TEST(RunEnsemble, PrefixCacheIsExactForLateStochasticPipeline)
     }
 }
 
+/**
+ * Stochastic Layered-stage pass: appends a layer of random Paulis
+ * (X or Z per qubit), so every instance differs.
+ */
+class RandomPauliLayerPass : public Pass
+{
+  public:
+    std::string name() const override { return "random-paulis"; }
+    bool isStochastic() const override { return true; }
+
+    void
+    run(PassContext &context) override
+    {
+        Layer layer{LayerKind::OneQubit, {}};
+        for (std::uint32_t q = 0; q < context.layered().numQubits();
+             ++q)
+            layer.insts.emplace_back(
+                context.rng().randomSign() > 0 ? Op::X : Op::Z,
+                std::vector<std::uint32_t>{q});
+        context.mutableLayered().addLayer(std::move(layer));
+    }
+};
+
 TEST(RunEnsemble, StochasticFirstPassBypassesCache)
 {
-    // A pipeline that starts with the stochastic twirl pass (the
-    // historical stock ordering; stock pipelines now twirl late)
-    // must cache nothing -- a shared twirl would correlate the
-    // ensemble -- and the results must still match the serial
-    // reference exactly.
+    // A pipeline that starts with a stochastic pass must cache
+    // nothing -- a shared draw would correlate the ensemble -- and
+    // the results must still match the serial reference exactly.
     const Backend backend = testBackend();
     const LayeredCircuit circuit = workload();
     PassManager pipeline;
-    pipeline.emplace<TwirlPass>();
+    pipeline.emplace<RandomPauliLayerPass>();
     pipeline.emplace<FlattenPass>();
     pipeline.emplace<SchedulePass>();
     pipeline.emplace<CaDdPass>();
@@ -200,8 +221,8 @@ TEST(RunEnsemble, StochasticFirstPassBypassesCache)
     EXPECT_EQ(fingerprints(result),
               serialReference(pipeline, circuit, backend, 5, 13));
 
-    // All twirled instances identical would mean the stochastic
-    // pass was wrongly served from a cache.
+    // All instances identical would mean the stochastic pass was
+    // wrongly served from a cache.
     const auto prints = fingerprints(result);
     bool any_difference = false;
     for (std::size_t k = 1; k < prints.size(); ++k)

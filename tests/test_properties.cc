@@ -139,11 +139,11 @@ TEST_P(RandomCircuits, TwirlPreservesUnitary)
     const LayeredCircuit layered =
         randomLayered(GetParam() * 17 + 3, 6);
     Rng rng(GetParam());
-    const LayeredCircuit twirled = pauliTwirl(layered, rng);
-    EXPECT_TRUE(
-        circuitUnitary(twirled.flatten())
-            .equalUpToGlobalPhase(
-                circuitUnitary(layered.flatten()), 1e-8));
+    TwirlTableCache cache;
+    const Circuit twirled = insertTwirlFrames(
+        layered.flatten(), makeTwirlPlan(layered), rng, cache);
+    EXPECT_TRUE(circuitUnitary(twirled).equalUpToGlobalPhase(
+        circuitUnitary(layered.flatten()), 1e-8));
 }
 
 TEST_P(RandomCircuits, CaDdPreservesIdealAction)

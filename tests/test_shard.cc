@@ -19,10 +19,10 @@ namespace casq {
 namespace {
 
 /**
- * Small but representative job: twirled CA-DD (a fused twirl-first
- * pipeline, so the stochastic prefix covers the whole pipeline),
- * M = 7 instances and 61 trajectories so that neither divides the
- * shard counts below evenly.
+ * Small but representative job: twirled CA-DD (twirl-plan and
+ * flatten form the deterministic prefix, late-twirl onwards compiles
+ * per instance), M = 7 instances and 61 trajectories so that neither
+ * divides the shard counts below evenly.
  */
 ShardSpec
 testSpec(std::uint32_t shard_index = 0,
@@ -249,6 +249,53 @@ TEST(Shard, ExecuteShardRejectsMismatchedBackendWidth)
     ShardSpec spec = testSpec();
     spec.backendQubits = 5; // logical circuit has 4 qubits
     EXPECT_THROW(executeShard(spec, 1), ShardError);
+}
+
+/** A CA-DD job whose only layer is {ECR(0,1), Barrier(2,3)}. */
+ShardSpec
+partialBarrierSpec()
+{
+    ShardSpec spec = testSpec();
+    spec.logical = LayeredCircuit(4, 0);
+    Layer layer{LayerKind::TwoQubit, {}};
+    layer.insts.emplace_back(Op::ECR,
+                             std::vector<std::uint32_t>{0, 1});
+    layer.insts.emplace_back(Op::Barrier,
+                             std::vector<std::uint32_t>{2, 3});
+    spec.logical.addLayer(std::move(layer));
+    return spec;
+}
+
+TEST(Shard, PartialBarrierSpecExecutes)
+{
+    // A partial barrier inside a layer decodes cleanly, so the
+    // worker must run it, not abort.
+    const ShardSpec spec =
+        ShardSpec::decode(partialBarrierSpec().encode());
+    const ShardResult result = executeShard(spec, 1);
+    expectBitIdentical(mergeShards({result}),
+                       singleProcessReference(spec),
+                       "partial-barrier spec");
+}
+
+TEST(Shard, DecodeRejectsAllQubitBarrierLayer)
+{
+    // All-qubit barriers are reserved as layer separators, so a
+    // layer holding one is a corrupt payload.  Bypass addLayer() to
+    // put one on the wire.
+    ShardSpec spec = partialBarrierSpec();
+    Layer layer{LayerKind::OneQubit, {}};
+    layer.insts.emplace_back(Op::Barrier,
+                             std::vector<std::uint32_t>{0, 1, 2, 3});
+    spec.logical.layers().push_back(std::move(layer));
+    try {
+        ShardSpec::decode(spec.encode());
+        FAIL() << "decode accepted an all-qubit barrier layer";
+    } catch (const SerializeError &err) {
+        EXPECT_NE(std::string(err.what()).find("all-qubit barrier"),
+                  std::string::npos)
+            << err.what();
+    }
 }
 
 TEST(Shard, BackendRecipeNamesRoundTrip)

@@ -86,5 +86,23 @@ TEST(StratifyDeath, AddLayerRejectsOverlap)
     EXPECT_DEATH(circuit.addLayer(std::move(layer)), "overlap");
 }
 
+TEST(StratifyDeath, AddLayerRejectsAllQubitBarrier)
+{
+    // flatten() reserves all-qubit barriers as layer separators;
+    // a partial barrier inside a layer is fine.
+    LayeredCircuit circuit(3, 0);
+    Layer partial{LayerKind::OneQubit, {}};
+    partial.insts.emplace_back(Op::Barrier,
+                               std::vector<std::uint32_t>{0, 1});
+    circuit.addLayer(std::move(partial));
+    EXPECT_EQ(circuit.layers().size(), 1u);
+
+    Layer full{LayerKind::OneQubit, {}};
+    full.insts.emplace_back(Op::Barrier,
+                            std::vector<std::uint32_t>{0, 1, 2});
+    EXPECT_DEATH(circuit.addLayer(std::move(full)),
+                 "all-qubit barrier");
+}
+
 } // namespace
 } // namespace casq

@@ -17,14 +17,21 @@ sampleLayered()
     return stratify(qc);
 }
 
+/** One late-twirled instance of the layered circuit's flat stream. */
+Circuit
+twirl(const LayeredCircuit &base, Rng &rng)
+{
+    TwirlTableCache cache;
+    return insertTwirlFrames(base.flatten(), makeTwirlPlan(base), rng, cache);
+}
+
 TEST(Twirling, PreservesLogicalUnitary)
 {
     const LayeredCircuit base = sampleLayered();
     const CMat expect = circuitUnitary(base.flatten());
     Rng rng(2024);
     for (int trial = 0; trial < 10; ++trial) {
-        const LayeredCircuit twirled = pauliTwirl(base, rng);
-        const CMat got = circuitUnitary(twirled.flatten());
+        const CMat got = circuitUnitary(twirl(base, rng));
         EXPECT_TRUE(got.equalUpToGlobalPhase(expect, 1e-8))
             << "trial " << trial;
     }
@@ -36,14 +43,14 @@ TEST(Twirling, InsertsTaggedPauliLayers)
     Rng rng(7);
     bool found_twirl_gate = false;
     for (int trial = 0; trial < 20 && !found_twirl_gate; ++trial) {
-        const LayeredCircuit twirled = pauliTwirl(base, rng);
-        EXPECT_GE(twirled.layers().size(), base.layers().size());
-        for (const auto &layer : twirled.layers())
-            for (const auto &inst : layer.insts)
-                if (inst.tag == InstTag::Twirl) {
-                    found_twirl_gate = true;
-                    EXPECT_TRUE(opIsPauli(inst.op));
-                }
+        const Circuit twirled = twirl(base, rng);
+        EXPECT_GE(barrierSegments(twirled).size(),
+                  base.layers().size());
+        for (const auto &inst : twirled.instructions())
+            if (inst.tag == InstTag::Twirl) {
+                found_twirl_gate = true;
+                EXPECT_TRUE(opIsPauli(inst.op));
+            }
     }
     EXPECT_TRUE(found_twirl_gate);
 }
@@ -52,8 +59,7 @@ TEST(Twirling, TwoQubitGateCountUnchanged)
 {
     const LayeredCircuit base = sampleLayered();
     Rng rng(99);
-    const LayeredCircuit twirled = pauliTwirl(base, rng);
-    EXPECT_EQ(twirled.countTwoQubitGates(),
+    EXPECT_EQ(stratify(twirl(base, rng)).countTwoQubitGates(),
               base.countTwoQubitGates());
 }
 
@@ -67,21 +73,17 @@ TEST(Twirling, HeisenbergBlockUsesCommutantTwirls)
     const CMat expect = circuitUnitary(base.flatten());
     Rng rng(5);
     for (int trial = 0; trial < 20; ++trial) {
-        const LayeredCircuit twirled = pauliTwirl(base, rng);
-        for (const auto &layer : twirled.layers()) {
-            if (layer.kind != LayerKind::OneQubit)
+        const Circuit twirled = twirl(base, rng);
+        for (const auto &segment : barrierSegments(twirled)) {
+            if (segment.size() == 1 && segment[0].op == Op::Can)
                 continue;
-            // The twirl layer contains either zero or two gates
-            // with identical Pauli type.
-            if (layer.insts.size() == 2) {
-                EXPECT_EQ(layer.insts[0].op, layer.insts[1].op);
-            } else {
-                EXPECT_TRUE(layer.insts.empty() ||
-                            layer.insts.size() == 2u);
-            }
+            // A frame layer holds two gates of identical Pauli
+            // type (identity frames insert no layer at all).
+            ASSERT_EQ(segment.size(), 2u);
+            EXPECT_EQ(segment[0].op, segment[1].op);
         }
-        EXPECT_TRUE(circuitUnitary(twirled.flatten())
-                        .equalUpToGlobalPhase(expect, 1e-8));
+        EXPECT_TRUE(circuitUnitary(twirled).equalUpToGlobalPhase(
+            expect, 1e-8));
     }
 }
 
@@ -89,9 +91,8 @@ TEST(Twirling, DifferentSeedsGiveDifferentTwirls)
 {
     const LayeredCircuit base = sampleLayered();
     Rng rng1(1), rng2(2);
-    const Circuit a = pauliTwirl(base, rng1).flatten();
-    const Circuit b = pauliTwirl(base, rng2).flatten();
-    EXPECT_NE(a.toString(), b.toString());
+    EXPECT_NE(twirl(base, rng1).toString(),
+              twirl(base, rng2).toString());
 }
 
 TEST(Twirling, CacheReusesTables)
@@ -109,8 +110,8 @@ TEST(Twirling, NonGateLayersUntouched)
     qc.h(0).measure(0, 0);
     const LayeredCircuit base = stratify(qc);
     Rng rng(3);
-    const LayeredCircuit twirled = pauliTwirl(base, rng);
-    EXPECT_EQ(twirled.layers().size(), base.layers().size());
+    EXPECT_EQ(twirl(base, rng).toString(),
+              base.flatten().toString());
 }
 
 } // namespace

@@ -72,7 +72,6 @@ struct CliOptions
     PrefixStateMode prefixState = PrefixStateMode::Auto;
     std::string noise = "standard"; //!< noise recipe (docs/noise.md)
     bool twirl = true;
-    bool lateTwirl = true; //!< false = historical twirl-first order
     double caecMinAngle = -1.0; //!< < 0 = CaecOptions default
     bool caecInsertRzz = true;  //!< allow explicit rzz insertions
     bool lowerToNative = false;
@@ -112,13 +111,6 @@ usage(const char *prog)
         << "                    standard; pauli keeps twirled\n"
         << "                    circuits Clifford; docs/noise.md)\n"
         << "  --no-twirl        disable Pauli twirling\n"
-        << "  --twirl-first     twirl -- and, for the CA-EC\n"
-        << "                    strategies, run the compensation\n"
-        << "                    walk -- before lowering (the\n"
-        << "                    historical A/B ordering; schedules\n"
-        << "                    are byte-identical for every\n"
-        << "                    strategy, the prefix cache\n"
-        << "                    disengages)\n"
         << "  --caec-min-angle R  drop CA-EC compensations smaller\n"
         << "                    than R radians (default "
         << CaecOptions{}.minAngle << ")\n"
@@ -164,8 +156,6 @@ main(int argc, char **argv)
             return 0;
         } else if (std::strcmp(argv[i], "--no-twirl") == 0) {
             cli.twirl = false;
-        } else if (std::strcmp(argv[i], "--twirl-first") == 0) {
-            cli.lateTwirl = false;
         } else if (std::strcmp(argv[i], "--caec-no-rzz") == 0) {
             cli.caecInsertRzz = false;
         } else if (std::strcmp(argv[i], "--hexfloat") == 0) {
@@ -251,7 +241,6 @@ main(int argc, char **argv)
     CompileOptions options;
     options.strategy = cli.strategy;
     options.twirl = cli.twirl;
-    options.lateTwirl = cli.lateTwirl;
     options.lowerToNative = cli.lowerToNative;
     if (cli.caecMinAngle >= 0.0)
         options.caec.minAngle = cli.caecMinAngle;
@@ -268,14 +257,7 @@ main(int argc, char **argv)
               << "\npipeline:";
     for (const std::string &name : pipeline.passNames())
         std::cout << " " << name;
-    // Every strategy routes through the same ordering now; the
-    // only split left is the lateTwirl A/B switch.
-    std::cout << "\nordering: "
-              << (cli.lateTwirl ? "late (deterministic prefix: "
-                : "twirl-first (prefix cache disengaged; "
-                  "deterministic prefix: ")
-              << pipeline.stochasticPrefixLength() << " of "
-              << pipeline.passNames().size() << " passes)\n";
+    std::cout << "\n";
     if (uses_caec)
         std::cout << "ca-ec options: min angle "
                   << options.caec.minAngle << " rad, rzz insertion "
@@ -340,8 +322,8 @@ main(int argc, char **argv)
                   << result.trajectories
                   << " trajectories forked from a checkpoint)\n";
         // Hexfloat estimates are bit-exact, so runs that must agree
-        // (late-twirl vs twirl-first, any thread count) diff clean;
-        // CI gates the orderings exactly that way.
+        // (any thread count) diff clean against a committed capture;
+        // CI gates the estimates exactly that way.
         if (cli.hexfloat)
             std::cout << std::hexfloat;
         else
