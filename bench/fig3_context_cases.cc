@@ -52,10 +52,11 @@ sweep(const ContextBuilder &builder,
         ExecutionOptions exec;
         exec.trajectories = config.trajectories;
         exec.seed = config.seed;
+        exec.threads = int(config.threads);
         const auto points =
             runRamsey(builder, probes, backend,
                       NoiseModel::standard(), compile, depths, exec,
-                      config.twirlInstances, config.threads);
+                      config.twirlInstances);
         Series s;
         s.name = curve.name;
         for (const auto &p : points)

@@ -165,6 +165,7 @@ figure4c(const bench::BenchConfig &config)
         ExecutionOptions exec;
         exec.trajectories = config.trajectories;
         exec.seed = config.seed;
+        exec.threads = int(config.threads);
         const auto points = runRamsey(
             [&](int d) {
                 LayeredCircuit circuit(3, 0);
@@ -185,7 +186,7 @@ figure4c(const bench::BenchConfig &config)
                 return circuit;
             },
             {0, 1, 2}, backend, NoiseModel::standard(), compile,
-            depths, exec, config.twirlInstances, config.threads);
+            depths, exec, config.twirlInstances);
         Series s;
         s.name = name;
         for (const auto &p : points)

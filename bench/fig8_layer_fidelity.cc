@@ -38,10 +38,10 @@ main(int argc, char **argv)
     options.depths = {1, 2, 4, 8, 16};
     options.pauliSamples = 5;
     options.twirlInstances = config.twirlInstances;
-    options.threads = config.threads;
     ExecutionOptions exec;
     exec.trajectories = std::max(32, config.trajectories / 2);
     exec.seed = config.seed;
+    exec.threads = int(config.threads);
 
     const std::vector<std::pair<std::string, Strategy>> curves{
         {"bare", Strategy::None},

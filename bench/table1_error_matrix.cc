@@ -55,9 +55,10 @@ fidelity(const Backend &backend, const ContextBuilder &builder,
     ExecutionOptions exec;
     exec.trajectories = config.trajectories;
     exec.seed = config.seed;
+    exec.threads = int(config.threads);
     const auto points =
         runRamsey(builder, probes, backend, NoiseModel::standard(),
-                  compile, {depth}, exec, 4, config.threads);
+                  compile, {depth}, exec, 4);
     return points[0].fidelity;
 }
 

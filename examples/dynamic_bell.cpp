@@ -14,7 +14,7 @@
 
 #include "experiments/dynamic.hh"
 #include "passes/pipeline.hh"
-#include "sim/executor.hh"
+#include "sim/engine.hh"
 
 using namespace casq;
 
@@ -26,7 +26,7 @@ main()
     backend.pair(1, 2).measureStarkMHz = 0.05;
 
     const LayeredCircuit bell = buildDynamicBell();
-    const Executor executor(backend, NoiseModel::standard());
+    SimulationEngine engine(backend, NoiseModel::standard());
     ExecutionOptions exec;
     exec.trajectories = 600;
 
@@ -38,7 +38,7 @@ main()
         Rng rng(1);
         const ScheduledCircuit compiled =
             compileCircuit(bell, backend, options, rng);
-        const RunResult result = executor.run(
+        const RunResult result = engine.run(
             compiled, bellFidelityObservables(), exec);
         const double fidelity = bellFidelity(result.means);
         if (strategy == Strategy::None)

@@ -17,7 +17,7 @@
 #include "experiments/heisenberg.hh"
 #include "passes/builtin.hh"
 #include "passes/pipeline.hh"
-#include "sim/executor.hh"
+#include "sim/engine.hh"
 
 using namespace casq;
 
@@ -50,8 +50,8 @@ main(int argc, char **argv)
     // Compare <Z_2>(t) under bare twirling vs CA-EC.
     const PauliString obs =
         PauliString::single(n, 2, PauliOp::Z);
-    const Executor ideal(backend, NoiseModel::ideal());
-    const Executor noisy(backend, NoiseModel::standard());
+    SimulationEngine ideal(backend, NoiseModel::ideal());
+    SimulationEngine noisy(backend, NoiseModel::standard());
 
     std::cout << "d   ideal     twirled   ca-ec\n";
     std::cout << "--------------------------------\n";

@@ -13,7 +13,7 @@
 
 #include "experiments/floquet.hh"
 #include "passes/pipeline.hh"
-#include "sim/executor.hh"
+#include "sim/engine.hh"
 
 using namespace casq;
 
@@ -23,8 +23,8 @@ main(int argc, char **argv)
     const int max_steps = argc > 1 ? std::atoi(argv[1]) : 6;
 
     Backend backend = makeFakeLinear(6, 21);
-    const Executor noisy(backend, NoiseModel::standard());
-    const Executor ideal(backend, NoiseModel::ideal());
+    SimulationEngine noisy(backend, NoiseModel::standard());
+    SimulationEngine ideal(backend, NoiseModel::ideal());
     const PauliString obs =
         PauliString::two(6, 0, PauliOp::X, 5, PauliOp::X);
 

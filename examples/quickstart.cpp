@@ -15,7 +15,7 @@
 
 #include "experiments/ramsey.hh"
 #include "passes/pipeline.hh"
-#include "sim/executor.hh"
+#include "sim/engine.hh"
 
 using namespace casq;
 
@@ -51,7 +51,7 @@ main()
     for (std::uint32_t q = 0; q < 4; ++q)
         obs.push_back(PauliString::single(4, q, PauliOp::Z));
 
-    const Executor executor(backend, NoiseModel::standard());
+    SimulationEngine engine(backend, NoiseModel::standard());
 
     std::cout << "strategy      <Z0>    <Z1>    <Z2>    <Z3>\n";
     std::cout << "--------------------------------------------\n";
@@ -73,7 +73,7 @@ main()
         // 5. Execute: trajectories sample the stochastic noise.
         ExecutionOptions exec;
         exec.trajectories = 400;
-        const RunResult result = executor.run(ensemble, obs, exec);
+        const RunResult result = engine.run(ensemble, obs, exec);
 
         std::cout.width(12);
         std::cout << std::left << strategyName(strategy) << "  ";

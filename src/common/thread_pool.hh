@@ -67,21 +67,6 @@ class ThreadPool
     }
 
     /**
-     * Resolve the two knobs that can drive one fused pool (a
-     * compile-era thread argument plus ExecutionOptions.threads):
-     * whichever asks for more workers wins.  Negative exec values
-     * are treated as 0.
-     */
-    static unsigned
-    resolveThreads(unsigned compile_requested, int exec_requested)
-    {
-        const unsigned a = resolveThreads(compile_requested);
-        const unsigned b = resolveThreads(
-            exec_requested < 0 ? 0u : unsigned(exec_requested));
-        return a > b ? a : b;
-    }
-
-    /**
      * Enqueue a task.  Tasks must not throw (casq reports internal
      * errors via casq_panic, which aborts); an escaping exception
      * terminates the process.

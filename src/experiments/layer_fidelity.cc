@@ -6,7 +6,6 @@
 
 #include "common/logging.hh"
 #include "common/statistics.hh"
-#include "common/thread_pool.hh"
 #include "pauli/clifford.hh"
 
 namespace casq {
@@ -149,8 +148,6 @@ measureLayerFidelity(const LayerSpec &spec, const Backend &backend,
     // (sample, depth) point and its variant cache serves any
     // schedule the sweep revisits.
     SimulationEngine engine(backend, noise);
-    const unsigned pool_threads =
-        ThreadPool::resolveThreads(options.threads, exec.threads);
 
     // One pipeline reused across every Pauli sample and depth.
     PassManager pipeline = buildPipeline(compile);
@@ -194,13 +191,9 @@ measureLayerFidelity(const LayerSpec &spec, const Backend &backend,
                 signs.push_back(sign);
             }
 
-            EnsembleRunOptions run;
+            EnsembleRunOptions run{exec};
             run.instances = options.twirlInstances;
             run.compileSeed = exec.seed + 13 * r + 131 * depth;
-            run.trajectories = exec.trajectories;
-            run.seed = exec.seed;
-            run.threads = int(pool_threads);
-            run.cacheVariants = exec.cacheVariants;
             const RunResult result = engine.runEnsemble(
                 circuit, pipeline, observables, run);
             for (std::size_t u = 0; u < units.size(); ++u)

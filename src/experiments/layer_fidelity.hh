@@ -60,18 +60,13 @@ struct LayerFidelityOptions
     std::vector<int> depths{1, 2, 4, 8, 16};
     int pauliSamples = 6; //!< random Pauli settings per unit
     int twirlInstances = 8;
-
-    /**
-     * Workers of the fused compile+simulate pool (1 = inline,
-     * 0 = one per core); the protocol also honours exec.threads
-     * and uses whichever asks for more.  Never changes results.
-     */
-    unsigned threads = 1;
 };
 
 /**
  * Run the protocol for the layer under one compile strategy and
- * return the layer fidelity with per-unit detail.
+ * return the layer fidelity with per-unit detail.  Every ensemble
+ * runs with the fields of `exec` (exec.threads sizes the fused
+ * compile+simulate pool); results never depend on the thread count.
  */
 LayerFidelityResult measureLayerFidelity(
     const LayerSpec &spec, const Backend &backend,

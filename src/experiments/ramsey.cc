@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 
 namespace casq {
 
@@ -45,8 +44,7 @@ runRamsey(const ContextBuilder &builder,
           const Backend &backend, const NoiseModel &noise,
           const CompileOptions &compile,
           const std::vector<int> &depths,
-          const ExecutionOptions &exec, int twirl_instances,
-          unsigned threads)
+          const ExecutionOptions &exec, int twirl_instances)
 {
     SimulationEngine engine(backend, noise);
     const std::vector<PauliString> obs =
@@ -61,14 +59,9 @@ runRamsey(const ContextBuilder &builder,
     std::vector<RamseyPoint> points;
     for (int depth : depths) {
         const LayeredCircuit layered = builder(depth);
-        EnsembleRunOptions opts;
+        EnsembleRunOptions opts{exec};
         opts.instances = twirl_instances;
         opts.compileSeed = exec.seed + std::uint64_t(depth) * 977;
-        opts.trajectories = exec.trajectories;
-        opts.seed = exec.seed;
-        opts.threads =
-            int(ThreadPool::resolveThreads(threads, exec.threads));
-        opts.cacheVariants = exec.cacheVariants;
         const RunResult result =
             engine.runEnsemble(layered, pipeline, obs, opts);
 
@@ -179,13 +172,9 @@ runDetuningScan(const ContextBuilder &builder, std::uint32_t probe,
 
     PassManager pipeline = buildPipeline(compile);
     const LayeredCircuit layered = builder(depth);
-    EnsembleRunOptions opts;
+    EnsembleRunOptions opts{exec};
     opts.instances = 4;
     opts.compileSeed = exec.seed;
-    opts.trajectories = exec.trajectories;
-    opts.seed = exec.seed;
-    opts.threads = int(ThreadPool::resolveThreads(1, exec.threads));
-    opts.cacheVariants = exec.cacheVariants;
     const RunResult result =
         engine.runEnsemble(layered, pipeline, obs, opts);
     const double x = result.means[0];

@@ -35,9 +35,8 @@ struct RamseyPoint
  * Run the Ramsey protocol: compile builder(d) under the options,
  * execute, and convert the X-string expectations on the probe
  * qubits into the |+...+> overlap.  Each depth runs through
- * SimulationEngine's fused compile->simulate ensemble path; the
- * pool serves whichever of `threads` (compile-era knob, kept for
- * compatibility) and exec.threads asks for more workers (0 = one
+ * SimulationEngine's fused compile->simulate ensemble path with
+ * every field of `exec` (its pool has exec.threads workers, 0 = one
  * per core).  Results are bit-identical for every thread count.
  */
 std::vector<RamseyPoint> runRamsey(
@@ -45,7 +44,7 @@ std::vector<RamseyPoint> runRamsey(
     const std::vector<std::uint32_t> &probes, const Backend &backend,
     const NoiseModel &noise, const CompileOptions &compile,
     const std::vector<int> &depths, const ExecutionOptions &exec,
-    int twirl_instances = 8, unsigned threads = 1);
+    int twirl_instances = 8);
 
 /** |+...+> overlap from the 2^k X-subset expectations. */
 double plusStateFidelity(const std::vector<double> &x_subsets);

@@ -416,8 +416,8 @@ sameSchedule(const ScheduledCircuit &a, const ScheduledCircuit &b)
 // ------------------------------------------------ backend routing
 
 /**
- * The substrate a trajectory of `variant` runs on.  Auto prefers
- * the tableau exactly when the variant's whole execution is
+ * The substrate every trajectory of `variant` runs on.  Auto
+ * prefers the tableau exactly when the variant's whole execution is
  * Clifford; forcing Stabilizer on an ineligible variant is a user
  * error and exits with the blocker diagnostic.
  */
@@ -488,14 +488,12 @@ class TrajectoryRunner
         }
     }
 
-    /** Execute one trajectory; returns the substrate it ran on. */
-    SimBackendKind
-    run(const CompiledVariant &variant, Rng &rng,
+    /** Execute one trajectory of `variant` on substrate `kind`. */
+    void
+    run(const CompiledVariant &variant, SimBackendKind kind, Rng &rng,
         const std::vector<PauliString> &observables, double *out,
-        SimBackendKind requested, PrefixStateMode prefix_mode)
+        PrefixStateMode prefix_mode)
     {
-        const SimBackendKind kind =
-            resolveTrajectoryBackend(requested, variant);
         _state = &stateFor(kind);
 
         // Fork from the variant's prefix checkpoint when allowed:
@@ -534,7 +532,6 @@ class TrajectoryRunner
         flushAllT1(rng);
         for (std::size_t k = 0; k < observables.size(); ++k)
             out[k] = _state->expectation(observables[k]);
-        return kind;
     }
 
   private:
@@ -732,6 +729,18 @@ splitRange(int total, int blocks)
     return ranges;
 }
 
+/** Reduce the slots of a single-shard run, with its counters. */
+RunResult
+reduceShard(const ShardSlots &shard, const ExecutionOptions &opts,
+            std::size_t observables)
+{
+    RunResult result = reduceTrajectorySlots(
+        shard.slots, std::size_t(opts.trajectories), observables);
+    result.stabilizerTrajectories = shard.stabilizerTrajectories;
+    result.prefixStateHits = shard.prefixStateHits;
+    return result;
+}
+
 } // namespace
 
 // ---------------------------------------------------------- engine
@@ -794,18 +803,25 @@ SimulationEngine::compiledVariant(const ScheduledCircuit &circuit,
     variant->fingerprint = print;
     if (use_cache) {
         std::lock_guard<std::mutex> lock(_cacheMutex);
+        // A racing worker may have compiled the same schedule; keep
+        // the first entry so later hits share one plan, and count
+        // the lost race as a hit so the counters do not depend on
+        // scheduling.
+        if (const auto it = _cache.find(print); it != _cache.end()) {
+            for (const auto &entry : it->second) {
+                if (sameSchedule(entry->timeline.circuit(),
+                                 circuit)) {
+                    ++_cacheHits;
+                    return entry;
+                }
+            }
+        }
         ++_cacheMisses;
         if (_cacheCount >= kMaxCachedVariants) {
             _cache.clear();
             _cacheCount = 0;
         }
-        auto &bucket = _cache[print];
-        // A racing worker may have compiled the same schedule; keep
-        // the first entry so later hits share one plan.
-        for (const auto &entry : bucket)
-            if (sameSchedule(entry->timeline.circuit(), circuit))
-                return entry;
-        bucket.push_back(variant);
+        _cache[print].push_back(variant);
         ++_cacheCount;
     }
     return variant;
@@ -859,213 +875,13 @@ SimulationEngine::run(const ScheduledCircuit &circuit,
                opts);
 }
 
-RunResult
-SimulationEngine::run(const std::vector<ScheduledCircuit> &variants,
-                      const std::vector<PauliString> &observables,
-                      const ExecutionOptions &opts)
-{
-    casq_assert(!variants.empty(), "no circuit variants to run");
-    casq_assert(opts.trajectories > 0, "need at least 1 trajectory");
-
-    std::vector<std::shared_ptr<const CompiledVariant>> compiled;
-    compiled.reserve(variants.size());
-    // Classical registers may differ across variants (a compiled
-    // instance can add or drop measurements); one runner serves all
-    // of them, so size its register file to the widest variant.
-    std::size_t num_clbits = 0;
-    for (const auto &v : variants) {
-        num_clbits = std::max(num_clbits, v.numClbits());
-        compiled.push_back(
-            compiledVariant(v, opts.cacheVariants));
-    }
-
-    const Rng master(opts.seed);
-    const std::size_t total = std::size_t(opts.trajectories);
-    const std::size_t K = observables.size();
-    std::vector<double> slots(total * K);
-
-    // Resolve the routing up front: validates a forced stabilizer
-    // request on the calling thread and yields the deterministic
-    // per-kind trajectory counts (trajectory t's substrate is a
-    // pure function of (opts.backend, variant t mod V)).
-    int stab_traj = 0;
-    std::uint64_t prefix_hits = 0;
-    for (std::size_t t = 0; t < total; ++t) {
-        const auto &variant = *compiled[t % compiled.size()];
-        if (resolveTrajectoryBackend(opts.backend, variant) ==
-            SimBackendKind::Stabilizer) {
-            ++stab_traj;
-        }
-        if (opts.prefixState == PrefixStateMode::Auto &&
-            variant.prefixEvents > 0) {
-            ++prefix_hits;
-        }
-    }
-
-    const auto simulateRange = [&](int t0, int t1) {
-        TrajectoryRunner runner(_backend, _sources,
-                                _backend.numQubits(), num_clbits);
-        for (int t = t0; t < t1; ++t) {
-            Rng rng = master.derive(std::uint64_t(t));
-            const auto &variant = *compiled[t % compiled.size()];
-            runner.run(variant, rng, observables,
-                       slots.data() + std::size_t(t) * K,
-                       opts.backend, opts.prefixState);
-        }
-    };
-
-    const unsigned threads = std::min<std::size_t>(
-        ThreadPool::resolveThreads(
-            unsigned(std::max(0, opts.threads))),
-        total);
-    if (threads <= 1) {
-        simulateRange(0, int(total));
-    } else {
-        // Oversplit so work stealing can fix stragglers (variants
-        // of different depth cost different amounts per shot).
-        ThreadPool &workers = pool(threads);
-        for (const auto &[t0, t1] :
-             splitRange(int(total), int(threads) * 4)) {
-            workers.submit(
-                [&simulateRange, t0 = t0, t1 = t1] {
-                    simulateRange(t0, t1);
-                });
-        }
-        workers.wait();
-    }
-    RunResult result = reduceTrajectorySlots(slots, total, K);
-    result.stabilizerTrajectories = stab_traj;
-    result.prefixStateHits = prefix_hits;
-    return result;
-}
-
-RunResult
-SimulationEngine::runEnsemble(
-    const LayeredCircuit &logical, PassManager &pipeline,
-    const std::vector<PauliString> &observables,
-    const EnsembleRunOptions &opts)
-{
-    casq_assert(opts.trajectories > 0, "need at least 1 trajectory");
-
-    EnsembleOptions compile;
-    compile.instances = opts.instances;
-    compile.seed = opts.compileSeed;
-    compile.prefixCache = opts.prefixCache;
-    compile.threads = 1; // the fused pool below owns the workers
-    const EnsemblePlan plan =
-        pipeline.planEnsemble(logical, _backend, compile);
-
-    const int V = plan.instanceCount();
-    if (plan.prefixLength() > 0)
-        debug("fused ensemble: ", plan.prefixLength(),
-              " deterministic prefix pass(es) compiled once for ",
-              V, " instance(s)");
-    const std::size_t total = std::size_t(opts.trajectories);
-    const std::size_t K = observables.size();
-    const Rng master(opts.seed);
-    std::vector<double> slots(total * K);
-
-    // Trajectory t executes variant t mod V, so instance k owns the
-    // arithmetic progression {k, k + V, ...} and can simulate it the
-    // moment its compilation finishes -- no cross-instance barrier.
-    const auto trajectoriesOf = [&](int k) {
-        return int(total) > k
-                   ? (int(total) - k + V - 1) / V
-                   : 0;
-    };
-    // Which substrate each instance's trajectories ran on, recorded
-    // at compile time (disjoint slots, read only after the join
-    // below) so the result can report the routing.
-    std::vector<unsigned char> routed(std::size_t(V), 0);
-    std::vector<unsigned char> prefixed(std::size_t(V), 0);
-    const auto recordRouting = [&](int k,
-                                   const CompiledVariant &variant) {
-        routed[std::size_t(k)] =
-            resolveTrajectoryBackend(opts.backend, variant) ==
-                    SimBackendKind::Stabilizer
-                ? 1
-                : 0;
-        prefixed[std::size_t(k)] =
-            opts.prefixState == PrefixStateMode::Auto &&
-                    variant.prefixEvents > 0
-                ? 1
-                : 0;
-    };
-    const auto simulateVariant = [&](const CompiledVariant &variant,
-                                     std::size_t num_clbits, int k,
-                                     int i0, int i1) {
-        TrajectoryRunner runner(_backend, _sources,
-                                _backend.numQubits(), num_clbits);
-        for (int i = i0; i < i1; ++i) {
-            const std::size_t t = std::size_t(k) + std::size_t(i) * V;
-            Rng rng = master.derive(std::uint64_t(t));
-            runner.run(variant, rng, observables,
-                       slots.data() + t * K, opts.backend,
-                       opts.prefixState);
-        }
-    };
-    const auto reduce = [&] {
-        RunResult result = reduceTrajectorySlots(slots, total, K);
-        for (int k = 0; k < V; ++k) {
-            if (routed[std::size_t(k)])
-                result.stabilizerTrajectories += trajectoriesOf(k);
-            if (prefixed[std::size_t(k)])
-                result.prefixStateHits +=
-                    std::uint64_t(trajectoriesOf(k));
-        }
-        return result;
-    };
-
-    const unsigned threads = ThreadPool::resolveThreads(
-        unsigned(std::max(0, opts.threads)));
-    if (threads <= 1) {
-        for (int k = 0; k < V; ++k) {
-            CompilationResult instance = plan.compileInstance(k);
-            const auto variant = compiledVariant(
-                instance.scheduled, opts.cacheVariants);
-            recordRouting(k, *variant);
-            simulateVariant(*variant,
-                            instance.scheduled.numClbits(), k, 0,
-                            trajectoriesOf(k));
-        }
-        return reduce();
-    }
-
-    // One pool drives both stages: each compile task streams its
-    // freshly compiled variant into simulation sub-tasks on the
-    // same pool (submitting from a worker is safe -- the pending
-    // count can only reach zero after every nested submit).
-    ThreadPool &workers = pool(threads);
-    const int subtasks =
-        std::max(1, int(threads) * 2 / std::max(1, V));
-    for (int k = 0; k < V; ++k) {
-        workers.submit([&, k] {
-            CompilationResult instance = plan.compileInstance(k);
-            const std::size_t num_clbits =
-                instance.scheduled.numClbits();
-            const auto variant = compiledVariant(
-                instance.scheduled, opts.cacheVariants);
-            recordRouting(k, *variant);
-            for (const auto &[i0, i1] :
-                 splitRange(trajectoriesOf(k), subtasks)) {
-                workers.submit([&, variant, num_clbits, k, i0 = i0,
-                                i1 = i1] {
-                    simulateVariant(*variant, num_clbits, k, i0,
-                                    i1);
-                });
-            }
-        });
-    }
-    workers.wait();
-    return reduce();
-}
-
 ShardSlots
-SimulationEngine::runShard(
-    const LayeredCircuit &logical, PassManager &pipeline,
-    const std::vector<PauliString> &observables,
-    const EnsembleRunOptions &opts, std::uint32_t shard_index,
-    std::uint32_t shard_count)
+SimulationEngine::dispatch(std::size_t instances,
+                           const VariantResolver &resolve,
+                           const std::vector<PauliString> &observables,
+                           const ExecutionOptions &opts,
+                           std::uint32_t shard_index,
+                           std::uint32_t shard_count)
 {
     casq_assert(shard_count >= 1, "need at least one shard");
     casq_assert(shard_index < shard_count, "shard index ",
@@ -1073,19 +889,7 @@ SimulationEngine::runShard(
                 " shard(s)");
     casq_assert(opts.trajectories > 0, "need at least 1 trajectory");
 
-    EnsembleOptions compile;
-    compile.instances = opts.instances;
-    compile.seed = opts.compileSeed;
-    compile.prefixCache = opts.prefixCache;
-    compile.threads = 1; // the pool below owns the workers
-    const EnsemblePlan plan =
-        pipeline.planEnsemble(logical, _backend, compile);
-
-    const std::size_t V = std::size_t(plan.instanceCount());
-    if (plan.prefixLength() > 0)
-        debug("shard ", shard_index, "/", shard_count, ": ",
-              plan.prefixLength(), " deterministic prefix "
-              "pass(es) compiled once");
+    const std::size_t V = instances;
     const std::size_t total = std::size_t(opts.trajectories);
     const std::size_t K = observables.size();
     const std::size_t S = shard_count;
@@ -1094,9 +898,10 @@ SimulationEngine::runShard(
 
     // This shard owns global trajectories t = k0, k0 + S, ...; the
     // j-th of them writes slot j.  Group the owned trajectories by
-    // the instance they execute (t mod V) so each needed instance
-    // compiles exactly once -- when S divides V this grouping visits
-    // exactly the instances i = k0 (mod S).
+    // the instance they execute (t mod V) so each needed instance is
+    // resolved exactly once and simulates the moment it is resolved
+    // -- no cross-instance barrier.  When S divides V this grouping
+    // visits exactly the instances i = k0 (mod S).
     const std::size_t owned =
         total > k0 ? (total - k0 + S - 1) / S : 0;
     std::vector<std::vector<std::size_t>> ordinals_of(V);
@@ -1108,92 +913,136 @@ SimulationEngine::runShard(
     for (std::size_t i = 0; i < V; ++i)
         if (!ordinals_of[i].empty())
             out.instances.push_back(std::uint32_t(i));
-    out.fingerprints.assign(out.instances.size(), 0);
+    const std::size_t N = out.instances.size();
+    out.fingerprints.assign(N, 0);
 
-    const auto simulateOrdinals =
-        [&](const CompiledVariant &variant, std::size_t num_clbits,
-            const std::vector<std::size_t> &ordinals,
-            std::size_t o0, std::size_t o1) {
-            TrajectoryRunner runner(_backend, _sources,
-                                    _backend.numQubits(),
-                                    num_clbits);
-            for (std::size_t o = o0; o < o1; ++o) {
-                const std::size_t j = ordinals[o];
-                const std::size_t t = k0 + j * S;
-                Rng rng = master.derive(std::uint64_t(t));
-                runner.run(variant, rng, observables,
-                           out.slots.data() + j * K, opts.backend,
-                           opts.prefixState);
-            }
-        };
-    // Per-instance prefix-fork flags (disjoint slots written by the
-    // compile tasks, summed into the hit counter after the join).
-    std::vector<unsigned char> prefixed(out.instances.size(), 0);
-    const auto compileAndRecord =
-        [&](std::size_t n) -> std::pair<
-            std::shared_ptr<const CompiledVariant>, std::size_t> {
-        const std::size_t i = out.instances[n];
-        CompilationResult instance = plan.compileInstance(i);
-        const std::size_t num_clbits =
-            instance.scheduled.numClbits();
-        const auto variant = compiledVariant(instance.scheduled,
-                                             opts.cacheVariants);
+    // Substrate and prefix-fork decision of each needed instance,
+    // written by the task that resolves it (disjoint slots, read
+    // only after the join below).
+    std::vector<SimBackendKind> kinds(N, SimBackendKind::Dense);
+    std::vector<unsigned char> prefixed(N, 0);
+    const auto resolveInstance = [&](std::size_t n) {
+        auto variant = resolve(out.instances[n]);
         out.fingerprints[n] = variant->fingerprint;
+        kinds[n] = resolveTrajectoryBackend(opts.backend, *variant);
         prefixed[n] = opts.prefixState == PrefixStateMode::Auto &&
-                              variant->prefixEvents > 0
-                          ? 1
-                          : 0;
-        return {variant, num_clbits};
+                      variant->prefixEvents > 0;
+        return variant;
     };
-    const auto sumPrefixHits = [&] {
-        for (std::size_t n = 0; n < out.instances.size(); ++n)
-            if (prefixed[n])
-                out.prefixStateHits += std::uint64_t(
-                    ordinals_of[out.instances[n]].size());
+    const auto ordinalsOf = [&](std::size_t n) -> const auto & {
+        return ordinals_of[out.instances[n]];
     };
-
-    const unsigned threads = ThreadPool::resolveThreads(
-        unsigned(std::max(0, opts.threads)));
-    if (threads <= 1) {
-        for (std::size_t n = 0; n < out.instances.size(); ++n) {
-            const auto [variant, num_clbits] = compileAndRecord(n);
-            const auto &ordinals = ordinals_of[out.instances[n]];
-            simulateOrdinals(*variant, num_clbits, ordinals, 0,
-                             ordinals.size());
+    const auto simulate = [&](const CompiledVariant &variant,
+                              std::size_t n, std::size_t o0,
+                              std::size_t o1) {
+        TrajectoryRunner runner(_backend, _sources,
+                                _backend.numQubits(),
+                                variant.timeline.circuit().numClbits());
+        for (std::size_t o = o0; o < o1; ++o) {
+            const std::size_t j = ordinalsOf(n)[o];
+            Rng rng = master.derive(std::uint64_t(k0 + j * S));
+            runner.run(variant, kinds[n], rng, observables,
+                       out.slots.data() + j * K, opts.prefixState);
         }
-        sumPrefixHits();
-        return out;
+    };
+
+    const unsigned threads = std::min<std::size_t>(
+        ThreadPool::resolveThreads(
+            unsigned(std::max(0, opts.threads))),
+        owned);
+    if (threads <= 1) {
+        for (std::size_t n = 0; n < N; ++n) {
+            const auto variant = resolveInstance(n);
+            simulate(*variant, n, 0, ordinalsOf(n).size());
+        }
+    } else {
+        // One pool drives both stages: each resolve task streams its
+        // variant into simulation sub-tasks on the same pool
+        // (submitting from a worker is safe -- the pending count can
+        // only reach zero after every nested submit).
+        ThreadPool &workers = pool(threads);
+        const int subtasks =
+            std::max(1, int(threads) * 2 / std::max(1, int(N)));
+        for (std::size_t n = 0; n < N; ++n) {
+            workers.submit([&, n] {
+                const auto variant = resolveInstance(n);
+                for (const auto &[o0, o1] :
+                     splitRange(int(ordinalsOf(n).size()), subtasks)) {
+                    workers.submit([&, variant, n, o0 = o0, o1 = o1] {
+                        simulate(*variant, n, std::size_t(o0),
+                                 std::size_t(o1));
+                    });
+                }
+            });
+        }
+        workers.wait();
     }
 
-    // Same fused shape as runEnsemble: each compile task streams its
-    // variant into simulation sub-tasks on the one pool.
-    ThreadPool &workers = pool(threads);
-    const int subtasks = std::max(
-        1, int(threads) * 2 /
-               std::max<int>(1, int(out.instances.size())));
-    for (std::size_t n = 0; n < out.instances.size(); ++n) {
-        workers.submit([&, n] {
-            const auto compiled = compileAndRecord(n);
-            const auto variant = compiled.first;
-            const std::size_t num_clbits = compiled.second;
-            // Outlives this task (ordinals_of is alive until the
-            // wait() below), so sub-tasks take a stable pointer.
-            const std::vector<std::size_t> *ordinals =
-                &ordinals_of[out.instances[n]];
-            for (const auto &[o0, o1] :
-                 splitRange(int(ordinals->size()), subtasks)) {
-                workers.submit([&, variant, num_clbits, ordinals,
-                                o0 = o0, o1 = o1] {
-                    simulateOrdinals(*variant, num_clbits,
-                                     *ordinals, std::size_t(o0),
-                                     std::size_t(o1));
-                });
-            }
-        });
+    for (std::size_t n = 0; n < N; ++n) {
+        const std::size_t count = ordinalsOf(n).size();
+        if (kinds[n] == SimBackendKind::Stabilizer)
+            out.stabilizerTrajectories += int(count);
+        if (prefixed[n])
+            out.prefixStateHits += count;
     }
-    workers.wait();
-    sumPrefixHits();
     return out;
+}
+
+RunResult
+SimulationEngine::run(const std::vector<ScheduledCircuit> &variants,
+                      const std::vector<PauliString> &observables,
+                      const ExecutionOptions &opts)
+{
+    casq_assert(!variants.empty(), "no circuit variants to run");
+    return reduceShard(
+        dispatch(
+            variants.size(),
+            [&](std::size_t k) {
+                return compiledVariant(variants[k],
+                                       opts.cacheVariants);
+            },
+            observables, opts, 0, 1),
+        opts, observables.size());
+}
+
+RunResult
+SimulationEngine::runEnsemble(
+    const LayeredCircuit &logical, PassManager &pipeline,
+    const std::vector<PauliString> &observables,
+    const EnsembleRunOptions &opts)
+{
+    return reduceShard(
+        runShard(logical, pipeline, observables, opts, 0, 1), opts,
+        observables.size());
+}
+
+ShardSlots
+SimulationEngine::runShard(
+    const LayeredCircuit &logical, PassManager &pipeline,
+    const std::vector<PauliString> &observables,
+    const EnsembleRunOptions &opts, std::uint32_t shard_index,
+    std::uint32_t shard_count)
+{
+    EnsembleOptions compile;
+    compile.instances = opts.instances;
+    compile.seed = opts.compileSeed;
+    compile.prefixCache = opts.prefixCache;
+    compile.threads = 1; // the dispatch pool owns the workers
+    const EnsemblePlan plan =
+        pipeline.planEnsemble(logical, _backend, compile);
+    if (plan.prefixLength() > 0)
+        debug("shard ", shard_index, "/", shard_count, ": ",
+              plan.prefixLength(),
+              " deterministic prefix pass(es) compiled once for ",
+              plan.instanceCount(), " instance(s)");
+
+    return dispatch(
+        std::size_t(plan.instanceCount()),
+        [&](std::size_t k) {
+            return compiledVariant(plan.compileInstance(k).scheduled,
+                                   opts.cacheVariants);
+        },
+        observables, opts, shard_index, shard_count);
 }
 
 std::size_t

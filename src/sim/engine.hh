@@ -24,17 +24,20 @@
  * that revisit the same schedules -- repeated observable batches,
  * Ramsey delays, layer-fidelity lengths -- stop recompiling them.
  *
- * runEnsemble() fuses compilation into simulation: instances stream
- * out of PassManager::planEnsemble straight into trajectory
- * execution on one pool, with no materialized schedule vector (and
- * no barrier) between the stages.  docs/simulator.md has the full
- * architecture notes.
+ * One dispatch loop serves every entry point: runShard() groups the
+ * trajectories it owns by instance and streams each instance, the
+ * moment PassManager::planEnsemble compiles it, into simulation
+ * tasks on one pool, with no materialized schedule vector (and no
+ * barrier) between the stages.  runEnsemble() is runShard() over a
+ * single shard, and run() is the same loop over precompiled
+ * variants.  docs/simulator.md has the full architecture notes.
  */
 
 #ifndef CASQ_SIM_ENGINE_HH
 #define CASQ_SIM_ENGINE_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -76,15 +79,19 @@ prefixStateModeFromName(const std::string &name);
 /** Trajectory-count, seeding and threading options. */
 struct ExecutionOptions
 {
-    int trajectories = 200; //!< total, split across variants
+    /** Total trajectories, distributed round-robin over variants. */
+    int trajectories = 200;
+
+    /** Simulation master seed; trajectory t uses (seed, t). */
     std::uint64_t seed = 1234;
 
     /**
-     * Worker threads (ThreadPool::resolveThreads convention:
-     * 0 = one per hardware thread, 1 = inline on the caller).
-     * Results are bit-identical for every value.
+     * Workers of the one pool that drives compilation and
+     * simulation (ThreadPool::resolveThreads convention: 0 = one
+     * per hardware thread, 1 = inline on the caller).  Results are
+     * bit-identical for every value.
      */
-    int threads = 2;
+    int threads = 1;
 
     /** Serve repeated schedules from the compiled-variant cache. */
     bool cacheVariants = true;
@@ -152,10 +159,19 @@ struct ShardSlots
 
     /** Owned trajectories that forked from a prefix checkpoint. */
     std::uint64_t prefixStateHits = 0;
+
+    /**
+     * Owned trajectories the backend routing sent to the tableau
+     * (in memory only: ShardResult does not carry it).
+     */
+    int stabilizerTrajectories = 0;
 };
 
-/** Configuration of a fused compile->simulate ensemble run. */
-struct EnsembleRunOptions
+/**
+ * Configuration of a fused compile->simulate ensemble run: the
+ * simulation options plus the ensemble compilation.
+ */
+struct EnsembleRunOptions : ExecutionOptions
 {
     /** Twirled instances to compile (EnsembleOptions semantics). */
     int instances = 8;
@@ -165,28 +181,6 @@ struct EnsembleRunOptions
 
     /** Share the deterministic pass prefix across instances. */
     bool prefixCache = true;
-
-    /** Total trajectories, distributed round-robin over variants. */
-    int trajectories = 200;
-
-    /** Simulation master seed; trajectory t uses (seed, t). */
-    std::uint64_t seed = 1234;
-
-    /**
-     * Workers for the single fused pool driving both stages
-     * (0 = one per hardware thread, 1 = inline).  Never changes any
-     * result.
-     */
-    int threads = 1;
-
-    /** Serve repeated schedules from the compiled-variant cache. */
-    bool cacheVariants = true;
-
-    /** Simulation substrate (ExecutionOptions::backend semantics). */
-    SimBackendKind backend = SimBackendKind::Dense;
-
-    /** Trajectory prefix-checkpoint reuse (bit-identical either way). */
-    PrefixStateMode prefixState = PrefixStateMode::Auto;
 };
 
 namespace detail {
@@ -199,9 +193,10 @@ struct CompiledVariant;
  *
  * Thread-safety: an engine may be driven from one thread at a time
  * (its pool and cache are internal state); the parallelism happens
- * inside run()/runEnsemble().  The engine borrows the backend --
- * mutating backend properties after construction leaves stale
- * entries in the variant cache; call clearVariantCache() first.
+ * inside run()/runEnsemble()/runShard().  The engine borrows the
+ * backend -- mutating backend properties after construction leaves
+ * stale entries in the variant cache; call clearVariantCache()
+ * first.
  */
 class SimulationEngine
 {
@@ -219,7 +214,9 @@ class SimulationEngine
 
     /**
      * Run a set of circuit variants (e.g. independently twirled
-     * instances); trajectory t executes variant t mod V.
+     * instances); trajectory t executes variant t mod V.  This is
+     * runShard()'s dispatch loop over the V precompiled variants as
+     * a single shard, reduced like runEnsemble().
      */
     RunResult run(const std::vector<ScheduledCircuit> &variants,
                   const std::vector<PauliString> &observables,
@@ -229,9 +226,10 @@ class SimulationEngine
      * Fused ensemble estimate: compile opts.instances instances of
      * `logical` through `pipeline` (sharing the deterministic
      * prefix) and pipe each instance straight into its share of the
-     * trajectories, all on one pool.  Equivalent to -- and
-     * bit-identical with -- compileEnsemble() followed by run(),
-     * without the schedule-vector barrier between the stages.
+     * trajectories, all on one pool.  Implemented as runShard(...,
+     * 0, 1) followed by reduceTrajectorySlots(), so it is
+     * bit-identical with compileEnsemble() followed by run(), and
+     * with the merge of runShard() over every shard of any split.
      */
     RunResult runEnsemble(const LayeredCircuit &logical,
                           PassManager &pipeline,
@@ -252,9 +250,8 @@ class SimulationEngine
      * t) and instance i always compiles from (opts.compileSeed,
      * i + 7001), the slot values are independent of the shard
      * decomposition, the host, and the thread count: merging the S
-     * shards of any split is bit-identical to runEnsemble().
-     * runEnsemble() is equivalent to the merge of this call's
-     * results over every shard of any S.
+     * shards of any split is bit-identical to runEnsemble(), which
+     * is this call with S = 1.
      */
     ShardSlots runShard(const LayeredCircuit &logical,
                         PassManager &pipeline,
@@ -321,6 +318,26 @@ class SimulationEngine
     std::size_t _cacheCount = 0; //!< variants currently cached
     std::size_t _cacheHits = 0;
     std::size_t _cacheMisses = 0;
+
+    /** Resolves instance k of a run into its compiled variant. */
+    using VariantResolver =
+        std::function<std::shared_ptr<const detail::CompiledVariant>(
+            std::size_t)>;
+
+    /**
+     * The one trajectory-dispatch loop behind run(), runEnsemble()
+     * and runShard(): simulate the trajectories t = shard_index
+     * (mod shard_count) of a run over `instances` instances
+     * (trajectory t executes instance t mod instances), resolving
+     * each needed instance once, on the pool, and streaming it
+     * straight into simulation tasks.
+     */
+    ShardSlots dispatch(std::size_t instances,
+                        const VariantResolver &resolve,
+                        const std::vector<PauliString> &observables,
+                        const ExecutionOptions &opts,
+                        std::uint32_t shard_index,
+                        std::uint32_t shard_count);
 
     /** Fingerprint-keyed, equality-checked variant lookup. */
     std::shared_ptr<const detail::CompiledVariant>

@@ -3,7 +3,7 @@
 #include "experiments/dynamic.hh"
 #include "experiments/floquet.hh"
 #include "experiments/heisenberg.hh"
-#include "sim/executor.hh"
+#include "sim/engine.hh"
 
 namespace casq {
 namespace {
@@ -42,7 +42,7 @@ TEST(Builders, FloquetIsingBoundaryObservableIsClifford)
     // At the Clifford point <X0 X5> must be exactly +-1 for all
     // depths in the noiseless simulator.
     const Backend backend = cleanBackend(makeLinear(6));
-    const Executor executor(backend, NoiseModel::ideal());
+    SimulationEngine engine(backend, NoiseModel::ideal());
     const PauliString obs =
         PauliString::two(6, 0, PauliOp::X, 5, PauliOp::X);
     for (int d = 1; d <= 4; ++d) {
@@ -52,7 +52,7 @@ TEST(Builders, FloquetIsingBoundaryObservableIsClifford)
         ExecutionOptions opts;
         opts.trajectories = 1;
         const double value =
-            executor.run(sched, {obs}, opts).means[0];
+            engine.run(sched, {obs}, opts).means[0];
         // The boundary stabilizer alternates sign each step.
         EXPECT_NEAR(value, (d % 2) ? -1.0 : 1.0, 1e-9)
             << "depth " << d;
@@ -62,7 +62,7 @@ TEST(Builders, FloquetIsingBoundaryObservableIsClifford)
 TEST(Builders, FloquetIdentityIsIdentityOnProbes)
 {
     const Backend backend = cleanBackend(makeLinear(6));
-    const Executor executor(backend, NoiseModel::ideal());
+    SimulationEngine engine(backend, NoiseModel::ideal());
     for (int d = 1; d <= 3; ++d) {
         const LayeredCircuit circuit = buildFloquetIdentity(d);
         const ScheduledCircuit sched = scheduleASAP(
@@ -71,7 +71,7 @@ TEST(Builders, FloquetIdentityIsIdentityOnProbes)
         opts.trajectories = 1;
         // P00 on the probes: (1 + <Z1> + <Z2> + <Z1 Z2>) / 4 = 1.
         const auto probes = floquetIdentityProbes();
-        const RunResult result = executor.run(
+        const RunResult result = engine.run(
             sched,
             {PauliString::single(6, probes[0], PauliOp::Z),
              PauliString::single(6, probes[1], PauliOp::Z),
@@ -100,7 +100,7 @@ TEST(Builders, HeisenbergConservesTotalZ)
     // The isotropic Heisenberg model conserves total
     // magnetization: sum_q <Z_q> stays 0 for the Neel state.
     const Backend backend = cleanBackend(makeRing(6));
-    const Executor executor(backend, NoiseModel::ideal());
+    SimulationEngine engine(backend, NoiseModel::ideal());
     const LayeredCircuit circuit = buildHeisenbergRing(6, 3);
     const ScheduledCircuit sched =
         scheduleASAP(circuit.flatten(), backend.durations());
@@ -109,7 +109,7 @@ TEST(Builders, HeisenbergConservesTotalZ)
         obs.push_back(PauliString::single(6, q, PauliOp::Z));
     ExecutionOptions opts;
     opts.trajectories = 1;
-    const RunResult result = executor.run(sched, obs, opts);
+    const RunResult result = engine.run(sched, obs, opts);
     double total = 0.0;
     for (double z : result.means)
         total += z;
@@ -119,14 +119,14 @@ TEST(Builders, HeisenbergConservesTotalZ)
 TEST(Builders, HeisenbergDynamicsNontrivial)
 {
     const Backend backend = cleanBackend(makeRing(6));
-    const Executor executor(backend, NoiseModel::ideal());
+    SimulationEngine engine(backend, NoiseModel::ideal());
     const PauliString obs = PauliString::single(6, 2, PauliOp::Z);
     const LayeredCircuit circuit = buildHeisenbergRing(6, 3);
     const ScheduledCircuit sched =
         scheduleASAP(circuit.flatten(), backend.durations());
     ExecutionOptions opts;
     opts.trajectories = 1;
-    const double z2 = executor.run(sched, {obs}, opts).means[0];
+    const double z2 = engine.run(sched, {obs}, opts).means[0];
     // The Neel state starts at <Z2> = +1 and must have moved.
     EXPECT_LT(std::abs(z2), 0.999);
 }
@@ -134,14 +134,14 @@ TEST(Builders, HeisenbergDynamicsNontrivial)
 TEST(Builders, DynamicBellIdealFidelityIsOne)
 {
     const Backend backend = cleanBackend(makeLinear(3));
-    const Executor executor(backend, NoiseModel::ideal());
+    SimulationEngine engine(backend, NoiseModel::ideal());
     const LayeredCircuit circuit = buildDynamicBell();
     const ScheduledCircuit sched =
         scheduleASAP(circuit.flatten(), backend.durations());
     ExecutionOptions opts;
     opts.trajectories = 64;
     const RunResult result =
-        executor.run(sched, bellFidelityObservables(), opts);
+        engine.run(sched, bellFidelityObservables(), opts);
     EXPECT_NEAR(bellFidelity(result.means), 1.0, 1e-9);
 }
 

@@ -7,7 +7,7 @@
 #include "passes/builtin.hh"
 #include "passes/ca_ec.hh"
 #include "passes/pipeline.hh"
-#include "sim/executor.hh"
+#include "sim/engine.hh"
 #include "sim/shard.hh"
 #include "workloads.hh"
 
@@ -39,14 +39,14 @@ double
 ramseyFidelity(const Circuit &flat, const Backend &backend,
                const std::vector<std::uint32_t> &probes)
 {
-    const Executor executor(backend, NoiseModel::coherentOnly());
+    SimulationEngine engine(backend, NoiseModel::coherentOnly());
     const ScheduledCircuit sched =
         scheduleASAP(flat, backend.durations());
     ExecutionOptions opts;
     opts.trajectories = 4;
     const auto obs =
         plusStateObservables(backend.numQubits(), probes);
-    const RunResult result = executor.run(sched, obs, opts);
+    const RunResult result = engine.run(sched, obs, opts);
     return plusStateFidelity(result.means);
 }
 

@@ -60,6 +60,9 @@ expectBitIdentical(const RunResult &a, const RunResult &b,
     ASSERT_EQ(a.means.size(), b.means.size()) << label;
     ASSERT_EQ(a.stderrs.size(), b.stderrs.size()) << label;
     EXPECT_EQ(a.trajectories, b.trajectories) << label;
+    EXPECT_EQ(a.stabilizerTrajectories, b.stabilizerTrajectories)
+        << label;
+    EXPECT_EQ(a.prefixStateHits, b.prefixStateHits) << label;
     for (std::size_t k = 0; k < a.means.size(); ++k) {
         EXPECT_EQ(a.means[k], b.means[k])
             << label << " mean " << k;
@@ -183,6 +186,27 @@ TEST(Engine, VariantCacheReturnsIdenticalResultsToColdCompile)
     EXPECT_EQ(warm.variantCacheSize(), 0u);
 }
 
+TEST(Engine, VariantCacheCountersIgnoreCompileRaces)
+{
+    // Four copies of one schedule resolve on four workers at once;
+    // whichever compiles first inserts, and every other lookup --
+    // including one that lost the race after compiling too -- is a
+    // hit, so the counters never depend on scheduling.
+    const Backend backend = noisyBackend();
+    const auto ensemble = compileEnsemble(
+        workload(), backend, CompileOptions{}, 1, 11);
+    const std::vector<ScheduledCircuit> copies(4, ensemble.at(0));
+    ExecutionOptions opts;
+    opts.trajectories = 64;
+    opts.threads = 8;
+    for (int rep = 0; rep < 20; ++rep) {
+        SimulationEngine engine(backend, NoiseModel::standard());
+        engine.run(copies, observables(), opts);
+        EXPECT_EQ(engine.variantCacheMisses(), 1u) << "rep " << rep;
+        EXPECT_EQ(engine.variantCacheHits(), 3u) << "rep " << rep;
+    }
+}
+
 TEST(Engine, VariantCacheEpochEvictionAcrossCapacityBoundary)
 {
     // The cache holds at most variantCacheCapacity() compiled
@@ -277,6 +301,25 @@ TEST(EngineDeath, AnyVariantWidthMismatchRejected)
         scheduleASAP(bad, backend.durations())};
     SimulationEngine engine(backend, NoiseModel::standard());
     EXPECT_DEATH(engine.run(variants, observables(), {}), "width");
+}
+
+TEST(EngineDeath, RamseyHonoursForcedStabilizerBackend)
+{
+    // Every ExecutionOptions field reaches the fused ensemble run:
+    // forcing the tableau on the (non-Clifford) standard model must
+    // fail loudly instead of silently running dense.
+    const Backend backend = noisyBackend();
+    CompileOptions compile;
+    compile.strategy = Strategy::None;
+    ExecutionOptions exec;
+    exec.trajectories = 8;
+    exec.backend = SimBackendKind::Stabilizer;
+    const ContextBuilder idle = [](int d) {
+        return buildCaseIdleIdle(4, 0, 1, d, 500.0);
+    };
+    EXPECT_DEATH(runRamsey(idle, {0, 1}, backend,
+                           NoiseModel::standard(), compile, {1}, exec),
+                 "not Clifford");
 }
 
 TEST(Engine, ResolveThreadsConvention)

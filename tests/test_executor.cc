@@ -1,8 +1,15 @@
+/**
+ * @file
+ * Single-circuit trajectory simulation through SimulationEngine::run:
+ * ideal expectations, every noise channel switched off or on,
+ * feedforward, reset, thread invariance and the width check.
+ */
+
 #include <cmath>
 
 #include <gtest/gtest.h>
 
-#include "sim/executor.hh"
+#include "sim/engine.hh"
 
 namespace casq {
 namespace {
@@ -33,14 +40,14 @@ cleanLinearBackend(std::size_t n)
 TEST(Executor, IdealGhzExpectations)
 {
     const Backend backend = cleanLinearBackend(3);
-    const Executor executor(backend, NoiseModel::ideal());
+    SimulationEngine engine(backend, NoiseModel::ideal());
     Circuit qc(3, 0);
     qc.h(0).cx(0, 1).cx(1, 2);
     const ScheduledCircuit sched =
         scheduleASAP(qc, backend.durations());
     ExecutionOptions opts;
     opts.trajectories = 4;
-    const RunResult result = executor.run(
+    const RunResult result = engine.run(
         sched,
         {PauliString::fromLabel("XXX"),
          PauliString::fromLabel("ZZI"),
@@ -57,16 +64,16 @@ TEST(Executor, CleanBackendNoiseModelIsNoiseless)
 {
     // All mechanisms enabled but all rates zero: still ideal.
     const Backend backend = cleanLinearBackend(2);
-    const Executor executor(backend, NoiseModel::standard());
+    SimulationEngine engine(backend, NoiseModel::standard());
     Circuit qc(2, 0);
     qc.h(0).ecr(0, 1);
     const ScheduledCircuit sched =
         scheduleASAP(qc, backend.durations());
     ExecutionOptions opts;
     opts.trajectories = 8;
-    const RunResult r1 = executor.run(
+    const RunResult r1 = engine.run(
         sched, {PauliString::fromLabel("ZZ")}, opts);
-    const Executor ideal(backend, NoiseModel::ideal());
+    SimulationEngine ideal(backend, NoiseModel::ideal());
     const RunResult r2 = ideal.run(
         sched, {PauliString::fromLabel("ZZ")}, opts);
     EXPECT_NEAR(r1.means[0], r2.means[0], 1e-9);
@@ -77,7 +84,7 @@ TEST(Executor, ThreadCountDoesNotChangeResult)
     Backend backend = cleanLinearBackend(2);
     backend.pair(0, 1).zzRateMHz = 0.08;
     backend.qubit(0).quasiStaticSigmaMHz = 0.01;
-    const Executor executor(backend, NoiseModel::standard());
+    SimulationEngine engine(backend, NoiseModel::standard());
     Circuit qc(2, 0);
     qc.h(0).h(1).delay(0, 2000).delay(1, 2000);
     const ScheduledCircuit sched =
@@ -88,9 +95,9 @@ TEST(Executor, ThreadCountDoesNotChangeResult)
     opts1.threads = 1;
     ExecutionOptions opts2 = opts1;
     opts2.threads = 2;
-    const RunResult r1 = executor.run(
+    const RunResult r1 = engine.run(
         sched, {PauliString::fromLabel("XI")}, opts1);
-    const RunResult r2 = executor.run(
+    const RunResult r2 = engine.run(
         sched, {PauliString::fromLabel("XI")}, opts2);
     EXPECT_NEAR(r1.means[0], r2.means[0], 1e-9);
 }
@@ -98,7 +105,7 @@ TEST(Executor, ThreadCountDoesNotChangeResult)
 TEST(Executor, FeedforwardBellIsIdealWithoutNoise)
 {
     const Backend backend = cleanLinearBackend(3);
-    const Executor executor(backend, NoiseModel::ideal());
+    SimulationEngine engine(backend, NoiseModel::ideal());
     Circuit qc(3, 1);
     qc.h(0).h(2).cx(0, 1).cx(2, 1).measure(1, 0);
     qc.x(2).conditionedOn(0, 1);
@@ -106,7 +113,7 @@ TEST(Executor, FeedforwardBellIsIdealWithoutNoise)
         scheduleASAP(qc, backend.durations());
     ExecutionOptions opts;
     opts.trajectories = 64;
-    const RunResult result = executor.run(
+    const RunResult result = engine.run(
         sched,
         {PauliString::fromLabel("XIX"),
          PauliString::fromLabel("YIY"),
@@ -121,14 +128,14 @@ TEST(Executor, FeedforwardBellIsIdealWithoutNoise)
 TEST(Executor, ResetReturnsToGround)
 {
     const Backend backend = cleanLinearBackend(1);
-    const Executor executor(backend, NoiseModel::ideal());
+    SimulationEngine engine(backend, NoiseModel::ideal());
     Circuit qc(1, 0);
     qc.h(0).reset(0);
     const ScheduledCircuit sched =
         scheduleASAP(qc, backend.durations());
     ExecutionOptions opts;
     opts.trajectories = 32;
-    const RunResult result = executor.run(
+    const RunResult result = engine.run(
         sched, {PauliString::fromLabel("Z")}, opts);
     EXPECT_NEAR(result.means[0], 1.0, 1e-9);
 }
@@ -137,7 +144,7 @@ TEST(Executor, ReadoutErrorFlipsRecordsOnly)
 {
     Backend backend = cleanLinearBackend(2);
     backend.qubit(0).readoutError = 1.0; // always misreport
-    const Executor executor(backend, NoiseModel::standard());
+    SimulationEngine engine(backend, NoiseModel::standard());
     Circuit qc(2, 1);
     qc.measure(0, 0);
     qc.x(1).conditionedOn(0, 1);
@@ -145,7 +152,7 @@ TEST(Executor, ReadoutErrorFlipsRecordsOnly)
         scheduleASAP(qc, backend.durations());
     ExecutionOptions opts;
     opts.trajectories = 16;
-    const RunResult result = executor.run(
+    const RunResult result = engine.run(
         sched, {PauliString::fromLabel("ZI")}, opts);
     // Qubit 0 is |0> but the record reads 1, so the conditional X
     // fires and qubit 1 flips: <Z_1> = -1.
@@ -156,7 +163,7 @@ TEST(Executor, GateDepolarizingReducesFidelity)
 {
     Backend backend = cleanLinearBackend(2);
     backend.pair(0, 1).gateError2q = 0.05;
-    const Executor executor(backend, NoiseModel::standard());
+    SimulationEngine engine(backend, NoiseModel::standard());
     Circuit qc(2, 0);
     // 20 self-inverse gate pairs amplify the depolarizing error.
     for (int k = 0; k < 20; ++k)
@@ -165,7 +172,7 @@ TEST(Executor, GateDepolarizingReducesFidelity)
         scheduleASAP(qc, backend.durations());
     ExecutionOptions opts;
     opts.trajectories = 600;
-    const RunResult result = executor.run(
+    const RunResult result = engine.run(
         sched, {PauliString::fromLabel("ZI")}, opts);
     // Ideal value is +1; 40 gates at p=0.05 must degrade it.
     EXPECT_LT(result.means[0], 0.75);
@@ -176,7 +183,7 @@ TEST(Executor, StderrShrinksWithTrajectories)
 {
     Backend backend = cleanLinearBackend(1);
     backend.qubit(0).quasiStaticSigmaMHz = 0.02;
-    const Executor executor(backend, NoiseModel::standard());
+    SimulationEngine engine(backend, NoiseModel::standard());
     Circuit qc(1, 0);
     qc.h(0).delay(0, 4000);
     const ScheduledCircuit sched =
@@ -186,10 +193,10 @@ TEST(Executor, StderrShrinksWithTrajectories)
     ExecutionOptions large;
     large.trajectories = 800;
     const double se_small =
-        executor.run(sched, {PauliString::fromLabel("X")}, small)
+        engine.run(sched, {PauliString::fromLabel("X")}, small)
             .stderrs[0];
     const double se_large =
-        executor.run(sched, {PauliString::fromLabel("X")}, large)
+        engine.run(sched, {PauliString::fromLabel("X")}, large)
             .stderrs[0];
     EXPECT_LT(se_large, se_small);
 }
@@ -197,13 +204,13 @@ TEST(Executor, StderrShrinksWithTrajectories)
 TEST(ExecutorDeath, WidthMismatchRejected)
 {
     const Backend backend = cleanLinearBackend(2);
-    const Executor executor(backend, NoiseModel::ideal());
+    SimulationEngine engine(backend, NoiseModel::ideal());
     Circuit qc(3, 0);
     qc.h(0);
     const ScheduledCircuit sched =
         scheduleASAP(qc, backend.durations());
     EXPECT_DEATH(
-        executor.run(sched, {PauliString::fromLabel("XII")}, {}),
+        engine.run(sched, {PauliString::fromLabel("XII")}, {}),
         "width");
 }
 

@@ -11,7 +11,7 @@
 
 #include "experiments/dynamic.hh"
 #include "experiments/ramsey.hh"
-#include "sim/executor.hh"
+#include "sim/engine.hh"
 
 namespace casq {
 namespace {
@@ -153,7 +153,7 @@ TEST(Integration, DynamicBellCompensationRescuesFidelity)
     backend.pair(0, 1).measureStarkMHz = 0.09;
     backend.pair(1, 2).measureStarkMHz = 0.05;
 
-    const Executor executor(backend, NoiseModel::standard());
+    SimulationEngine engine(backend, NoiseModel::standard());
     const LayeredCircuit bell = buildDynamicBell();
     ExecutionOptions exec;
     exec.trajectories = 300;
@@ -165,7 +165,7 @@ TEST(Integration, DynamicBellCompensationRescuesFidelity)
         Rng rng(1);
         const ScheduledCircuit sched =
             compileCircuit(bell, backend, compile, rng);
-        const RunResult result = executor.run(
+        const RunResult result = engine.run(
             sched, bellFidelityObservables(), exec);
         return bellFidelity(result.means);
     };

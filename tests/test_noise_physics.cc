@@ -11,7 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "circuit/unitary.hh"
-#include "sim/executor.hh"
+#include "sim/engine.hh"
 #include "sim/statevector.hh"
 
 namespace casq {
@@ -51,12 +51,12 @@ RunResult
 runObs(const Backend &backend, const Circuit &qc,
        const std::vector<PauliString> &obs, int trajectories = 8)
 {
-    const Executor executor(backend, NoiseModel::coherentOnly());
+    SimulationEngine engine(backend, NoiseModel::coherentOnly());
     const ScheduledCircuit sched =
         scheduleASAP(qc, backend.durations());
     ExecutionOptions opts;
     opts.trajectories = trajectories;
-    return executor.run(sched, obs, opts);
+    return engine.run(sched, obs, opts);
 }
 
 TEST(NoisePhysics, CaseIdleIdleMatchesU11)
@@ -228,12 +228,12 @@ TEST(NoisePhysics, StarkShiftOnSpectator)
     Circuit qc(3, 0);
     qc.h(0).barrier().ecr(1, 2);
 
-    const Executor executor(backend, NoiseModel::coherentOnly());
+    SimulationEngine engine(backend, NoiseModel::coherentOnly());
     const ScheduledCircuit sched =
         scheduleASAP(qc, backend.durations());
     ExecutionOptions opts;
     opts.trajectories = 4;
-    const RunResult result = executor.run(
+    const RunResult result = engine.run(
         sched,
         {PauliString::single(3, 0, PauliOp::X),
          PauliString::single(3, 0, PauliOp::Y)},
@@ -252,7 +252,7 @@ TEST(NoisePhysics, ChargeParityBeating)
     backend.qubit(0).chargeParityMHz = 0.04;
     NoiseModel noise = NoiseModel::ideal();
     noise.chargeParity = true;
-    const Executor executor(backend, noise);
+    SimulationEngine engine(backend, noise);
 
     for (double tau : {2000.0, 5000.0, 9000.0}) {
         Circuit qc(1, 0);
@@ -261,7 +261,7 @@ TEST(NoisePhysics, ChargeParityBeating)
             scheduleASAP(qc, backend.durations());
         ExecutionOptions opts;
         opts.trajectories = 4000;
-        const RunResult result = executor.run(
+        const RunResult result = engine.run(
             sched, {PauliString::fromLabel("X")}, opts);
         EXPECT_NEAR(result.means[0],
                     std::cos(angleOf(0.04, tau)), 0.02)
@@ -277,7 +277,7 @@ TEST(NoisePhysics, QuasiStaticGaussianDecay)
     backend.qubit(0).quasiStaticSigmaMHz = 0.02;
     NoiseModel noise = NoiseModel::ideal();
     noise.quasiStatic = true;
-    const Executor executor(backend, noise);
+    SimulationEngine engine(backend, noise);
 
     const double tau = 6000.0;
     Circuit qc(1, 0);
@@ -287,7 +287,7 @@ TEST(NoisePhysics, QuasiStaticGaussianDecay)
     ExecutionOptions opts;
     opts.trajectories = 6000;
     const RunResult result =
-        executor.run(sched, {PauliString::fromLabel("X")}, opts);
+        engine.run(sched, {PauliString::fromLabel("X")}, opts);
     const double w = angleOf(0.02, tau);
     EXPECT_NEAR(result.means[0], std::exp(-w * w / 2.0), 0.02);
 }
@@ -301,7 +301,7 @@ TEST(NoisePhysics, EchoRefocusesQuasiStaticNoise)
     backend.durations().oneQubit = 0.0;
     NoiseModel noise = NoiseModel::ideal();
     noise.quasiStatic = true;
-    const Executor executor(backend, noise);
+    SimulationEngine engine(backend, noise);
 
     Circuit qc(1, 0);
     qc.h(0).delay(0, 3000).x(0).delay(0, 3000).x(0);
@@ -310,7 +310,7 @@ TEST(NoisePhysics, EchoRefocusesQuasiStaticNoise)
     ExecutionOptions opts;
     opts.trajectories = 500;
     const RunResult result =
-        executor.run(sched, {PauliString::fromLabel("X")}, opts);
+        engine.run(sched, {PauliString::fromLabel("X")}, opts);
     EXPECT_NEAR(result.means[0], 1.0, 1e-9);
 }
 
@@ -321,7 +321,7 @@ TEST(NoisePhysics, WhiteDephasingExponentialDecay)
     backend.qubit(0).t1Ns = 1e15;
     NoiseModel noise = NoiseModel::ideal();
     noise.whiteDephasing = true;
-    const Executor executor(backend, noise);
+    SimulationEngine engine(backend, noise);
 
     const double tau = 15e3;
     Circuit qc(1, 0);
@@ -331,7 +331,7 @@ TEST(NoisePhysics, WhiteDephasingExponentialDecay)
     ExecutionOptions opts;
     opts.trajectories = 6000;
     const RunResult result =
-        executor.run(sched, {PauliString::fromLabel("X")}, opts);
+        engine.run(sched, {PauliString::fromLabel("X")}, opts);
     EXPECT_NEAR(result.means[0], std::exp(-tau / 20e3), 0.02);
 }
 
@@ -345,7 +345,7 @@ TEST(NoisePhysics, EchoDoesNotRefocusWhiteDephasing)
     backend.durations().oneQubit = 0.0;
     NoiseModel noise = NoiseModel::ideal();
     noise.whiteDephasing = true;
-    const Executor executor(backend, noise);
+    SimulationEngine engine(backend, noise);
 
     const double tau = 15e3;
     Circuit qc(1, 0);
@@ -355,7 +355,7 @@ TEST(NoisePhysics, EchoDoesNotRefocusWhiteDephasing)
     ExecutionOptions opts;
     opts.trajectories = 6000;
     const RunResult result =
-        executor.run(sched, {PauliString::fromLabel("X")}, opts);
+        engine.run(sched, {PauliString::fromLabel("X")}, opts);
     EXPECT_NEAR(result.means[0], std::exp(-tau / 20e3), 0.03);
 }
 
@@ -366,7 +366,7 @@ TEST(NoisePhysics, T1RelaxationDuringIdle)
     backend.qubit(0).t2Ns = 1e15;
     NoiseModel noise = NoiseModel::ideal();
     noise.amplitudeDamping = true;
-    const Executor executor(backend, noise);
+    SimulationEngine engine(backend, noise);
 
     const double tau = 30e3;
     Circuit qc(1, 0);
@@ -376,7 +376,7 @@ TEST(NoisePhysics, T1RelaxationDuringIdle)
     ExecutionOptions opts;
     opts.trajectories = 6000;
     const RunResult result =
-        executor.run(sched, {PauliString::fromLabel("Z")}, opts);
+        engine.run(sched, {PauliString::fromLabel("Z")}, opts);
     // <Z> = 1 - 2 P(1) = 1 - 2 exp(-t/T1).
     EXPECT_NEAR(result.means[0],
                 1.0 - 2.0 * std::exp(-tau / 50e3), 0.03);

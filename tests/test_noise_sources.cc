@@ -23,7 +23,6 @@
 #include "passes/pipeline.hh"
 #include "sim/backend.hh"
 #include "sim/engine.hh"
-#include "sim/executor.hh"
 #include "sim/noise/sources.hh"
 #include "sim/shard.hh"
 
@@ -66,10 +65,10 @@ runX(const Backend &backend, const NoiseModel &noise,
      const Circuit &qc, const std::vector<PauliString> &obs,
      int trajectories)
 {
-    const Executor executor(backend, noise);
+    SimulationEngine engine(backend, noise);
     ExecutionOptions opts;
     opts.trajectories = trajectories;
-    return executor.run(scheduleASAP(qc, backend.durations()), obs,
+    return engine.run(scheduleASAP(qc, backend.durations()), obs,
                         opts);
 }
 

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "experiments/ramsey.hh"
-#include "sim/executor.hh"
+#include "sim/engine.hh"
 #include "passes/pipeline.hh"
 
 namespace casq {
@@ -124,7 +124,7 @@ TEST(Pipeline, CombinedStrategyHasBothTags)
 TEST(Pipeline, TwirledInstancesShareLogicalAction)
 {
     // All twirled instances of a Clifford circuit agree on ideal
-    // expectation values (checked through the executor).
+    // expectation values (checked through the engine).
     const Backend backend = testBackend();
     const LayeredCircuit circuit =
         buildCaseSpectator(4, 1, 2, 2, {0});
@@ -133,7 +133,7 @@ TEST(Pipeline, TwirledInstancesShareLogicalAction)
     opts.twirl = true;
     const auto ensemble =
         compileEnsemble(circuit, backend, opts, 6, 3);
-    const Executor executor(backend, NoiseModel::ideal());
+    SimulationEngine engine(backend, NoiseModel::ideal());
     ExecutionOptions eopts;
     eopts.trajectories = 1;
     const PauliString obs =
@@ -141,7 +141,7 @@ TEST(Pipeline, TwirledInstancesShareLogicalAction)
     double first = 0.0;
     for (std::size_t k = 0; k < ensemble.size(); ++k) {
         const double value =
-            executor.run(ensemble[k], {obs}, eopts).means[0];
+            engine.run(ensemble[k], {obs}, eopts).means[0];
         if (k == 0)
             first = value;
         else

@@ -12,7 +12,7 @@
 
 #include "circuit/unitary.hh"
 #include "passes/pipeline.hh"
-#include "sim/executor.hh"
+#include "sim/engine.hh"
 
 namespace casq {
 namespace {
@@ -164,7 +164,7 @@ TEST_P(RandomCircuits, CaDdPreservesIdealAction)
         compileCircuit(layered, backend, options, rng);
     EXPECT_EQ(dressed.findOverlap(), -1);
 
-    const Executor ideal(backend, NoiseModel::ideal());
+    SimulationEngine ideal(backend, NoiseModel::ideal());
     ExecutionOptions exec;
     exec.trajectories = 1;
     const auto obs = probeObservables();
@@ -194,8 +194,8 @@ TEST_P(RandomCircuits, CaEcReducesCoherentDeviation)
     const ScheduledCircuit fixed =
         compileCircuit(layered, backend, options, rng);
 
-    const Executor ideal(backend, NoiseModel::ideal());
-    const Executor noisy(backend, NoiseModel::coherentOnly());
+    SimulationEngine ideal(backend, NoiseModel::ideal());
+    SimulationEngine noisy(backend, NoiseModel::coherentOnly());
     ExecutionOptions one;
     one.trajectories = 1;
     ExecutionOptions few;
