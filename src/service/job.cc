@@ -60,13 +60,13 @@ reject(const std::string &what)
 } // namespace
 
 void
-validateJobSpec(const JobSpec &job, const AdmissionLimits &limits)
+validateJobSpec(const JobSpec &job)
 {
     if (job.id.empty())
         reject("job id must not be empty");
-    if (job.id.size() > limits.maxIdLength) {
-        reject("job id exceeds " +
-               std::to_string(limits.maxIdLength) + " characters");
+    if (job.id.size() > kMaxJobIdLength) {
+        reject("job id exceeds " + std::to_string(kMaxJobIdLength) +
+               " characters");
     }
     for (char c : job.id) {
         if (!validIdChar(c)) {
@@ -86,20 +86,20 @@ validateJobSpec(const JobSpec &job, const AdmissionLimits &limits)
 
     if (work.instances < 1)
         reject("ensemble must have at least 1 instance");
-    if (work.instances > limits.maxInstances) {
+    if (work.instances > kMaxJobInstances) {
         reject("ensemble of " + std::to_string(work.instances) +
                " instances exceeds the admission bound of " +
-               std::to_string(limits.maxInstances));
+               std::to_string(kMaxJobInstances));
     }
     if (work.trajectories < 1)
         reject("job must simulate at least 1 trajectory");
 
     if (work.shardCount < 1)
         reject("job must split into at least 1 shard");
-    if (work.shardCount > limits.maxShards) {
+    if (work.shardCount > kMaxJobShards) {
         reject(std::to_string(work.shardCount) +
                " shards exceed the admission bound of " +
-               std::to_string(limits.maxShards));
+               std::to_string(kMaxJobShards));
     }
     if (std::uint64_t(work.shardCount) >
         std::uint64_t(work.trajectories)) {
@@ -169,6 +169,19 @@ validateJobSpec(const JobSpec &job, const AdmissionLimits &limits)
             !std::isfinite(extra.param1) || extra.param1 < 0.0)
             reject("extra noise source parameters must be finite "
                    "and >= 0");
+    }
+
+    // A forced stabilizer run cannot simulate non-Clifford noise
+    // draws; the worker would abort mid-shard (and take an
+    // in-process daemon with it), so turn the job away here.
+    if (work.simBackend == SimBackendKind::Stabilizer) {
+        const std::string why =
+            work.makeNoise().cliffordBlocker(work.makeBackend());
+        if (!why.empty()) {
+            reject("--sim-backend stabilizer cannot simulate this "
+                   "job's noise (" +
+                   why + "); use auto or dense");
+        }
     }
 }
 

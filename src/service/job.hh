@@ -7,13 +7,15 @@
  * A job is one ensemble estimate -- exactly the workload
  * Engine::runEnsemble executes -- described by a ShardSpec
  * (sim/shard.hh) whose shardCount field doubles as the number of
- * shards the scheduler will split the job into.  Admission
+ * shards the service will split the job into.  Admission
  * validation (validateJobSpec) rejects everything the downstream
  * machinery cannot execute or merge: unknown strategies, zero or
  * oversized ensembles, trajectory x observable products that
  * overflow the u32 slot counts of the shard serialization format,
- * and ill-formed job ids.  docs/service.md documents the full job
- * lifecycle.
+ * ill-formed job ids, and forced stabilizer runs under noise that
+ * cannot be Clifford.  JobProgress and ServiceTotals are the
+ * client-visible views the service reports.  docs/service.md
+ * documents the full job lifecycle.
  */
 
 #ifndef CASQ_SERVICE_JOB_HH
@@ -22,6 +24,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "sim/shard.hh"
 
@@ -63,8 +66,8 @@ class BackpressureError : public ServiceError
 
 /**
  * One submitted job: a caller-chosen id plus the ensemble workload.
- * work.shardCount is the number of shards the scheduler splits the
- * job into; work.shardIndex must be 0 at submission (the scheduler
+ * work.shardCount is the number of shards the service splits the
+ * job into; work.shardIndex must be 0 at submission (the service
  * stamps per-shard indices when it plans the shard specs).
  */
 struct JobSpec
@@ -82,7 +85,7 @@ struct JobSpec
  */
 enum class JobState : std::uint8_t
 {
-    Queued = 0,    //!< admitted, waiting in the JobQueue
+    Queued = 0,    //!< admitted, waiting in the FIFO for a slot
     Scheduled = 1, //!< shards planned, waiting for worker slots
     Running = 2,   //!< at least one shard executing
     Merging = 3,   //!< all shards done, mergeShards in flight
@@ -107,37 +110,91 @@ enum class ShardState : std::uint8_t
 
 const char *shardStateName(ShardState state);
 
-/**
- * Bounds enforced at admission.  The defaults mirror the
- * serialization layer's plausibility limits (sim/shard.cc) so that
- * everything the queue admits can round-trip the shard protocol.
- */
-struct AdmissionLimits
+/** Point-in-time view of one shard of a job. */
+struct ShardProgress
 {
-    /** Oversized-ensemble bound (casq_shard plan's --instances cap). */
-    std::int32_t maxInstances = 1 << 20;
-
-    /** Shards per job (beyond this, shards own < 1 trajectory anyway). */
-    std::uint32_t maxShards = 4096;
-
-    /** Job-id length bound; ids are [A-Za-z0-9._-]+. */
-    std::size_t maxIdLength = 128;
+    ShardState state = ShardState::Pending;
+    std::uint32_t attempts = 0; //!< executions started (incl. steals)
+    std::int32_t worker = -1;   //!< slot of the live/winning run
+    bool stolen = false;        //!< a speculative re-execution ran
+    double wallMillis = 0.0;    //!< winning attempt, once done
 };
+
+/** Point-in-time view of one job (casq_job status / list). */
+struct JobProgress
+{
+    std::string id;
+    JobState state = JobState::Queued;
+    std::string error; //!< terminal diagnostic for Failed
+
+    std::vector<ShardProgress> shards;
+    std::uint32_t shardsDone = 0;
+    std::uint32_t retries = 0; //!< re-queued shard executions
+
+    /** Workload shape (for rendering progress). */
+    std::int32_t trajectories = 0;
+    std::uint32_t observables = 0;
+
+    /** Trajectories owned by finished shards. */
+    std::uint64_t trajectoriesDone = 0;
+
+    /** Trajectories that forked from a prefix-state checkpoint. */
+    std::uint64_t prefixStateHits = 0;
+
+    /** Milliseconds since submission. */
+    double sinceSubmitMillis = 0.0;
+
+    /** Milliseconds of active execution (first shard start on). */
+    double activeMillis = 0.0;
+
+    /** trajectoriesDone over the active window. */
+    double trajectoriesPerSecond = 0.0;
+};
+
+/** Aggregated service counters (casq_job stats). */
+struct ServiceTotals
+{
+    std::uint64_t jobsAdmitted = 0;
+    std::uint64_t jobsDone = 0;
+    std::uint64_t jobsFailed = 0;
+    std::uint64_t jobsCancelled = 0;
+    std::uint64_t shardsExecuted = 0; //!< successful executions
+    std::uint64_t shardFailures = 0;  //!< failed executions
+    std::uint64_t shardRetries = 0;   //!< re-queued after a failure
+    std::uint64_t shardsStolen = 0;   //!< speculative re-executions
+    std::uint64_t trajectoriesDone = 0;
+
+    /** Trajectories that forked from a prefix-state checkpoint. */
+    std::uint64_t prefixStateHits = 0;
+
+    double upMillis = 0.0;
+    double trajectoriesPerSecond = 0.0; //!< over the whole uptime
+};
+
+/**
+ * Bounds enforced at admission.  They mirror the serialization
+ * layer's plausibility limits (sim/shard.cc) so that everything the
+ * service admits can round-trip the shard protocol.
+ */
+constexpr std::int32_t kMaxJobInstances = 1 << 20; //!< casq_shard plan's cap
+constexpr std::uint32_t kMaxJobShards = 4096; //!< beyond: < 1 trajectory
+constexpr std::size_t kMaxJobIdLength = 128;  //!< ids are [A-Za-z0-9._-]+
 
 /**
  * Validate a submission against the admission rules; throws
  * AdmissionError with a client-renderable diagnostic on the first
  * violation.  Checks (in order): well-formed id, shardIndex == 0,
- * known strategy, instance count in (0, maxInstances] (zero and
+ * known strategy, instance count in (0, kMaxJobInstances] (zero and
  * oversized ensembles are both rejected), trajectories >= 1,
- * shard count in [1, min(trajectories, maxShards)], non-empty
+ * shard count in [1, min(trajectories, kMaxJobShards)], non-empty
  * observables of the circuit's width, trajectories x observables
  * fitting the u32 slot counts of the shard wire format (the
- * "overflow shard math" guard), and backend width consistency for
- * the parameterized recipes.
+ * "overflow shard math" guard), backend width consistency for the
+ * parameterized recipes, the noise invariants, and -- for a forced
+ * stabilizer run -- noise whose sampled mechanisms stay Clifford on
+ * the job's device.
  */
-void validateJobSpec(const JobSpec &job,
-                     const AdmissionLimits &limits = {});
+void validateJobSpec(const JobSpec &job);
 
 } // namespace casq
 

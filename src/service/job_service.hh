@@ -1,8 +1,8 @@
 /**
  * @file
- * Facade over the serving subsystem: one object owning the
- * admission queue, the progress reporter, and the scheduler's
- * worker-slot pool.
+ * The job service: one table of jobs under one lock, drained by a
+ * fixed pool of worker slots that execute the shards of many
+ * concurrent jobs, with shard-level retry and work-stealing.
  *
  * The daemon (tools/casq_serve) and the in-process tests drive the
  * same surface:
@@ -10,8 +10,44 @@
  *   JobService service(options);
  *   service.submit(job);             // throws AdmissionError /
  *                                    // BackpressureError
- *   service.waitTerminal("job-1");   // blocks on the reporter
+ *   service.waitTerminal("job-1");   // blocks until terminal
  *   RunResult r = service.result("job-1");
+ *
+ * Every admitted job owns one record in the table: its JobSpec, the
+ * client-visible JobProgress, the per-shard execution state and, once
+ * done, the merged RunResult.  Submission, adoption, retry, stealing,
+ * merge, cancellation and every query read and write that record
+ * under the service's single mutex, so a client never sees a job in
+ * a state the slots have already left.  Job ids are burned for the
+ * service's lifetime: a resubmitted id can never alias a finished
+ * job's status or result.
+ *
+ * Admitted jobs wait in a bounded FIFO; beyond queueCapacity
+ * submissions get BackpressureError.  A slot that runs out of
+ * planned shards adopts the next queued job and splits it into
+ * shardCount ShardSpecs (differing only in shardIndex, exactly like
+ * `casq_shard plan`), which every slot then drains.
+ *
+ * Failure handling leans entirely on the shard determinism
+ * contract (sim/shard.hh): shard execution is bit-deterministic,
+ * so re-executing a shard -- after a worker death, or
+ * speculatively while a straggling copy is still running -- can
+ * never corrupt the merge; whichever attempt completes first
+ * supplies the exact same bytes any other attempt would have.
+ *
+ *  - retry: a failed execution (runner threw: in-process error,
+ *    subprocess death, corrupt result payload) re-queues the shard
+ *    until its attempt budget is exhausted, which fails the job;
+ *  - work-stealing: an idle slot re-executes the longest-running
+ *    shard once it has run for stragglerFactor x the job's median
+ *    completed-shard wall time (at least stragglerMinMillis; a
+ *    fixed 30 s before any shard of the job completed), so one hung
+ *    worker cannot stall a job forever.
+ *
+ * When the last shard of a job completes, the completing slot runs
+ * the provenance-checked mergeShards() -- the job's result is
+ * byte-identical to a single-process Engine::runEnsemble.  The lock
+ * is dropped around ShardRunner::run and around the merge.
  *
  * All methods are thread-safe; the daemon calls them from one
  * connection-handling thread per client.
@@ -20,23 +56,100 @@
 #ifndef CASQ_SERVICE_JOB_SERVICE_HH
 #define CASQ_SERVICE_JOB_SERVICE_HH
 
+#include <chrono>
+#include <condition_variable>
+#include <cstdint>
+#include <deque>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "service/job_queue.hh"
-#include "service/progress.hh"
-#include "service/scheduler.hh"
+#include "service/job.hh"
+#include "sim/shard.hh"
 
 namespace casq {
 
+/** One shard execution failed; the service may retry it. */
+class ShardExecutionError : public ServiceError
+{
+  public:
+    explicit ShardExecutionError(const std::string &what)
+        : ServiceError(what)
+    {
+    }
+};
+
+/** Context handed to a runner for diagnostics and chaos hooks. */
+struct ShardRunContext
+{
+    std::string jobId;
+    std::uint32_t shardIndex = 0;
+    std::uint32_t shardCount = 1;
+    std::uint32_t attempt = 1; //!< 1-based execution attempt
+    unsigned worker = 0;       //!< slot id
+};
+
+/**
+ * Executes one shard spec to a ShardResult.  Implementations throw
+ * (any exception; ShardExecutionError by convention) to signal a
+ * retryable failure.  run() is called concurrently from different
+ * worker slots and must be thread-safe.
+ */
+class ShardRunner
+{
+  public:
+    virtual ~ShardRunner() = default;
+    virtual ShardResult run(const ShardSpec &spec,
+                            const ShardRunContext &ctx) = 0;
+};
+
+/** Default runner: executeShard() in this process. */
+class InProcessShardRunner : public ShardRunner
+{
+  public:
+    /** `threads` = engine workers per shard execution. */
+    explicit InProcessShardRunner(int threads = 1)
+        : _threads(threads)
+    {
+    }
+
+    ShardResult run(const ShardSpec &spec,
+                    const ShardRunContext &ctx) override;
+
+  private:
+    int _threads;
+};
+
+struct SchedulerOptions
+{
+    /** Worker slots (concurrent shard executions). */
+    unsigned slots = 2;
+
+    /** Execution attempts per shard before the job fails. */
+    std::uint32_t maxAttempts = 3;
+
+    /** Enable speculative re-execution of stragglers. */
+    bool workStealing = true;
+
+    /**
+     * A running shard becomes steal-eligible after
+     * max(stragglerMinMillis, stragglerFactor x median completed
+     * shard wall time of its job).
+     */
+    double stragglerFactor = 4.0;
+    double stragglerMinMillis = 250.0;
+};
+
 struct JobServiceOptions
 {
-    /** Admission queue capacity (backpressure beyond this). */
+    /** Queued-job bound (backpressure beyond this). */
     std::size_t queueCapacity = 64;
 
-    AdmissionLimits limits;
     SchedulerOptions scheduler;
 
     /**
@@ -72,16 +185,22 @@ class JobService
 
     ServiceTotals totals() const;
 
-    /** Block until the job is Done/Failed/Cancelled. */
+    /**
+     * Block until the job is Done/Failed/Cancelled.  Throws
+     * ServiceError for an unknown id, or when the service shuts
+     * down first.
+     */
     JobProgress waitTerminal(const std::string &id) const;
 
     enum class CancelOutcome
     {
         Cancelled,
         Unknown,
-        AlreadyTerminal,
+        AlreadyTerminal, //!< done/failed/cancelled (or merging)
     };
 
+    /** Cancel a queued or running job; running shards finish and
+     *  their results are discarded. */
     CancelOutcome cancel(const std::string &id);
 
     /**
@@ -91,16 +210,90 @@ class JobService
      */
     RunResult result(const std::string &id) const;
 
-    /** Unblock waiters and stop the worker slots. */
+    /** Unblock waiters, stop adopting work, and join the slots
+     *  once their in-flight executions finish. */
     void shutdown();
 
-    const JobQueue &queue() const { return _queue; }
-
   private:
+    using Clock = std::chrono::steady_clock;
+
+    /** Execution side of one shard; its client view is the
+     *  matching JobProgress::shards entry. */
+    struct ShardRun
+    {
+        int runningCopies = 0; //!< executions in flight (steals: 2)
+        Clock::time_point startedAt;
+        ShardResult result; //!< captured once the shard is Done
+    };
+
+    /** One admitted job. */
+    struct JobRecord
+    {
+        JobSpec spec;
+        JobProgress progress;
+        std::vector<ShardRun> runs;
+        std::vector<double> completedWallMillis;
+        Clock::time_point submittedAt;
+        std::optional<Clock::time_point> firstStartAt;
+        Clock::time_point finishedAt;
+        RunResult merged; //!< valid once progress.state == Done
+    };
+
+    /** One unit of slot work; job == nullptr means stop. */
+    struct Task
+    {
+        JobRecord *job = nullptr;
+        std::uint32_t shard = 0;
+        bool stolen = false;
+    };
+
     JobServiceOptions _options;
-    JobQueue _queue;
-    ProgressReporter _progress;
-    std::unique_ptr<Scheduler> _scheduler;
+    std::unique_ptr<ShardRunner> _runner;
+    const Clock::time_point _startedAt;
+
+    mutable std::mutex _mutex;
+    std::condition_variable _wake; //!< slots: work, outcomes, stop
+    mutable std::condition_variable _finished; //!< waiters
+
+    /** Every admitted job, admission order; records never move. */
+    std::deque<JobRecord> _table;
+    std::unordered_map<std::string, JobRecord *> _index;
+
+    std::deque<JobRecord *> _queued; //!< FIFO awaiting adoption
+    std::deque<std::pair<JobRecord *, std::uint32_t>> _ready;
+    ServiceTotals _totals;
+    int _executing = 0; //!< shard executions currently in flight
+    bool _stopped = false;
+    std::vector<std::thread> _slots;
+
+    JobRecord *find(const std::string &id) const;
+    static JobProgress snapshot(const JobRecord &job);
+
+    void slotLoop(unsigned self);
+
+    /**
+     * Claim the next unit of work: a ready shard, the first shard
+     * of a freshly adopted job, or a steal; waits while there is
+     * none.  Lock held.
+     */
+    Task nextTask(std::unique_lock<std::mutex> &lock);
+
+    /** Straggler eligible for speculation, or job == nullptr. */
+    Task stealCandidate();
+
+    /** Record one execution outcome.  Lock held. */
+    void onOutcome(Task task, unsigned self, bool ok,
+                   ShardResult &&result, const std::string &error,
+                   double wallMillis,
+                   std::unique_lock<std::mutex> &lock);
+
+    /** Merge a job whose shards are all done.  Lock held on entry
+     *  and exit; released during the merge itself. */
+    void mergeJob(JobRecord &job, std::unique_lock<std::mutex> &lock);
+
+    /** Move a job to a terminal state.  Lock held. */
+    void finish(JobRecord &job, JobState state,
+                const std::string &error = "");
 };
 
 } // namespace casq

@@ -15,7 +15,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <functional>
+#include <future>
+#include <mutex>
 #include <thread>
 
 #include "bench_common.hh"
@@ -108,6 +111,68 @@ class ScriptedRunner : public ShardRunner
 
   private:
     Hook _hook;
+};
+
+/**
+ * ScriptedRunner that blocks every execution of job `held_id` until
+ * release(), so a test can keep the slots busy while the queue
+ * fills, and records the order in which jobs ran.
+ */
+class HeldRunner
+{
+  public:
+    explicit HeldRunner(std::string held_id)
+        : _heldId(std::move(held_id)),
+          _gate(_release.get_future().share())
+    {
+    }
+
+    ~HeldRunner() { release(); }
+
+    /** The runner to hand to JobService (call once). */
+    std::unique_ptr<ShardRunner>
+    runner()
+    {
+        return std::make_unique<ScriptedRunner>(
+            [this](const ShardRunContext &ctx) {
+                {
+                    std::lock_guard<std::mutex> lock(_mutex);
+                    _executed.push_back(ctx.jobId);
+                }
+                if (ctx.jobId == _heldId) {
+                    std::call_once(_startedOnce,
+                                   [this] { _started.set_value(); });
+                    _gate.wait();
+                }
+            });
+    }
+
+    /** Block until a slot is executing the held job. */
+    void waitStarted() { _startedFuture.wait(); }
+
+    void
+    release()
+    {
+        std::call_once(_releaseOnce, [this] { _release.set_value(); });
+    }
+
+    std::vector<std::string>
+    executed() const
+    {
+        std::lock_guard<std::mutex> lock(_mutex);
+        return _executed;
+    }
+
+  private:
+    std::string _heldId;
+    std::promise<void> _release;
+    std::shared_future<void> _gate;
+    std::once_flag _releaseOnce;
+    std::promise<void> _started;
+    std::future<void> _startedFuture = _started.get_future();
+    std::once_flag _startedOnce;
+    mutable std::mutex _mutex;
+    std::vector<std::string> _executed;
 };
 
 JobServiceOptions
@@ -220,42 +285,124 @@ TEST(ServiceAdmission, RejectsBackendWidthMismatch)
     EXPECT_THROW(validateJobSpec(job), AdmissionError);
 }
 
+TEST(ServiceAdmission, RejectsForcedStabilizerUnderNonCliffordNoise)
+{
+    // Standard noise samples non-Clifford angles (quasi-static
+    // detuning), which a forced tableau run cannot simulate.
+    JobSpec job = testJob("stab");
+    job.work.simBackend = SimBackendKind::Stabilizer;
+    try {
+        validateJobSpec(job);
+        FAIL() << "forced stabilizer job admitted";
+    } catch (const AdmissionError &err) {
+        const std::string why =
+            job.work.makeNoise().cliffordBlocker(
+                job.work.makeBackend());
+        ASSERT_FALSE(why.empty());
+        EXPECT_NE(std::string(err.what()).find(why),
+                  std::string::npos)
+            << err.what();
+    }
+    JobService service(serviceOptions(1));
+    EXPECT_THROW(service.submit(job), AdmissionError);
+    EXPECT_FALSE(service.status("stab").has_value());
+
+    // Pauli-only noise stays Clifford; auto routing is never
+    // rejected.
+    job.work.noise = NoiseModel::pauliOnly();
+    EXPECT_NO_THROW(validateJobSpec(job));
+    job = testJob("auto");
+    job.work.simBackend = SimBackendKind::Auto;
+    EXPECT_NO_THROW(validateJobSpec(job));
+}
+
 // --------------------------------------------------------- queue
 
 TEST(ServiceQueue, RejectsDuplicateIdsForTheQueueLifetime)
 {
-    JobQueue queue(8);
-    queue.push(testJob("a"));
-    EXPECT_THROW(queue.push(testJob("a")), AdmissionError);
-    // Even after the job left the queue, the id stays burned.
-    ASSERT_TRUE(queue.tryPop().has_value());
-    EXPECT_THROW(queue.push(testJob("a")), AdmissionError);
-    EXPECT_TRUE(queue.knows("a"));
-    EXPECT_FALSE(queue.knows("b"));
+    JobService service(serviceOptions(1));
+    service.submit(testJob("a", 1));
+    EXPECT_THROW(service.submit(testJob("a")), AdmissionError);
+    // Even after the job left the queue and finished, the id stays
+    // burned.
+    ASSERT_EQ(service.waitTerminal("a").state, JobState::Done);
+    EXPECT_THROW(service.submit(testJob("a")), AdmissionError);
+    EXPECT_TRUE(service.status("a").has_value());
+    EXPECT_FALSE(service.status("b").has_value());
 }
 
 TEST(ServiceQueue, BackpressureWhenFull)
 {
-    JobQueue queue(2);
-    queue.push(testJob("a"));
-    queue.push(testJob("b"));
-    EXPECT_THROW(queue.push(testJob("c")), BackpressureError);
-    // Draining makes room again.
-    ASSERT_TRUE(queue.tryPop().has_value());
-    EXPECT_NO_THROW(queue.push(testJob("c")));
+    HeldRunner held("busy");
+    JobServiceOptions options = serviceOptions(1);
+    options.queueCapacity = 2;
+    options.scheduler.workStealing = false;
+    JobService service(options, held.runner());
+    service.submit(testJob("busy", 1));
+    held.waitStarted(); // the one slot is busy; the queue is empty
+    service.submit(testJob("a", 1));
+    service.submit(testJob("b", 1));
+    EXPECT_THROW(service.submit(testJob("c", 1)), BackpressureError);
+    // Draining makes room again: once "a" finished, it has left the
+    // queue.
+    held.release();
+    ASSERT_EQ(service.waitTerminal("a").state, JobState::Done);
+    EXPECT_NO_THROW(service.submit(testJob("c", 1)));
+    EXPECT_EQ(service.waitTerminal("c").state, JobState::Done);
 }
 
 TEST(ServiceQueue, FifoOrderAndRemove)
 {
-    JobQueue queue(8);
-    queue.push(testJob("a"));
-    queue.push(testJob("b"));
-    queue.push(testJob("c"));
-    EXPECT_TRUE(queue.remove("b"));
-    EXPECT_FALSE(queue.remove("b"));
-    EXPECT_EQ(queue.tryPop()->id, "a");
-    EXPECT_EQ(queue.tryPop()->id, "c");
-    EXPECT_FALSE(queue.tryPop().has_value());
+    HeldRunner held("busy");
+    JobServiceOptions options = serviceOptions(1);
+    options.scheduler.workStealing = false;
+    JobService service(options, held.runner());
+    service.submit(testJob("busy", 1));
+    held.waitStarted();
+    service.submit(testJob("a", 1));
+    service.submit(testJob("b", 1));
+    service.submit(testJob("c", 1));
+    EXPECT_EQ(service.cancel("b"),
+              JobService::CancelOutcome::Cancelled);
+    EXPECT_EQ(service.cancel("b"),
+              JobService::CancelOutcome::AlreadyTerminal);
+    held.release();
+    ASSERT_EQ(service.waitTerminal("c").state, JobState::Done);
+    // One slot executes one shard at a time, in adoption order.
+    EXPECT_EQ(held.executed(),
+              (std::vector<std::string>{"busy", "a", "c"}));
+    EXPECT_EQ(service.status("b")->state, JobState::Cancelled);
+}
+
+TEST(ServiceQueue, QueuedStatusCarriesTheWorkloadShape)
+{
+    HeldRunner held("busy");
+    JobServiceOptions options = serviceOptions(1);
+    options.scheduler.workStealing = false;
+    JobService service(options, held.runner());
+    service.submit(testJob("busy", 1));
+    held.waitStarted();
+    service.submit(testJob("waiting"));
+    const std::optional<JobProgress> queued =
+        service.status("waiting");
+    held.release();
+    ASSERT_TRUE(queued.has_value());
+    EXPECT_EQ(queued->state, JobState::Queued);
+    EXPECT_EQ(queued->trajectories, 61);
+    EXPECT_EQ(queued->observables, 5u);
+    EXPECT_EQ(queued->shards.size(), 4u);
+
+    // With idle slots a job may be adopted before submit returns;
+    // the shape is there either way.
+    for (int j = 0; j < 8; ++j) {
+        const std::string id = "fast-" + std::to_string(j);
+        service.submit(testJob(id, 2));
+        const std::optional<JobProgress> p = service.status(id);
+        ASSERT_TRUE(p.has_value());
+        EXPECT_EQ(p->trajectories, 61) << jobStateName(p->state);
+        EXPECT_EQ(p->observables, 5u) << jobStateName(p->state);
+        EXPECT_EQ(p->shards.size(), 2u);
+    }
 }
 
 // ----------------------------------------------- determinism
@@ -386,6 +533,62 @@ TEST(ServiceScheduler, CancelQueuedJob)
     EXPECT_EQ(busy.state, JobState::Done) << busy.error;
     EXPECT_EQ(service.cancel("busy"),
               JobService::CancelOutcome::AlreadyTerminal);
+}
+
+TEST(ServiceScheduler, CancelRacingSubmitAlwaysTerminates)
+{
+    // A second thread cancels every job the moment the service
+    // knows its id -- possibly before submit has returned; whichever
+    // side wins, every job must reach a terminal state (never stay
+    // Queued), within a bounded time.  Thousands of jobs make a
+    // cancel inside submit likely; the queue holds them all, so
+    // submit never backs off.
+    constexpr int kJobs = 2000;
+    const auto id = [](int j) { return "race-" + std::to_string(j); };
+    JobServiceOptions options = serviceOptions(2);
+    options.queueCapacity = kJobs;
+    JobService service(options);
+    std::atomic<int> submitted{0};
+    std::thread canceller([&] {
+        for (int j = 0; j < kJobs; ++j) {
+            while (service.cancel(id(j)) ==
+                   JobService::CancelOutcome::Unknown)
+                std::this_thread::yield();
+        }
+    });
+    auto waiter = std::async(std::launch::async, [&] {
+        std::vector<JobState> states;
+        for (int j = 0; j < kJobs; ++j) {
+            while (submitted.load() <= j)
+                std::this_thread::yield();
+            states.push_back(service.waitTerminal(id(j)).state);
+        }
+        return states;
+    });
+    for (int j = 0; j < kJobs; ++j) {
+        service.submit(testJob(id(j), 1 + j % 3));
+        submitted.store(j + 1);
+    }
+    const bool finished = waiter.wait_for(std::chrono::seconds(60)) ==
+                          std::future_status::ready;
+    if (!finished)
+        service.shutdown(); // unblocks the waiter with ServiceError
+    canceller.join();
+    ASSERT_TRUE(finished) << "a job never reached a terminal state";
+    const std::vector<JobState> states = waiter.get();
+    ASSERT_EQ(states.size(), std::size_t(kJobs));
+    std::uint64_t done = 0;
+    for (JobState state : states) {
+        EXPECT_TRUE(state == JobState::Cancelled ||
+                    state == JobState::Done)
+            << jobStateName(state);
+        done += state == JobState::Done;
+    }
+    const ServiceTotals totals = service.totals();
+    EXPECT_EQ(totals.jobsAdmitted, std::uint64_t(kJobs));
+    EXPECT_EQ(totals.jobsDone, done);
+    EXPECT_EQ(totals.jobsDone + totals.jobsCancelled,
+              std::uint64_t(kJobs));
 }
 
 TEST(ServiceScheduler, DuplicateSubmitRejectedAtServiceLevel)

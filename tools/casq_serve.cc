@@ -2,11 +2,13 @@
  * @file
  * casq_serve: the job-service daemon.
  *
- * Listens on a local AF_UNIX socket for casq_job clients, admits
- * jobs through the bounded JobQueue, executes their shards on a
- * pool of worker slots with retry and work-stealing, and serves
- * status/result queries from the ProgressReporter -- see
- * docs/service.md.
+ * Listens on a local AF_UNIX socket for casq_job clients and hands
+ * every request to one JobService: its single job table, under one
+ * lock, admits jobs into a bounded FIFO (rejecting malformed ones,
+ * including forced stabilizer runs under non-Clifford noise, before
+ * any worker sees them), executes their shards on a pool of worker
+ * slots with retry and work-stealing, and answers status/result
+ * queries from the same records -- see docs/service.md.
  *
  *   $ casq_serve --socket /tmp/casq.sock --slots 2 &
  *   $ casq_job submit --socket /tmp/casq.sock --id demo \
@@ -76,13 +78,7 @@ usage(std::ostream &os, int code)
     return code;
 }
 
-const char *
-value(int argc, char **argv, int &i, const char *flag)
-{
-    if (std::strcmp(argv[i], flag) == 0 && i + 1 < argc)
-        return argv[++i];
-    return nullptr;
-}
+using tool::value;
 
 /**
  * Executes shards as `casq_shard run` subprocesses, spooling the
