@@ -66,9 +66,10 @@ BM_CaEcPass(benchmark::State &state)
         syntheticWorkload(n, int(state.range(1)));
     const Circuit flat = circuit.flatten();
     const CaecPlan plan = makeCaecPlan(circuit);
+    ConjugationTable tables;
     for (auto _ : state)
         benchmark::DoNotOptimize(
-            applyCaEcFlat(flat, plan, nullptr, backend));
+            applyCaEcFlat(flat, plan, nullptr, backend, tables));
     state.SetComplexityN(state.range(1));
 }
 
@@ -80,10 +81,10 @@ BM_PauliTwirl(benchmark::State &state)
     const Circuit flat = circuit.flatten();
     const TwirlPlan plan = makeTwirlPlan(circuit);
     Rng rng(3);
-    TwirlTableCache cache;
+    ConjugationTable tables;
     for (auto _ : state)
         benchmark::DoNotOptimize(
-            insertTwirlFrames(flat, plan, rng, cache));
+            insertTwirlFrames(flat, plan, rng, tables));
 }
 
 void

@@ -125,7 +125,7 @@ std::vector<Instruction> transpileFragment(
  *
  * Safe for concurrent use: parallel ensemble compilation shares one
  * cache across worker threads (same locking discipline as
- * TwirlTableCache; first inserter wins, values are deterministic).
+ * ConjugationTable; first inserter wins, values are deterministic).
  */
 class TranspileCache
 {

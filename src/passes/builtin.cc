@@ -24,7 +24,7 @@ TwirlPlanPass::run(PassContext &context)
     // (once-per-ensemble) prefix, so no twirl instance pays for it.
     for (const TwirlPlan::LayerGates &target : plan.targets)
         for (const Instruction &gate : target.gates)
-            _cache->tableFor(gate);
+            _tables->of2q(instructionUnitary(gate));
     context.setProperty(kTwirlPlanKey, std::move(plan));
 }
 
@@ -36,7 +36,7 @@ LateTwirlPass::run(PassContext &context)
     std::size_t frames = 0;
     TwirlFrames frame_insts;
     context.setFlat(insertTwirlFrames(
-        context.flat(), plan, context.rng(), *_cache,
+        context.flat(), plan, context.rng(), *_tables,
         _native ? &*_native : nullptr, &frames,
         _publishFrames ? &frame_insts : nullptr));
     context.setProperty(kTwirlGatesKey, frames);
@@ -63,10 +63,10 @@ CaEcFlatPass::run(PassContext &context)
         context.property<TwirlFrames>(kTwirlFramesKey);
     CaecStats stats;
     context.setFlat(applyCaEcFlat(context.flat(), *plan, frames,
-                                  context.backend(), _options,
+                                  context.backend(), *_tables,
+                                  _options,
                                   _native ? &*_native : nullptr,
-                                  &stats, _fragments.get(),
-                                  _tables.get()));
+                                  &stats, _fragments.get()));
     context.setProperty(kCaecStatsKey, stats);
 }
 

@@ -54,31 +54,24 @@ inline constexpr const char kDdPulsesKey[] = "dd.pulses";
 /**
  * Analysis-only pass (Layered stage, deterministic): publish the
  * twirl blueprint under kTwirlPlanKey and pre-build the conjugation
- * table of every targeted two-qubit gate into the shared cache.
- * Running in the deterministic prefix of an ensemble pipeline, it
- * moves both the blueprint capture and the numeric table
- * construction out of the per-instance suffix.
+ * table of every targeted two-qubit gate into the pipeline's shared
+ * ConjugationTable.  Running in the deterministic prefix of an
+ * ensemble pipeline, it moves both the blueprint capture and the
+ * numeric table construction out of the per-instance suffix.
  */
 class TwirlPlanPass : public Pass
 {
   public:
-    explicit TwirlPlanPass(
-        std::shared_ptr<TwirlTableCache> cache = nullptr)
-        : _cache(cache ? std::move(cache)
-                       : std::make_shared<TwirlTableCache>())
+    explicit TwirlPlanPass(std::shared_ptr<ConjugationTable> tables)
+        : _tables(std::move(tables))
     {
     }
 
     std::string name() const override { return "twirl-plan"; }
     void run(PassContext &context) override;
 
-    const std::shared_ptr<TwirlTableCache> &cache() const
-    {
-        return _cache;
-    }
-
   private:
-    std::shared_ptr<TwirlTableCache> _cache;
+    std::shared_ptr<ConjugationTable> _tables;
 };
 
 /**
@@ -87,10 +80,9 @@ class TwirlPlanPass : public Pass
  * TwirlPlanPass published (see insertTwirlFrames() in twirling.hh).
  * Because everything before this pass is deterministic, ensemble
  * compilation shares the flatten/transpile prefix across all
- * instances instead of recompiling it per twirl.  The
- * conjugation-table cache persists across run() calls; pass the
- * pipeline's shared cache so the twirl-plan pass builds each table
- * once per ensemble.
+ * instances instead of recompiling it per twirl.  The conjugation
+ * tables come from the pipeline's shared ConjugationTable, which the
+ * twirl-plan pass warms once per ensemble.
  *
  * Construct with the pipeline's TranspileOptions when the pipeline
  * lowers to the native gate set, so the frame gates receive the
@@ -105,11 +97,10 @@ class LateTwirlPass : public Pass
 {
   public:
     explicit LateTwirlPass(
-        std::shared_ptr<TwirlTableCache> cache = nullptr,
+        std::shared_ptr<ConjugationTable> tables,
         std::optional<TranspileOptions> native = std::nullopt,
         bool publish_frames = false)
-        : _cache(cache ? std::move(cache)
-                       : std::make_shared<TwirlTableCache>()),
+        : _tables(std::move(tables)),
           _native(native),
           _publishFrames(publish_frames)
     {
@@ -120,7 +111,7 @@ class LateTwirlPass : public Pass
     bool isStochastic() const override { return true; }
 
   private:
-    std::shared_ptr<TwirlTableCache> _cache;
+    std::shared_ptr<ConjugationTable> _tables;
     std::optional<TranspileOptions> _native;
     bool _publishFrames;
 };
@@ -151,17 +142,15 @@ class CaEcPlanPass : public Pass
 class CaEcFlatPass : public Pass
 {
   public:
-    explicit CaEcFlatPass(
-        CaecOptions options = {},
-        std::optional<TranspileOptions> native = std::nullopt,
-        std::shared_ptr<TwirlTableCache> tables = nullptr)
+    CaEcFlatPass(CaecOptions options,
+                 std::optional<TranspileOptions> native,
+                 std::shared_ptr<ConjugationTable> tables)
         : _options(options),
           _native(native),
           _fragments(native ? std::make_shared<TranspileCache>(
                                   *native)
                             : nullptr),
-          _tables(tables ? std::move(tables)
-                         : std::make_shared<TwirlTableCache>())
+          _tables(std::move(tables))
     {
     }
 
@@ -184,11 +173,10 @@ class CaEcFlatPass : public Pass
     std::shared_ptr<TranspileCache> _fragments;
 
     /**
-     * Conjugation tables for the walk's commute-through math,
-     * shared across ensemble instances.  Pass the pipeline's cache
-     * so the twirl-plan pass warms it in the prefix.
+     * Conjugation tables for the walk's commute-through math: the
+     * pipeline's table, warmed by the twirl-plan pass in the prefix.
      */
-    std::shared_ptr<TwirlTableCache> _tables;
+    std::shared_ptr<ConjugationTable> _tables;
 };
 
 /** Lower Layered -> Flat, re-inserting layer barriers. */

@@ -236,7 +236,7 @@ class CaEcWalk
     CaEcWalk(const std::vector<const Layer *> &layers,
              std::size_t num_qubits, const Backend &backend,
              const CaecOptions &options, CaecStats *stats,
-             FlatSink &sink, TwirlTableCache *tables)
+             FlatSink &sink, ConjugationTable &tables)
         : _layers(layers),
           _numQubits(num_qubits),
           _backend(backend),
@@ -244,7 +244,7 @@ class CaEcWalk
           _stats(stats),
           _sink(sink),
           _err1q(num_qubits, 0.0),
-          _tables(tables ? tables : &_ownTables)
+          _tables(tables)
     {
     }
 
@@ -277,13 +277,7 @@ class CaEcWalk
     std::map<QubitPair, double> _err2q;
     std::vector<Instruction> _pendingComp; //!< emitted before layer
 
-    /**
-     * Conjugation tables: borrowed when the caller shares a cache
-     * across walks (tables are pure functions of the gate kind, so
-     * sharing cannot change results), private otherwise.
-     */
-    TwirlTableCache _ownTables;
-    TwirlTableCache *_tables;
+    ConjugationTable &_tables;
     bool _modified = false; //!< current layer absorbed an angle
 
     void
@@ -486,7 +480,8 @@ class CaEcWalk
             return;
         }
 
-        const Conjugation2Q &table = _tables->tableFor(inst);
+        const Conjugation2Q &table =
+            _tables.of2q(instructionUnitary(inst));
 
         // External pairs (a or b with a third qubit): survive only
         // if Z on the endpoint maps to +- Z on the same endpoint.
@@ -851,9 +846,9 @@ makeCaecPlan(const LayeredCircuit &circuit)
 Circuit
 applyCaEcFlat(const Circuit &flat, const CaecPlan &plan,
               const TwirlFrames *frames, const Backend &backend,
-              const CaecOptions &options,
+              ConjugationTable &tables, const CaecOptions &options,
               const TranspileOptions *native, CaecStats *stats,
-              TranspileCache *cache, TwirlTableCache *tables)
+              TranspileCache *cache)
 {
     const std::vector<Layer> &layers = plan.layered.layers();
     if (layers.empty())

@@ -123,23 +123,21 @@ CaecPlan makeCaecPlan(const LayeredCircuit &circuit);
  * consumes no randomness; `frames == nullptr` means the stream is
  * untwirled.
  *
- * `cache`, when given, memoizes the per-instruction re-lowering of
- * absorbed and compensation layers across calls (share one cache
- * across an ensemble; see TranspileCache).  It must have been
- * constructed with the same options as `native`.  `tables`, when
- * given, shares the walk's Pauli-conjugation tables across calls
- * (tables are pure functions of the gate kind) -- typically the
- * pipeline's TwirlTableCache, already warmed by the twirl-plan
- * pass.
+ * The walk's Pauli-conjugation tables come from `tables` (in a
+ * pipeline, the table the twirl-plan pass already warmed).  `cache`,
+ * when given, memoizes the per-instruction re-lowering of absorbed
+ * and compensation layers across calls (share one cache across an
+ * ensemble; see TranspileCache).  It must have been constructed
+ * with the same options as `native`.
  */
 Circuit applyCaEcFlat(const Circuit &flat, const CaecPlan &plan,
                       const TwirlFrames *frames,
                       const Backend &backend,
+                      ConjugationTable &tables,
                       const CaecOptions &options = {},
                       const TranspileOptions *native = nullptr,
                       CaecStats *stats = nullptr,
-                      TranspileCache *cache = nullptr,
-                      TwirlTableCache *tables = nullptr);
+                      TranspileCache *cache = nullptr);
 
 } // namespace casq
 

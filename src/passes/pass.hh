@@ -198,14 +198,14 @@ class PassContext
 /**
  * One unit of compilation work.  Implementations transform the
  * context's circuit, publish properties, or both.  Passes may keep
- * state across run() calls (e.g. conjugation-table caches), which a
- * PassManager reuses across the instances of an ensemble.
+ * state across run() calls (e.g. the pipeline's ConjugationTable),
+ * which a PassManager reuses across the instances of an ensemble.
  *
  * Concurrency contract: PassManager::runEnsemble invokes run() on
  * the SAME pass object from multiple worker threads, each with its
  * own PassContext.  A pass whose only state is configuration set at
  * construction is trivially safe; a pass with mutable cross-run
- * state must synchronize it internally (TwirlTableCache is the
+ * state must synchronize it internally (ConjugationTable is the
  * worked example).  All randomness must come from context.rng() --
  * never from shared or global generators -- so that compilation is
  * reproducible per instance regardless of thread schedule.

@@ -5,9 +5,9 @@
  * The manager owns its passes and executes them in registration
  * order over a PassContext, timing each pass and collecting the
  * context's diagnostics into a CompilationResult.  Because passes
- * may carry caches (twirl conjugation tables), a manager is built
- * once and reused across every instance of an ensemble or every
- * depth of a parameter sweep.
+ * may carry caches (the pipeline's ConjugationTable), a manager is
+ * built once and reused across every instance of an ensemble or
+ * every depth of a parameter sweep.
  *
  * Ensembles are first-class: runEnsemble() compiles N instances
  * concurrently on a work-stealing pool (common/thread_pool.hh) and

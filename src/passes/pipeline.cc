@@ -93,14 +93,12 @@ buildPipeline(const CompileOptions &options)
                            options.strategy == Strategy::EcAlignedDd ||
                            options.strategy == Strategy::Combined;
 
-    std::shared_ptr<TwirlTableCache> tables;
-    if (options.twirl) {
-        // One conjugation-table cache for the whole pipeline: the
-        // plan pass warms it in the deterministic prefix, late-twirl
-        // and the CA-EC walk read it.
-        tables = std::make_shared<TwirlTableCache>();
+    // One conjugation table for the whole pipeline: the plan pass
+    // warms it in the deterministic prefix, late-twirl and the CA-EC
+    // walk read it.
+    const auto tables = std::make_shared<ConjugationTable>();
+    if (options.twirl)
         manager.emplace<TwirlPlanPass>(tables);
-    }
     if (uses_caec)
         manager.emplace<CaEcPlanPass>();
 

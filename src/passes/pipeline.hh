@@ -23,7 +23,7 @@
  * build and run the pipeline in one call; callers that sweep a
  * parameter (depth scans, ensembles) should build the pipeline once
  * and reuse it, which also reuses pass-internal caches such as the
- * twirl conjugation tables.  Ensemble compilation is parallel and
+ * pipeline's ConjugationTable.  Ensemble compilation is parallel and
  * cached under the hood (PassManager::runEnsemble): instances
  * compile concurrently on a work-stealing pool when a thread count
  * is given, and the pipeline's deterministic prefix -- the passes

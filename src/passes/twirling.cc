@@ -1,25 +1,11 @@
 #include "passes/twirling.hh"
 
-#include <cmath>
-#include <mutex>
-#include <sstream>
-
 #include "circuit/unitary.hh"
 #include "common/logging.hh"
 
 namespace casq {
 
 namespace {
-
-std::string
-gateKey(const Instruction &inst)
-{
-    std::ostringstream os;
-    os << opName(inst.op);
-    for (double p : inst.params)
-        os << "," << std::llround(p * 1e9);
-    return os.str();
-}
 
 Instruction
 pauliInstruction(PauliOp op, std::uint32_t q)
@@ -30,29 +16,6 @@ pauliInstruction(PauliOp op, std::uint32_t q)
     return inst;
 }
 
-} // namespace
-
-const Conjugation2Q &
-TwirlTableCache::tableFor(const Instruction &inst)
-{
-    casq_assert(opIsTwoQubitGate(inst.op),
-                "twirl table for non-2q gate ", opName(inst.op));
-    const std::string key = gateKey(inst);
-    {
-        std::shared_lock<std::shared_mutex> lock(_mutex);
-        const auto it = _tables.find(key);
-        if (it != _tables.end())
-            return it->second;
-    }
-    // Build outside any lock (the table construction is the
-    // expensive part), then let the first inserter win.
-    Conjugation2Q table(instructionUnitary(inst));
-    std::unique_lock<std::shared_mutex> lock(_mutex);
-    return _tables.emplace(key, std::move(table)).first->second;
-}
-
-namespace {
-
 /**
  * Sample one Pauli frame per two-qubit gate of `insts` (non-2q
  * instructions are skipped) and append the non-identity frame gates:
@@ -61,14 +24,15 @@ namespace {
  */
 void
 sampleTwirlFrames(const std::vector<Instruction> &insts, Rng &rng,
-                  TwirlTableCache &cache,
+                  ConjugationTable &tables,
                   std::vector<Instruction> &pre,
                   std::vector<Instruction> &post)
 {
     for (const Instruction &inst : insts) {
         if (!opIsTwoQubitGate(inst.op))
             continue;
-        const Conjugation2Q &table = cache.tableFor(inst);
+        const Conjugation2Q &table =
+            tables.of2q(instructionUnitary(inst));
         const auto &twirl_set = table.twirlSet();
         casq_assert(!twirl_set.empty(), "empty twirl set");
         const Pauli2 p =
@@ -142,7 +106,8 @@ barrierSegments(const Circuit &flat)
 
 Circuit
 insertTwirlFrames(const Circuit &flat, const TwirlPlan &plan, Rng &rng,
-                  TwirlTableCache &cache, const TranspileOptions *native,
+                  ConjugationTable &tables,
+                  const TranspileOptions *native,
                   std::size_t *frames, TwirlFrames *frame_insts)
 {
     if (frames)
@@ -177,7 +142,7 @@ insertTwirlFrames(const Circuit &flat, const TwirlPlan &plan, Rng &rng,
             continue;
         }
         std::vector<Instruction> pre, post;
-        sampleTwirlFrames(plan.targets[next].gates, rng, cache, pre,
+        sampleTwirlFrames(plan.targets[next].gates, rng, tables, pre,
                           post);
         if (frames)
             *frames += pre.size() + post.size();

@@ -21,9 +21,6 @@
 #define CASQ_PASSES_TWIRLING_HH
 
 #include <cstddef>
-#include <map>
-#include <shared_mutex>
-#include <string>
 #include <vector>
 
 #include "circuit/stratify.hh"
@@ -34,36 +31,15 @@
 namespace casq {
 
 /**
- * Cache of numerically-built conjugation tables per gate kind.
- *
- * tableFor() is safe to call concurrently: parallel ensemble
- * compilation (PassManager::runEnsemble) shares one pipeline -- and
- * therefore one cache -- across all worker threads.  Lookups
- * take a shared lock; the first miss per gate kind builds the
- * table under the exclusive lock.  Returned references stay valid
- * for the cache's lifetime (std::map nodes are stable).
- */
-class TwirlTableCache
-{
-  public:
-    /** Table for a two-qubit unitary instruction. */
-    const Conjugation2Q &tableFor(const Instruction &inst);
-
-  private:
-    std::shared_mutex _mutex;
-    std::map<std::string, Conjugation2Q> _tables;
-};
-
-/**
  * Deterministic twirl blueprint of a layered circuit: for every
  * TwoQubit layer, its index and its two-qubit gates, in sampling
  * order.
  *
  * The blueprint is captured before lowering (by the twirl-plan
  * analysis pass) and consumed by the late-twirl pass after
- * flatten/transpile, where the original gate identities -- needed to
- * key the conjugation tables -- are no longer recoverable from the
- * lowered instructions (a canonical block, for example, transpiles
+ * flatten/transpile, where the original gate unitaries -- needed to
+ * look up the conjugation tables -- are no longer recoverable from
+ * the lowered instructions (a canonical block, for example, transpiles
  * into a multi-gate fragment).
  */
 struct TwirlPlan
@@ -133,6 +109,8 @@ barrierSegments(const Circuit &flat);
  * two-qubit gate goes into a frame layer before the segment and its
  * conjugation Q = U P U^dagger into one after it, exactly where
  * flatten() would have put them.  Empty frame layers are elided.
+ * The gates' conjugation tables come from `tables` (the pipeline's
+ * table, warmed by the twirl-plan pass).
  *
  * The output is pinned bit for bit, at a given seed, by
  * tests/golden/twirl_reference_schedules.txt.  `frames`, when
@@ -142,7 +120,7 @@ barrierSegments(const Circuit &flat);
  * per target (for the CA-EC walk).
  */
 Circuit insertTwirlFrames(const Circuit &flat, const TwirlPlan &plan,
-                          Rng &rng, TwirlTableCache &cache,
+                          Rng &rng, ConjugationTable &tables,
                           const TranspileOptions *native = nullptr,
                           std::size_t *frames = nullptr,
                           TwirlFrames *frame_insts = nullptr);

@@ -6,17 +6,22 @@
  * Pauli twirling (paper Sec. III A) requires, for every two-qubit
  * gate U and sampled Pauli pair P, the Pauli Q with Q U P = U (up to
  * a +-1 global phase).  Instead of hand-deriving tables per gate we
- * compute U P U^dagger numerically once per (gate, params) and cache
- * the result; this also yields the valid twirl subgroup of
- * non-Clifford gates such as the Heisenberg canonical block, for
- * which only {II, XX, YY, ZZ} survives.
+ * compute U P U^dagger numerically once per distinct unitary and
+ * memoize the result in a ConjugationTable; this also yields the
+ * valid twirl subgroup of non-Clifford gates such as the Heisenberg
+ * canonical block, for which only {II, XX, YY, ZZ} survives.  The
+ * same tables give the stabilizer tableau the generator images of
+ * every Clifford gate it applies.
  */
 
 #ifndef CASQ_PAULI_CLIFFORD_HH
 #define CASQ_PAULI_CLIFFORD_HH
 
 #include <array>
+#include <map>
 #include <optional>
+#include <shared_mutex>
+#include <string>
 #include <vector>
 
 #include "common/matrix.hh"
@@ -45,6 +50,22 @@ struct SignedPauli1
 {
     PauliOp op = PauliOp::I;
     int sign = 1;
+};
+
+/** Images U X U^dagger, U Z U^dagger of a single-qubit Clifford. */
+struct CliffordImages1Q
+{
+    SignedPauli1 x;
+    SignedPauli1 z;
+};
+
+/** Images of the generators X0, Z0, X1, Z1 of a two-qubit Clifford. */
+struct CliffordImages2Q
+{
+    SignedPauli2 x0;
+    SignedPauli2 z0;
+    SignedPauli2 x1;
+    SignedPauli2 z1;
 };
 
 /** The 16 two-qubit Paulis in (op1, op0) lexicographic order. */
@@ -80,6 +101,9 @@ class Conjugation2Q
      */
     const std::vector<Pauli2> &twirlSet() const { return _twirlSet; }
 
+    /** Generator images; U must be Clifford. */
+    CliffordImages2Q images() const;
+
   private:
     std::array<std::optional<SignedPauli2>, 16> _table;
     std::vector<Pauli2> _twirlSet;
@@ -108,9 +132,41 @@ class Conjugation1Q
      */
     std::optional<SignedPauli1> conjugate(PauliOp p) const;
 
+    /** Generator images; U must be Clifford. */
+    CliffordImages1Q images() const;
+
   private:
     std::array<std::optional<SignedPauli1>, 4> _table;
     bool _isClifford = true;
+};
+
+/**
+ * The memo of Conjugation1Q/Conjugation2Q tables, keyed by the
+ * bit-exact bytes of the unitary.
+ *
+ * Safe for concurrent use: parallel ensemble compilation shares one
+ * table across worker threads.  Lookups take a shared lock; a miss
+ * builds the table outside any lock and the first inserter wins
+ * (tables are deterministic functions of the key).  Returned
+ * references stay valid for the table's lifetime.
+ */
+class ConjugationTable
+{
+  public:
+    /** Table of a 2x2 unitary, built on first use. */
+    const Conjugation1Q &of1q(const CMat &u);
+
+    /** Table of a 4x4 unitary, built on first use. */
+    const Conjugation2Q &of2q(const CMat &u);
+
+  private:
+    std::shared_mutex _mutex;
+    std::map<std::string, Conjugation1Q> _tables1q;
+    std::map<std::string, Conjugation2Q> _tables2q;
+
+    template <typename Table>
+    const Table &lookup(std::map<std::string, Table> &tables,
+                        const CMat &u);
 };
 
 } // namespace casq

@@ -25,6 +25,7 @@
 
 #include "common/matrix.hh"
 #include "common/rng.hh"
+#include "pauli/clifford.hh"
 #include "pauli/pauli.hh"
 #include "sim/statevector.hh"
 
@@ -80,12 +81,32 @@ class StateBackend
      */
     virtual void assign(const StateBackend &src) = 0;
 
-    /** Apply a 2x2 unitary to qubit q. */
-    virtual void applyGate1q(const CMat &u, std::uint32_t q) = 0;
+    /**
+     * Apply a 2x2 unitary to qubit q.  `images`, when given, are
+     * u's Clifford generator images (the engine resolves them once
+     * per compiled variant): the tableau applies them as they are,
+     * the dense state ignores them.
+     */
+    virtual void applyGate1q(const CMat &u, std::uint32_t q,
+                             const CliffordImages1Q *images) = 0;
 
     /** Apply a 4x4 unitary to (q0 = less significant, q1). */
     virtual void applyGate2q(const CMat &u, std::uint32_t q0,
-                             std::uint32_t q1) = 0;
+                             std::uint32_t q1,
+                             const CliffordImages2Q *images) = 0;
+
+    /** Bare-matrix forms: the tableau derives the images from u. */
+    void
+    applyGate1q(const CMat &u, std::uint32_t q)
+    {
+        applyGate1q(u, q, nullptr);
+    }
+
+    void
+    applyGate2q(const CMat &u, std::uint32_t q0, std::uint32_t q1)
+    {
+        applyGate2q(u, q0, q1, nullptr);
+    }
 
     /** Rz(theta) on q (diagonal fast path). */
     virtual void applyRz(std::uint32_t q, double theta) = 0;
@@ -148,15 +169,19 @@ class DenseBackend final : public StateBackend
 
     void assign(const StateBackend &src) override;
 
+    using StateBackend::applyGate1q;
+    using StateBackend::applyGate2q;
+
     void
-    applyGate1q(const CMat &u, std::uint32_t q) override
+    applyGate1q(const CMat &u, std::uint32_t q,
+                const CliffordImages1Q *) override
     {
         _state.applyGate1q(u, q);
     }
 
     void
-    applyGate2q(const CMat &u, std::uint32_t q0,
-                std::uint32_t q1) override
+    applyGate2q(const CMat &u, std::uint32_t q0, std::uint32_t q1,
+                const CliffordImages2Q *) override
     {
         _state.applyGate2q(u, q0, q1);
     }

@@ -38,6 +38,13 @@ struct SegmentPlan
     std::vector<StochasticQubit> stoch;
 };
 
+/** Clifford generator images of one scheduled instruction. */
+struct GateImages
+{
+    CliffordImages1Q one; //!< of a 1q gate
+    CliffordImages2Q two; //!< of a 2q gate
+};
+
 /** A variant compiled for repeated trajectory execution. */
 struct CompiledVariant
 {
@@ -55,6 +62,13 @@ struct CompiledVariant
      */
     bool stabilizerEligible = true;
     std::string stabilizerBlocker;
+
+    /**
+     * Per scheduled instruction, next to unitaries[i]: its generator
+     * images, resolved once when the variant is built.  Filled for
+     * stabilizer-eligible variants only (empty otherwise).
+     */
+    std::vector<GateImages> images;
 
     /**
      * Leading timeline events that consume no RNG and read no
@@ -82,6 +96,13 @@ struct CompiledVariant
      * only when prefixEvents > 0.
      */
     const StateBackend *prefixCheckpoint(SimBackendKind kind) const;
+
+    /**
+     * Apply gate instruction i to `state`: the one kernel call both
+     * substrates take (the tableau reads images[i], the dense state
+     * unitaries[i]).
+     */
+    void applyGate(StateBackend &state, std::size_t i) const;
 
   private:
     mutable std::once_flag _prefixDenseOnce;
@@ -230,22 +251,25 @@ CompiledVariant::buildPrefixCheckpoint(
         const Instruction &inst = insts[event.index].inst;
         if (inst.op == Op::I)
             continue;
-        if (opIsVirtual(inst.op)) {
-            if (inst.op == Op::RZ)
-                state->applyRz(inst.qubits[0], inst.params[0]);
-            else
-                state->applyGate1q(unitaries[event.index],
-                                   inst.qubits[0]);
-            continue;
-        }
-        if (inst.qubits.size() == 1)
-            state->applyGate1q(unitaries[event.index],
-                               inst.qubits[0]);
+        if (inst.op == Op::RZ)
+            state->applyRz(inst.qubits[0], inst.params[0]);
         else
-            state->applyGate2q(unitaries[event.index],
-                               inst.qubits[0], inst.qubits[1]);
+            applyGate(*state, event.index);
     }
     slot = std::move(state);
+}
+
+void
+CompiledVariant::applyGate(StateBackend &state, std::size_t i) const
+{
+    const Instruction &inst = timeline.circuit().instructions()[i].inst;
+    const GateImages *gate = images.empty() ? nullptr : &images[i];
+    if (inst.qubits.size() == 1)
+        state.applyGate1q(unitaries[i], inst.qubits[0],
+                          gate ? &gate->one : nullptr);
+    else
+        state.applyGate2q(unitaries[i], inst.qubits[0],
+                          inst.qubits[1], gate ? &gate->two : nullptr);
 }
 
 const StateBackend *
@@ -308,30 +332,33 @@ CompiledVariant::analyzeStabilizerEligibility(const NoiseSources &sources)
         }
     }
 
-    // Every instruction unitary must be Clifford; distinct
-    // (op, params) combinations repeat heavily, so memoize the
-    // numeric conjugation check by matrix bytes.
-    std::unordered_map<std::string, bool> memo;
+    // Every instruction unitary must be Clifford.  One walk checks
+    // that and resolves each gate's generator images for the
+    // tableau; distinct unitaries repeat heavily, so the numeric
+    // conjugation goes through a build-local table.
+    ConjugationTable tables;
+    const auto resolve = [](const auto &table, auto &out) {
+        if (table.isClifford())
+            out = table.images();
+        return table.isClifford();
+    };
     const auto &insts = timeline.circuit().instructions();
+    std::vector<GateImages> resolved(insts.size());
     for (std::size_t i = 0; i < insts.size(); ++i) {
         const CMat &u = unitaries[i];
         if (u.rows() == 0)
             continue;
-        std::string key(u.data().size() * sizeof(Complex), '\0');
-        std::memcpy(key.data(), u.data().data(), key.size());
-        auto [it, fresh] = memo.emplace(key, false);
-        if (fresh) {
-            it->second = u.rows() == 2
-                             ? Conjugation1Q(u).isClifford()
-                             : Conjugation2Q(u).isClifford();
-        }
-        if (!it->second) {
+        const bool clifford =
+            u.rows() == 2 ? resolve(tables.of1q(u), resolved[i].one)
+                          : resolve(tables.of2q(u), resolved[i].two);
+        if (!clifford) {
             block(detail::format(
                 "non-Clifford gate ", opName(insts[i].inst.op),
                 " at instruction ", i));
             return;
         }
     }
+    images = std::move(resolved);
 }
 
 } // namespace detail
@@ -525,8 +552,7 @@ class TrajectoryRunner
                 applySegment(variant.plans[event.index],
                              segments[event.index], rng);
             } else {
-                fire(insts[event.index],
-                     variant.unitaries[event.index], rng);
+                fire(variant, insts[event.index], event.index, rng);
             }
         }
         flushAllT1(rng);
@@ -643,7 +669,8 @@ class TrajectoryRunner
     }
 
     void
-    fire(const TimedInstruction &timed, const CMat &unitary, Rng &rng)
+    fire(const CompiledVariant &variant, const TimedInstruction &timed,
+         std::size_t index, Rng &rng)
     {
         const Instruction &inst = timed.inst;
         if (inst.isConditional() &&
@@ -664,7 +691,7 @@ class TrajectoryRunner
             const std::uint32_t q = inst.qubits[0];
             flushT1(q, rng);
             if (_state->measure(q, rng) == 1)
-                _state->applyGate1q(gateUnitary(Op::X), q);
+                _state->applyPauliOp(PauliOp::X, q);
             return;
           }
           case Op::I:
@@ -678,16 +705,12 @@ class TrajectoryRunner
             if (inst.op == Op::RZ)
                 _state->applyRz(inst.qubits[0], inst.params[0]);
             else
-                _state->applyGate1q(unitary, inst.qubits[0]);
+                variant.applyGate(*_state, index);
             return;
         }
         for (auto q : inst.qubits)
             flushT1(q, rng);
-        if (inst.qubits.size() == 1)
-            _state->applyGate1q(unitary, inst.qubits[0]);
-        else
-            _state->applyGate2q(unitary, inst.qubits[0],
-                               inst.qubits[1]);
+        variant.applyGate(*_state, index);
         for (const NoiseSource *source : _gateHooks)
             source->onGate(*_state, inst, timed.duration, rng);
     }

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cmath>
-#include <cstring>
 
 #include "common/logging.hh"
 
@@ -12,14 +11,23 @@ namespace {
 
 constexpr double kHalfPi = 1.57079632679489661923;
 
-/** Memoization key: the raw bytes of a matrix's elements. */
-std::string
-matrixKey(const CMat &u)
+/** The i^phase power (0 or 2) of a +-1 sign. */
+std::uint8_t
+signPhase(int sign)
 {
-    const auto &data = u.data();
-    std::string key(data.size() * sizeof(Complex), '\0');
-    std::memcpy(key.data(), data.data(), key.size());
-    return key;
+    return sign > 0 ? 0 : 2;
+}
+
+/** Generator images of a bare matrix, derived on the spot. */
+template <typename Conjugation>
+auto
+derivedImages(const CMat &u, const char *width)
+{
+    const Conjugation conj(u);
+    casq_assert(conj.isClifford(), "non-Clifford ", width,
+                " unitary reached the stabilizer backend (eligibility "
+                "analysis should have routed this variant dense)");
+    return conj.images();
 }
 
 /** Literal X/Z bits of a Pauli letter (Y = i * X * Z). */
@@ -59,8 +67,7 @@ StabilizerBackend::assign(const StateBackend &src)
                     src.numQubits() == _n,
                 "assign needs a stabilizer backend of the same "
                 "width");
-    // The tableau rows are the whole quantum state; the per-instance
-    // conjugation memos are caches and stay as they are.
+    // The tableau rows are the whole quantum state.
     _rows = static_cast<const StabilizerBackend &>(src)._rows;
 }
 
@@ -122,58 +129,9 @@ StabilizerBackend::anticommutes(const Row &a, const Row &b) const
 
 // ------------------------------------------ generator-image gates
 
-const StabilizerBackend::Action1q &
-StabilizerBackend::action1q(const CMat &u)
-{
-    const std::string key = matrixKey(u);
-    const auto it = _memo1q.find(key);
-    if (it != _memo1q.end())
-        return it->second;
-
-    const Conjugation1Q conj(u);
-    const auto imgX = conj.conjugate(PauliOp::X);
-    const auto imgZ = conj.conjugate(PauliOp::Z);
-    casq_assert(imgX && imgZ,
-                "non-Clifford 1q unitary reached the stabilizer "
-                "backend (eligibility analysis should have routed "
-                "this variant dense)");
-    Action1q action;
-    action.imgX =
-        PhasedPauli1{imgX->op, std::uint8_t(imgX->sign > 0 ? 0 : 2)};
-    action.imgZ =
-        PhasedPauli1{imgZ->op, std::uint8_t(imgZ->sign > 0 ? 0 : 2)};
-    return _memo1q.emplace(key, action).first->second;
-}
-
-const StabilizerBackend::Action2q &
-StabilizerBackend::action2q(const CMat &u)
-{
-    const std::string key = matrixKey(u);
-    const auto it = _memo2q.find(key);
-    if (it != _memo2q.end())
-        return it->second;
-
-    const Conjugation2Q conj(u);
-    const auto img = [&](PauliOp op0, PauliOp op1) {
-        const auto signed2 = conj.conjugate(Pauli2{op0, op1});
-        casq_assert(signed2,
-                    "non-Clifford 2q unitary reached the stabilizer "
-                    "backend (eligibility analysis should have "
-                    "routed this variant dense)");
-        return PhasedPauli2{
-            signed2->pauli.op0, signed2->pauli.op1,
-            std::uint8_t(signed2->sign > 0 ? 0 : 2)};
-    };
-    Action2q action;
-    action.imgX0 = img(PauliOp::X, PauliOp::I);
-    action.imgZ0 = img(PauliOp::Z, PauliOp::I);
-    action.imgX1 = img(PauliOp::I, PauliOp::X);
-    action.imgZ1 = img(PauliOp::I, PauliOp::Z);
-    return _memo2q.emplace(key, action).first->second;
-}
-
 void
-StabilizerBackend::apply1q(const Action1q &action, std::uint32_t q)
+StabilizerBackend::apply1q(const CliffordImages1Q &images,
+                           std::uint32_t q)
 {
     for (Row &row : _rows) {
         const bool x = bit(row.x, q);
@@ -186,13 +144,13 @@ StabilizerBackend::apply1q(const Action1q &action, std::uint32_t q)
         PauliOp cur = PauliOp::I;
         std::uint8_t phase = 0;
         if (x) {
-            cur = action.imgX.op;
-            phase = action.imgX.phase;
+            cur = images.x.op;
+            phase = signPhase(images.x.sign);
         }
         if (z) {
-            const PauliProduct prod = multiply(cur, action.imgZ.op);
+            const PauliProduct prod = multiply(cur, images.z.op);
             cur = prod.op;
-            phase = std::uint8_t(phase + action.imgZ.phase +
+            phase = std::uint8_t(phase + signPhase(images.z.sign) +
                                  prod.phasePower);
         }
         bool nx, nz;
@@ -206,8 +164,8 @@ StabilizerBackend::apply1q(const Action1q &action, std::uint32_t q)
 }
 
 void
-StabilizerBackend::apply2q(const Action2q &action, std::uint32_t q0,
-                           std::uint32_t q1)
+StabilizerBackend::apply2q(const CliffordImages2Q &images,
+                           std::uint32_t q0, std::uint32_t q1)
 {
     for (Row &row : _rows) {
         const bool x0 = bit(row.x, q0);
@@ -223,22 +181,22 @@ StabilizerBackend::apply2q(const Action2q &action, std::uint32_t q0,
         PauliOp cur0 = PauliOp::I;
         PauliOp cur1 = PauliOp::I;
         std::uint8_t phase = 0;
-        const auto mul = [&](const PhasedPauli2 &g) {
-            const PauliProduct p0 = multiply(cur0, g.op0);
-            const PauliProduct p1 = multiply(cur1, g.op1);
+        const auto mul = [&](const SignedPauli2 &g) {
+            const PauliProduct p0 = multiply(cur0, g.pauli.op0);
+            const PauliProduct p1 = multiply(cur1, g.pauli.op1);
             cur0 = p0.op;
             cur1 = p1.op;
-            phase = std::uint8_t(phase + g.phase + p0.phasePower +
-                                 p1.phasePower);
+            phase = std::uint8_t(phase + signPhase(g.sign) +
+                                 p0.phasePower + p1.phasePower);
         };
         if (x0)
-            mul(action.imgX0);
+            mul(images.x0);
         if (z0)
-            mul(action.imgZ0);
+            mul(images.z0);
         if (x1)
-            mul(action.imgX1);
+            mul(images.x1);
         if (z1)
-            mul(action.imgZ1);
+            mul(images.z1);
         bool nx0, nz0, nx1, nz1;
         letterBits(cur0, nx0, nz0);
         letterBits(cur1, nx1, nz1);
@@ -255,19 +213,23 @@ StabilizerBackend::apply2q(const Action2q &action, std::uint32_t q0,
 }
 
 void
-StabilizerBackend::applyGate1q(const CMat &u, std::uint32_t q)
+StabilizerBackend::applyGate1q(const CMat &u, std::uint32_t q,
+                               const CliffordImages1Q *images)
 {
     casq_assert(q < _n, "qubit out of range");
-    apply1q(action1q(u), q);
+    apply1q(images ? *images : derivedImages<Conjugation1Q>(u, "1q"),
+            q);
 }
 
 void
 StabilizerBackend::applyGate2q(const CMat &u, std::uint32_t q0,
-                               std::uint32_t q1)
+                               std::uint32_t q1,
+                               const CliffordImages2Q *images)
 {
     casq_assert(q0 < _n && q1 < _n && q0 != q1,
                 "qubit pair out of range");
-    apply2q(action2q(u), q0, q1);
+    apply2q(images ? *images : derivedImages<Conjugation2Q>(u, "2q"),
+            q0, q1);
 }
 
 // -------------------------------------------- quarter-turn phases
@@ -288,22 +250,12 @@ StabilizerBackend::applyQuarterZ(std::uint32_t q, int k)
 {
     // Rz(k pi/2) is S^k up to global phase: Z is fixed, X maps to
     // Y (k=1), -X (k=2), -Y (k=3).
-    if (k == 0)
-        return;
-    Action1q action;
-    action.imgZ = PhasedPauli1{PauliOp::Z, 0};
-    switch (k) {
-      case 1:
-        action.imgX = PhasedPauli1{PauliOp::Y, 0};
-        break;
-      case 2:
-        action.imgX = PhasedPauli1{PauliOp::X, 2};
-        break;
-      default:
-        action.imgX = PhasedPauli1{PauliOp::Y, 2};
-        break;
-    }
-    apply1q(action, q);
+    static constexpr CliffordImages1Q kTurns[3] = {
+        {{PauliOp::Y, 1}, {PauliOp::Z, 1}},
+        {{PauliOp::X, -1}, {PauliOp::Z, 1}},
+        {{PauliOp::Y, -1}, {PauliOp::Z, 1}}};
+    if (k != 0)
+        apply1q(kTurns[k - 1], q);
 }
 
 void
@@ -312,26 +264,14 @@ StabilizerBackend::applyQuarterZz(std::uint32_t q0, std::uint32_t q1,
 {
     // Rzz(k pi/2): Z0, Z1 are fixed; X0 maps to Y0 Z1 (k=1),
     // -X0 (k=2), -Y0 Z1 (k=3), and X1 symmetrically.
-    if (k == 0)
-        return;
-    Action2q action;
-    action.imgZ0 = PhasedPauli2{PauliOp::Z, PauliOp::I, 0};
-    action.imgZ1 = PhasedPauli2{PauliOp::I, PauliOp::Z, 0};
-    switch (k) {
-      case 1:
-        action.imgX0 = PhasedPauli2{PauliOp::Y, PauliOp::Z, 0};
-        action.imgX1 = PhasedPauli2{PauliOp::Z, PauliOp::Y, 0};
-        break;
-      case 2:
-        action.imgX0 = PhasedPauli2{PauliOp::X, PauliOp::I, 2};
-        action.imgX1 = PhasedPauli2{PauliOp::I, PauliOp::X, 2};
-        break;
-      default:
-        action.imgX0 = PhasedPauli2{PauliOp::Y, PauliOp::Z, 2};
-        action.imgX1 = PhasedPauli2{PauliOp::Z, PauliOp::Y, 2};
-        break;
-    }
-    apply2q(action, q0, q1);
+    constexpr PauliOp I = PauliOp::I, X = PauliOp::X, Y = PauliOp::Y,
+                      Z = PauliOp::Z;
+    static constexpr CliffordImages2Q kTurns[3] = {
+        {{{Y, Z}, 1}, {{Z, I}, 1}, {{Z, Y}, 1}, {{I, Z}, 1}},
+        {{{X, I}, -1}, {{Z, I}, 1}, {{I, X}, -1}, {{I, Z}, 1}},
+        {{{Y, Z}, -1}, {{Z, I}, 1}, {{Z, Y}, -1}, {{I, Z}, 1}}};
+    if (k != 0)
+        apply2q(kTurns[k - 1], q0, q1);
 }
 
 void

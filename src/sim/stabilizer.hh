@@ -17,11 +17,13 @@
  * p == |{q : x_q & z_q}| (mod 2) since Y = i X Z.
  *
  * Gates are applied by conjugating the generator images (U X U^dag,
- * U Z U^dag per acted qubit), derived numerically once per distinct
- * unitary via Conjugation1Q/Conjugation2Q and memoized -- no
- * hand-written per-gate tables to get wrong.  Non-Clifford input is
- * a hard error: routing Clifford-only variants here is the engine's
- * eligibility analysis (sim/engine.cc, docs/backends.md).
+ * U Z U^dag per acted qubit), derived numerically via
+ * Conjugation1Q/Conjugation2Q -- no hand-written per-gate tables to
+ * get wrong.  The engine resolves them once per compiled variant and
+ * hands them in with each gate; a bare-matrix call derives them on
+ * the spot.  Non-Clifford input is a hard error: routing
+ * Clifford-only variants here is the engine's eligibility analysis
+ * (sim/engine.cc, docs/backends.md).
  */
 
 #ifndef CASQ_SIM_STABILIZER_HH
@@ -29,8 +31,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "pauli/clifford.hh"
@@ -58,9 +58,12 @@ class StabilizerBackend final : public StateBackend
 
     void reset() override;
     void assign(const StateBackend &src) override;
-    void applyGate1q(const CMat &u, std::uint32_t q) override;
-    void applyGate2q(const CMat &u, std::uint32_t q0,
-                     std::uint32_t q1) override;
+    using StateBackend::applyGate1q;
+    using StateBackend::applyGate2q;
+    void applyGate1q(const CMat &u, std::uint32_t q,
+                     const CliffordImages1Q *images) override;
+    void applyGate2q(const CMat &u, std::uint32_t q0, std::uint32_t q1,
+                     const CliffordImages2Q *images) override;
     void applyRz(std::uint32_t q, double theta) override;
     void applyPhases(const std::vector<QubitAngle> &z_angles,
                      const std::vector<PairAngle> &zz_angles) override;
@@ -91,47 +94,12 @@ class StabilizerBackend final : public StateBackend
         std::uint8_t phase = 0;
     };
 
-    /** A single-qubit Pauli with an i^phase prefactor. */
-    struct PhasedPauli1
-    {
-        PauliOp op = PauliOp::I;
-        std::uint8_t phase = 0;
-    };
-
-    /** Conjugation images of the 1q generators X, Z. */
-    struct Action1q
-    {
-        PhasedPauli1 imgX;
-        PhasedPauli1 imgZ;
-    };
-
-    /** A two-qubit Pauli pair with an i^phase prefactor. */
-    struct PhasedPauli2
-    {
-        PauliOp op0 = PauliOp::I; //!< on the less significant qubit
-        PauliOp op1 = PauliOp::I;
-        std::uint8_t phase = 0;
-    };
-
-    /** Conjugation images of the 2q generators X0, Z0, X1, Z1. */
-    struct Action2q
-    {
-        PhasedPauli2 imgX0;
-        PhasedPauli2 imgZ0;
-        PhasedPauli2 imgX1;
-        PhasedPauli2 imgZ1;
-    };
-
     std::size_t _n;
     std::size_t _words;
 
     /** Rows 0..n-1 are destabilizers, n..2n-1 stabilizers. */
     std::vector<Row> _rows;
     mutable Row _scratch;
-
-    /** Numeric conjugation tables memoized by matrix bytes. */
-    std::unordered_map<std::string, Action1q> _memo1q;
-    std::unordered_map<std::string, Action2q> _memo2q;
 
     bool bit(const std::vector<std::uint64_t> &w,
              std::uint32_t q) const
@@ -149,10 +117,8 @@ class StabilizerBackend final : public StateBackend
     /** Parity of the symplectic product (anticommutation test). */
     bool anticommutes(const Row &a, const Row &b) const;
 
-    const Action1q &action1q(const CMat &u);
-    const Action2q &action2q(const CMat &u);
-    void apply1q(const Action1q &action, std::uint32_t q);
-    void apply2q(const Action2q &action, std::uint32_t q0,
+    void apply1q(const CliffordImages1Q &images, std::uint32_t q);
+    void apply2q(const CliffordImages2Q &images, std::uint32_t q0,
                  std::uint32_t q1);
     void applyQuarterZ(std::uint32_t q, int k);
     void applyQuarterZz(std::uint32_t q0, std::uint32_t q1, int k);

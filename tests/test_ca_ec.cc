@@ -55,8 +55,10 @@ Circuit
 compensate(const LayeredCircuit &circuit, const Backend &backend,
            const CaecOptions &options = {}, CaecStats *stats = nullptr)
 {
+    ConjugationTable tables;
     return applyCaEcFlat(circuit.flatten(), makeCaecPlan(circuit),
-                         nullptr, backend, options, nullptr, stats);
+                         nullptr, backend, tables, options, nullptr,
+                         stats);
 }
 
 TEST(CaEc, CompensatesIdleIdleZz)

@@ -1,6 +1,14 @@
+#include <atomic>
+#include <cmath>
+#include <optional>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "circuit/unitary.hh"
+#include "common/logging.hh"
 #include "pauli/clifford.hh"
 
 namespace casq {
@@ -107,6 +115,150 @@ TEST(Clifford, IdentityAlwaysInTwirlSet)
     ASSERT_TRUE(image.has_value());
     EXPECT_EQ(image->sign, 1);
     EXPECT_EQ(image->pauli, (Pauli2{PauliOp::I, PauliOp::I}));
+}
+
+// ------------------------------------------------ ConjugationTable
+
+constexpr double kPi = 3.14159265358979323846;
+
+TEST(ConjugationTable, ConcurrentLookupsShareOneEntry)
+{
+    // All threads start together and race for the same two misses;
+    // the first inserter wins, so every thread sees one address.
+    ConjugationTable tables;
+    const CMat ecr = gateUnitary(Op::ECR);
+    const CMat h = gateUnitary(Op::H);
+    constexpr int kThreads = 8;
+    std::vector<const Conjugation2Q *> seen2(kThreads);
+    std::vector<const Conjugation1Q *> seen1(kThreads);
+    std::atomic<int> ready{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            ready.fetch_add(1);
+            while (ready.load() < kThreads) {
+            }
+            seen2[t] = &tables.of2q(ecr);
+            seen1[t] = &tables.of1q(h);
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    for (int t = 1; t < kThreads; ++t) {
+        EXPECT_EQ(seen2[t], seen2[0]) << "thread " << t;
+        EXPECT_EQ(seen1[t], seen1[0]) << "thread " << t;
+    }
+    EXPECT_EQ(&tables.of2q(ecr), seen2[0]);
+    EXPECT_EQ(&tables.of1q(h), seen1[0]);
+}
+
+TEST(ConjugationTable, OneUlpApartGetSeparateEntries)
+{
+    // Keys are the bit-exact matrix bytes: no rounding merges two
+    // unitaries, however close.
+    ConjugationTable tables;
+    const CMat h = gateUnitary(Op::H);
+    CMat h_ulp = h;
+    h_ulp(0, 0) = Complex(std::nextafter(h(0, 0).real(), 1.0),
+                          h(0, 0).imag());
+    ASSERT_NE(h_ulp(0, 0), h(0, 0));
+    const Conjugation1Q &a = tables.of1q(h);
+    const Conjugation1Q &b = tables.of1q(h_ulp);
+    EXPECT_NE(&a, &b);
+    EXPECT_EQ(&tables.of1q(h), &a);
+    EXPECT_EQ(&tables.of1q(h_ulp), &b);
+
+    const CMat ecr = gateUnitary(Op::ECR);
+    CMat ecr_ulp = ecr;
+    ecr_ulp(0, 1) = Complex(std::nextafter(ecr(0, 1).real(), 0.0),
+                            ecr(0, 1).imag());
+    ASSERT_NE(ecr_ulp(0, 1), ecr(0, 1));
+    EXPECT_NE(&tables.of2q(ecr), &tables.of2q(ecr_ulp));
+}
+
+void
+expectSame(const std::optional<SignedPauli1> &a,
+           const std::optional<SignedPauli1> &b, const std::string &what)
+{
+    ASSERT_EQ(a.has_value(), b.has_value()) << what;
+    if (a) {
+        EXPECT_EQ(a->op, b->op) << what;
+        EXPECT_EQ(a->sign, b->sign) << what;
+    }
+}
+
+void
+expectSame(const std::optional<SignedPauli2> &a,
+           const std::optional<SignedPauli2> &b, const std::string &what)
+{
+    ASSERT_EQ(a.has_value(), b.has_value()) << what;
+    if (a) {
+        EXPECT_EQ(a->pauli, b->pauli) << what;
+        EXPECT_EQ(a->sign, b->sign) << what;
+    }
+}
+
+TEST(ConjugationTable, MatchesDirectlyBuiltTables)
+{
+    // Every op gateUnitary accepts, with a quarter-turn (Clifford)
+    // and a generic parameter set where the op takes parameters.
+    ConjugationTable tables;
+    int checked = 0;
+    for (int k = 0; k <= int(Op::Reset); ++k) {
+        const Op op = Op(k);
+        if (!opIsUnitary(op))
+            continue;
+        for (double angle : {kPi / 2, 0.37}) {
+            if (opNumParams(op) == 0 && angle != kPi / 2)
+                continue;
+            const std::vector<double> params(opNumParams(op), angle);
+            const CMat u = gateUnitary(op, params);
+            const std::string what = detail::format(
+                opName(op), " angle ", angle);
+            ++checked;
+            if (opNumQubits(op) == 1) {
+                const Conjugation1Q direct(u);
+                const Conjugation1Q &memo = tables.of1q(u);
+                EXPECT_EQ(memo.isClifford(), direct.isClifford())
+                    << what;
+                for (int p = 0; p < 4; ++p)
+                    expectSame(memo.conjugate(PauliOp(p)),
+                               direct.conjugate(PauliOp(p)), what);
+                if (direct.isClifford()) {
+                    const CliffordImages1Q img = memo.images();
+                    expectSame(img.x, direct.conjugate(PauliOp::X),
+                               what);
+                    expectSame(img.z, direct.conjugate(PauliOp::Z),
+                               what);
+                }
+                continue;
+            }
+            const Conjugation2Q direct(u);
+            const Conjugation2Q &memo = tables.of2q(u);
+            EXPECT_EQ(memo.isClifford(), direct.isClifford()) << what;
+            EXPECT_EQ(memo.twirlSet(), direct.twirlSet()) << what;
+            for (const Pauli2 &p : allPauli2())
+                expectSame(memo.conjugate(p), direct.conjugate(p),
+                           what);
+            if (direct.isClifford()) {
+                const CliffordImages2Q img = memo.images();
+                expectSame(img.x0,
+                           direct.conjugate({PauliOp::X, PauliOp::I}),
+                           what);
+                expectSame(img.z0,
+                           direct.conjugate({PauliOp::Z, PauliOp::I}),
+                           what);
+                expectSame(img.x1,
+                           direct.conjugate({PauliOp::I, PauliOp::X}),
+                           what);
+                expectSame(img.z1,
+                           direct.conjugate({PauliOp::I, PauliOp::Z}),
+                           what);
+            }
+        }
+    }
+    // 15 one-qubit and 6 two-qubit ops, six of them parameterized.
+    EXPECT_EQ(checked, 21 + 6);
 }
 
 } // namespace

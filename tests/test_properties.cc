@@ -139,9 +139,9 @@ TEST_P(RandomCircuits, TwirlPreservesUnitary)
     const LayeredCircuit layered =
         randomLayered(GetParam() * 17 + 3, 6);
     Rng rng(GetParam());
-    TwirlTableCache cache;
+    ConjugationTable tables;
     const Circuit twirled = insertTwirlFrames(
-        layered.flatten(), makeTwirlPlan(layered), rng, cache);
+        layered.flatten(), makeTwirlPlan(layered), rng, tables);
     EXPECT_TRUE(circuitUnitary(twirled).equalUpToGlobalPhase(
         circuitUnitary(layered.flatten()), 1e-8));
 }

@@ -481,6 +481,12 @@ TEST(BackendRoutingDeath, ForcedStabilizerOnNonCliffordIsFatal)
     EXPECT_EXIT(engine.runEnsemble(circuit, pipeline,
                                    zObservables(4), opts),
                 testing::ExitedWithCode(1), "not Clifford");
+    // The diagnostic names the first offending gate and where it
+    // sits in the scheduled stream.
+    EXPECT_EXIT(engine.runEnsemble(circuit, pipeline,
+                                   zObservables(4), opts),
+                testing::ExitedWithCode(1),
+                "non-Clifford gate t at instruction 19\\)");
 
     // Standard noise blocks before any instruction is inspected.
     SimulationEngine noisy(backend, NoiseModel::standard());

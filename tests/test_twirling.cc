@@ -21,8 +21,9 @@ sampleLayered()
 Circuit
 twirl(const LayeredCircuit &base, Rng &rng)
 {
-    TwirlTableCache cache;
-    return insertTwirlFrames(base.flatten(), makeTwirlPlan(base), rng, cache);
+    ConjugationTable tables;
+    return insertTwirlFrames(base.flatten(), makeTwirlPlan(base), rng,
+                             tables);
 }
 
 TEST(Twirling, PreservesLogicalUnitary)
@@ -97,10 +98,10 @@ TEST(Twirling, DifferentSeedsGiveDifferentTwirls)
 
 TEST(Twirling, CacheReusesTables)
 {
-    TwirlTableCache cache;
+    ConjugationTable tables;
     const Instruction ecr(Op::ECR, {0, 1});
-    const Conjugation2Q &a = cache.tableFor(ecr);
-    const Conjugation2Q &b = cache.tableFor(ecr);
+    const Conjugation2Q &a = tables.of2q(instructionUnitary(ecr));
+    const Conjugation2Q &b = tables.of2q(instructionUnitary(ecr));
     EXPECT_EQ(&a, &b);
 }
 
