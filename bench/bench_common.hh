@@ -9,6 +9,7 @@
 #define CASQ_BENCH_BENCH_COMMON_HH
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -242,6 +243,23 @@ checkedPositiveDouble(const char *flag, const char *text)
         std::cerr << flag
                   << ": expected a positive number, got '" << text
                   << "'\n";
+        std::exit(1);
+    }
+    return v;
+}
+
+/** Parse a finite double flag of at least min_value or exit(1). */
+inline double
+checkedDoubleAtLeast(const char *flag, const char *text,
+                     double min_value)
+{
+    errno = 0;
+    char *end = nullptr;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || errno == ERANGE ||
+        !std::isfinite(v) || v < min_value) {
+        std::cerr << flag << ": expected a finite number >= "
+                  << min_value << ", got '" << text << "'\n";
         std::exit(1);
     }
     return v;

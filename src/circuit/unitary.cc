@@ -375,17 +375,10 @@ appendRemapped(Circuit &out, const Circuit &frag, std::uint32_t q0,
     }
 }
 
-void
-appendEuler(Circuit &out, std::uint32_t q, const CMat &u)
-{
-    const EulerAngles e = eulerDecompose(u);
-    appendU1q(out, q, e.theta, e.phi, e.lambda);
-}
-
 } // namespace
 
 Circuit
-transpileToNative(const Circuit &circuit, const TranspileOptions &opts)
+transpileToNative(const Circuit &circuit)
 {
     Circuit out(circuit.numQubits(), circuit.numClbits());
     for (const auto &inst : circuit.instructions()) {
@@ -447,15 +440,6 @@ transpileToNative(const Circuit &circuit, const TranspileOptions &opts)
             out.cx(q[1], q[0]);
             out.cx(q[0], q[1]);
             break;
-          case Op::RZZ:
-            if (opts.nativeRzz) {
-                out.append(inst);
-            } else {
-                out.cx(q[0], q[1]);
-                out.rz(q[1], inst.params[0]);
-                out.cx(q[0], q[1]);
-            }
-            break;
           case Op::Can:
             appendRemapped(out,
                            synthesizeCan(inst.params[0],
@@ -474,21 +458,8 @@ transpileToNative(const Circuit &circuit, const TranspileOptions &opts)
         if (inst.op == Op::H || inst.op == Op::Can)
             needs_pass = true;
     if (needs_pass)
-        return transpileToNative(out, opts);
-    (void)appendEuler; // reserved for future ECR lowering
+        return transpileToNative(out);
     return out;
-}
-
-std::vector<Instruction>
-transpileFragment(std::vector<Instruction> insts,
-                  std::size_t num_qubits, std::size_t num_clbits,
-                  const TranspileOptions &options)
-{
-    Circuit staging(num_qubits, num_clbits);
-    for (Instruction &inst : insts)
-        staging.append(std::move(inst));
-    return std::move(
-        transpileToNative(staging, options).instructions());
 }
 
 namespace {
@@ -539,12 +510,26 @@ TranspileCache::fragmentFor(const Instruction &inst)
     for (std::uint32_t q : inst.qubits)
         max_qubit = std::max(max_qubit, q);
     const int max_clbit = std::max(inst.cbit, inst.condBit);
-    std::vector<Instruction> fragment = transpileFragment(
-        {inst}, std::size_t(max_qubit) + 1,
-        std::size_t(std::max(max_clbit, 0)) + 1, _options);
+    Circuit staging(std::size_t(max_qubit) + 1,
+                    std::size_t(std::max(max_clbit, 0)) + 1);
+    staging.append(inst);
+    std::vector<Instruction> fragment =
+        std::move(transpileToNative(staging).instructions());
     std::unique_lock<std::shared_mutex> lock(_mutex);
     return _fragments.emplace(key, std::move(fragment))
         .first->second;
+}
+
+std::vector<Instruction>
+TranspileCache::lower(const std::vector<Instruction> &insts)
+{
+    std::vector<Instruction> out;
+    out.reserve(insts.size());
+    for (const Instruction &inst : insts) {
+        const std::vector<Instruction> &fragment = fragmentFor(inst);
+        out.insert(out.end(), fragment.begin(), fragment.end());
+    }
+    return out;
 }
 
 } // namespace casq

@@ -75,53 +75,34 @@ std::optional<std::pair<CMat, CMat>> factorTensorProduct(
  */
 Circuit synthesizeCan(double alpha, double beta, double gamma);
 
-/** Options for lowering to the native gate set. */
-struct TranspileOptions
-{
-    /**
-     * Keep rzz as a native (pulse-stretched) gate instead of
-     * expanding to CX - rz - CX (paper Sec. IV B).
-     */
-    bool nativeRzz = true;
-
-    /** Use ECR as the native two-qubit gate where gates allow it. */
-    bool preferEcr = false;
-};
-
 /**
- * Lower a logical circuit to the native set {rz, sx, x, cx/ecr,
- * rzz?, delay, measure, reset, barrier}.  Can gates expand to 3 CX;
- * generic 1q gates expand via Eq. (4).
+ * Lower a logical circuit to the native set {rz, sx, x, cx, ecr,
+ * rzz, delay, measure, reset, barrier}.  Can gates expand to 3 CX;
+ * generic 1q gates expand via Eq. (4); rzz stays a native
+ * pulse-stretched gate (paper Sec. IV B).  The rewrite goes
+ * instruction by instruction, so lowering a fragment equals lowering
+ * it as part of the whole circuit -- the property TranspileCache
+ * relies on.
  */
-Circuit transpileToNative(const Circuit &circuit,
-                          const TranspileOptions &options = {});
-
-/**
- * Lower a standalone instruction sequence (a layer being spliced
- * into an already-lowered stream) to the native set.  Because
- * transpileToNative() rewrites instruction by instruction, lowering
- * a fragment equals lowering it as part of the whole circuit -- the
- * property the late-twirl and CA-EC passes rely on when they splice
- * frame and compensation layers into a lowered stream.
- */
-std::vector<Instruction> transpileFragment(
-    std::vector<Instruction> insts, std::size_t num_qubits,
-    std::size_t num_clbits, const TranspileOptions &options = {});
+Circuit transpileToNative(const Circuit &circuit);
 
 /**
  * Memoizing per-instruction transpiler.  fragmentFor() returns the
  * native lowering of one instruction, computed once per distinct
  * instruction (bit-exact parameter identity) and shared afterwards;
- * splicing the cached fragments in instruction order is
- * byte-identical to transpiling the containing circuit in one call
- * (the transpileFragment() property, per instruction).
+ * lower() splices the cached fragments of a layer in instruction
+ * order, which is byte-identical to transpiling the containing
+ * circuit in one call.
  *
- * The scheduled CA-EC pass re-lowers every layer it absorbs a
- * compensation angle into; across an ensemble the absorbed
- * parameters only differ by the twirl-frame sign flips, so the
- * distinct-instruction population is small and a shared cache
- * collapses the per-instance resynthesis (canonical blocks cost a
- * numeric 2q decomposition each) into map lookups.
+ * A pipeline that lowers to the native set makes one cache and
+ * hands it to every pass that splices layers into the lowered
+ * stream: late-twirl lowers its frame layers through it, and the
+ * scheduled CA-EC pass re-lowers the layers it absorbs a
+ * compensation angle into plus the compensation layers it inserts.
+ * Across an ensemble those instructions only differ by twirl-frame
+ * sign flips, so the distinct-instruction population is small and
+ * the per-instance resynthesis (canonical blocks cost a numeric 2q
+ * decomposition each) collapses into map lookups.
  *
  * Safe for concurrent use: parallel ensemble compilation shares one
  * cache across worker threads (same locking discipline as
@@ -130,19 +111,15 @@ std::vector<Instruction> transpileFragment(
 class TranspileCache
 {
   public:
-    explicit TranspileCache(TranspileOptions options = {})
-        : _options(options)
-    {
-    }
-
-    const TranspileOptions &options() const { return _options; }
-
     /** Lowered fragment of one instruction (cached). */
     const std::vector<Instruction> &fragmentFor(
         const Instruction &inst);
 
+    /** Native lowering of a layer, fragment by fragment. */
+    std::vector<Instruction> lower(
+        const std::vector<Instruction> &insts);
+
   private:
-    TranspileOptions _options;
     std::shared_mutex _mutex;
     std::map<std::string, std::vector<Instruction>> _fragments;
 };

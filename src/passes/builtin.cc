@@ -37,7 +37,7 @@ LateTwirlPass::run(PassContext &context)
     TwirlFrames frame_insts;
     context.setFlat(insertTwirlFrames(
         context.flat(), plan, context.rng(), *_tables,
-        _native ? &*_native : nullptr, &frames,
+        _native.get(), &frames,
         _publishFrames ? &frame_insts : nullptr));
     context.setProperty(kTwirlGatesKey, frames);
     if (_publishFrames)
@@ -64,9 +64,8 @@ CaEcFlatPass::run(PassContext &context)
     CaecStats stats;
     context.setFlat(applyCaEcFlat(context.flat(), *plan, frames,
                                   context.backend(), *_tables,
-                                  _options,
-                                  _native ? &*_native : nullptr,
-                                  &stats, _fragments.get()));
+                                  _options, _scope, _native.get(),
+                                  &stats));
     context.setProperty(kCaecStatsKey, stats);
 }
 
@@ -79,7 +78,7 @@ FlattenPass::run(PassContext &context)
 void
 TranspilePass::run(PassContext &context)
 {
-    context.setFlat(transpileToNative(context.flat(), _options));
+    context.setFlat(transpileToNative(context.flat()));
 }
 
 void
@@ -94,7 +93,7 @@ IdleAnalysisPass::run(PassContext &context)
 {
     context.setProperty(
         kIdleWindowsKey,
-        context.scheduled().idleWindows(_minDuration));
+        context.scheduled().idleWindows(kMinIdleNs));
 }
 
 std::string
@@ -108,8 +107,8 @@ void
 UniformDdPass::run(PassContext &context)
 {
     context.setScheduled(applyUniformDd(
-        context.scheduled(), context.backend().durations(), _style,
-        _minDuration));
+        context.scheduled(), context.backend().durations(),
+        _style));
     context.setProperty(
         kDdPulsesKey, countTag(context.scheduled(), InstTag::DD));
 }
@@ -117,8 +116,8 @@ UniformDdPass::run(PassContext &context)
 void
 CaDdPass::run(PassContext &context)
 {
-    context.setScheduled(applyCaDd(context.scheduled(),
-                                   context.backend(), _options));
+    context.setScheduled(
+        applyCaDd(context.scheduled(), context.backend()));
     context.setProperty(
         kDdPulsesKey, countTag(context.scheduled(), InstTag::DD));
 }

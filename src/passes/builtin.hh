@@ -14,7 +14,6 @@
 #define CASQ_PASSES_BUILTIN_HH
 
 #include <memory>
-#include <optional>
 
 #include "circuit/unitary.hh"
 #include "passes/ca_dd.hh"
@@ -84,9 +83,10 @@ class TwirlPlanPass : public Pass
  * tables come from the pipeline's shared ConjugationTable, which the
  * twirl-plan pass warms once per ensemble.
  *
- * Construct with the pipeline's TranspileOptions when the pipeline
- * lowers to the native gate set, so the frame gates receive the
- * same lowering as the rest of the stream.
+ * When the pipeline lowers to the native gate set, construct with
+ * the pipeline's TranspileCache, so the frame gates receive the
+ * same lowering as the rest of the stream; null means the stream
+ * is not lowered.
  *
  * Pass publish_frames = true when a CaEcFlatPass follows: the
  * sampled pre-lowering frames are then published under
@@ -98,10 +98,10 @@ class LateTwirlPass : public Pass
   public:
     explicit LateTwirlPass(
         std::shared_ptr<ConjugationTable> tables,
-        std::optional<TranspileOptions> native = std::nullopt,
+        std::shared_ptr<TranspileCache> native = nullptr,
         bool publish_frames = false)
         : _tables(std::move(tables)),
-          _native(native),
+          _native(std::move(native)),
           _publishFrames(publish_frames)
     {
     }
@@ -112,7 +112,7 @@ class LateTwirlPass : public Pass
 
   private:
     std::shared_ptr<ConjugationTable> _tables;
-    std::optional<TranspileOptions> _native;
+    std::shared_ptr<TranspileCache> _native;
     bool _publishFrames;
 };
 
@@ -138,18 +138,23 @@ class CaEcPlanPass : public Pass
  * twirled layers from the CaEcPlanPass blueprint and the frames the
  * LateTwirlPass published (see applyCaEcFlat()).  Publishes its
  * CaecStats under kCaecStatsKey.
+ *
+ * The scope (which error contexts to compensate) comes from the
+ * strategy, apart from the user-settable options.  The conjugation
+ * tables are the pipeline's, warmed by the twirl-plan pass in the
+ * prefix; `native` is the pipeline's TranspileCache when it lowers
+ * to the native gate set (null otherwise), shared with late-twirl
+ * and across the ensemble instances.
  */
 class CaEcFlatPass : public Pass
 {
   public:
-    CaEcFlatPass(CaecOptions options,
-                 std::optional<TranspileOptions> native,
+    CaEcFlatPass(CaecOptions options, CaecScope scope,
+                 std::shared_ptr<TranspileCache> native,
                  std::shared_ptr<ConjugationTable> tables)
         : _options(options),
-          _native(native),
-          _fragments(native ? std::make_shared<TranspileCache>(
-                                  *native)
-                            : nullptr),
+          _scope(scope),
+          _native(std::move(native)),
           _tables(std::move(tables))
     {
     }
@@ -157,25 +162,10 @@ class CaEcFlatPass : public Pass
     std::string name() const override { return "ca-ec"; }
     void run(PassContext &context) override;
 
-    const CaecOptions &options() const { return _options; }
-
   private:
     CaecOptions _options;
-    std::optional<TranspileOptions> _native;
-
-    /**
-     * Per-instruction lowering cache shared across the ensemble
-     * instances this pass object compiles: absorbed parameters only
-     * differ across instances by twirl-frame sign flips, so the
-     * distinct-fragment population is small and re-synthesis of
-     * canonical blocks collapses into lookups.
-     */
-    std::shared_ptr<TranspileCache> _fragments;
-
-    /**
-     * Conjugation tables for the walk's commute-through math: the
-     * pipeline's table, warmed by the twirl-plan pass in the prefix.
-     */
+    CaecScope _scope;
+    std::shared_ptr<TranspileCache> _native;
     std::shared_ptr<ConjugationTable> _tables;
 };
 
@@ -191,16 +181,8 @@ class FlattenPass : public Pass
 class TranspilePass : public Pass
 {
   public:
-    explicit TranspilePass(TranspileOptions options = {})
-        : _options(options)
-    {
-    }
-
     std::string name() const override { return "transpile"; }
     void run(PassContext &context) override;
-
-  private:
-    TranspileOptions _options;
 };
 
 /** Lower Flat -> Scheduled via ASAP scheduling. */
@@ -213,56 +195,35 @@ class SchedulePass : public Pass
 
 /**
  * Analysis-only pass: publish the schedule's idle windows of at
- * least `minDuration` under kIdleWindowsKey (Scheduled stage).
+ * least kMinIdleNs (the DD passes' Dmin) under kIdleWindowsKey
+ * (Scheduled stage).
  */
 class IdleAnalysisPass : public Pass
 {
   public:
-    explicit IdleAnalysisPass(double min_duration = 150.0)
-        : _minDuration(min_duration)
-    {
-    }
-
     std::string name() const override { return "idle-analysis"; }
     void run(PassContext &context) override;
-
-  private:
-    double _minDuration;
 };
 
 /** Context-unaware baseline DD (Scheduled stage). */
 class UniformDdPass : public Pass
 {
   public:
-    UniformDdPass(UniformDdStyle style, double min_duration)
-        : _style(style), _minDuration(min_duration)
-    {
-    }
+    explicit UniformDdPass(UniformDdStyle style) : _style(style) {}
 
     std::string name() const override;
     void run(PassContext &context) override;
 
   private:
     UniformDdStyle _style;
-    double _minDuration;
 };
 
 /** Context-aware dynamical decoupling, Algorithm 1 (Scheduled). */
 class CaDdPass : public Pass
 {
   public:
-    explicit CaDdPass(CaddOptions options = {})
-        : _options(options)
-    {
-    }
-
     std::string name() const override { return "ca-dd"; }
     void run(PassContext &context) override;
-
-    const CaddOptions &options() const { return _options; }
-
-  private:
-    CaddOptions _options;
 };
 
 } // namespace casq

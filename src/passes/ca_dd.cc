@@ -383,17 +383,15 @@ colorGroup(const JointDelayGroup &group,
 }
 
 ScheduledCircuit
-applyCaDd(const ScheduledCircuit &schedule, const Backend &backend,
-          const CaddOptions &options)
+applyCaDd(const ScheduledCircuit &schedule, const Backend &backend)
 {
-    const CrosstalkGraph graph =
-        backend.crosstalkGraph(options.minZzRateMhz);
+    const CrosstalkGraph graph = backend.crosstalkGraph();
     const EchoIndex echoes(schedule);
     std::vector<Pad> pads;
-    for (const auto &group : collectJointDelays(
-             schedule, echoes, graph, options.minDuration)) {
+    for (const auto &group :
+         collectJointDelays(schedule, echoes, graph, kMinIdleNs)) {
         const ColoredGroup colored =
-            colorGroup(group, echoes, graph, options.maxWalshIndex);
+            colorGroup(group, echoes, graph, kMaxDdColor);
         for (const auto &member : colored.group.members) {
             const int color = colored.colors.at(member.qubit);
             pads.push_back(
@@ -405,8 +403,7 @@ applyCaDd(const ScheduledCircuit &schedule, const Backend &backend,
 
 ScheduledCircuit
 applyUniformDd(const ScheduledCircuit &schedule,
-               const GateDurations &durations, UniformDdStyle style,
-               double min_duration)
+               const GateDurations &durations, UniformDdStyle style)
 {
     // Context-unaware padding in the style of standard transpiler
     // DD passes: every scheduled delay (idle windows split at the
@@ -425,7 +422,7 @@ applyUniformDd(const ScheduledCircuit &schedule,
     const DdSequence aligned = alignedX2();
     const DdSequence offset = offsetX2();
     std::vector<Pad> pads;
-    for (const auto &window : schedule.idleWindows(min_duration)) {
+    for (const auto &window : schedule.idleWindows(kMinIdleNs)) {
         const DdSequence *seq =
             style == UniformDdStyle::StaggeredByParity &&
                     window.qubit % 2 == 1
@@ -434,7 +431,7 @@ applyUniformDd(const ScheduledCircuit &schedule,
         // Cut the window at the grid points strictly inside it.
         double from = window.start;
         auto cut = [&](double to) {
-            if (to - from >= min_duration)
+            if (to - from >= kMinIdleNs)
                 pads.push_back(Pad{{window.qubit, from, to}, seq});
             from = to;
         };

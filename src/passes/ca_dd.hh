@@ -21,18 +21,14 @@
 
 namespace casq {
 
-/** Tunables of the CA-DD pass. */
-struct CaddOptions
-{
-    /** Minimum idle duration worth decoupling (Dmin). */
-    double minDuration = 150.0;
+/**
+ * Minimum idle duration worth decoupling (Dmin, ns), shared by the
+ * CA-DD and uniform DD passes and the idle-window analysis.
+ */
+inline constexpr double kMinIdleNs = 150.0;
 
-    /** Ignore crosstalk edges weaker than this (MHz). */
-    double minZzRateMhz = 0.0;
-
-    /** Highest Walsh row available to the colouring (<= kMaxWalshRow). */
-    int maxWalshIndex = 15;
-};
+/** Highest Walsh row CA-DD's colouring may use (<= kMaxWalshRow). */
+inline constexpr int kMaxDdColor = 15;
 
 /** A set of overlapping, crosstalk-adjacent idle windows. */
 struct JointDelayGroup
@@ -74,11 +70,12 @@ ColoredGroup colorGroup(const JointDelayGroup &group,
 
 /**
  * The full CA-DD pass: returns a copy of the schedule dressed with
- * context-aware DD pulses.
+ * context-aware DD pulses on the idle windows of at least
+ * kMinIdleNs, coloured up to kMaxDdColor against the device's full
+ * crosstalk graph.
  */
 ScheduledCircuit applyCaDd(const ScheduledCircuit &schedule,
-                           const Backend &backend,
-                           const CaddOptions &options = {});
+                           const Backend &backend);
 
 /** Context-unaware baselines (paper's "DD" comparison curves). */
 enum class UniformDdStyle
@@ -87,11 +84,13 @@ enum class UniformDdStyle
     StaggeredByParity, //!< X2 offset on odd-numbered qubits
 };
 
-/** Apply the same X2 sequence to every idle window, no context. */
+/**
+ * Apply the same X2 sequence to every idle window of at least
+ * kMinIdleNs, no context.
+ */
 ScheduledCircuit applyUniformDd(const ScheduledCircuit &schedule,
                                 const GateDurations &durations,
-                                UniformDdStyle style,
-                                double min_duration = 150.0);
+                                UniformDdStyle style);
 
 } // namespace casq
 

@@ -121,41 +121,26 @@ zCommutation(Op op)
     return ZCommutation::Blocks;
 }
 
-} // namespace
-
-CaecOptions
-caecActiveOnlyOptions()
-{
-    CaecOptions opts;
-    opts.idlePairs = false;
-    opts.mixedPairs = false;
-    opts.starkCompensation = false;
-    return opts;
-}
-
-namespace {
-
 /**
  * Emission target of the walk, which produces, in order, an
  * interleaving of the input layers (possibly with absorbed gate
  * parameters) and freshly synthesized compensation layers.  The sink
  * splices that stream into the lowered flat segments: untouched
  * input layers pass their existing segment through verbatim,
- * absorbed layers and compensation layers are lowered with the
- * pipeline's transpile options (per-fragment lowering equals
- * whole-circuit lowering, see transpileFragment()).
+ * absorbed layers and compensation layers are lowered through the
+ * pipeline's TranspileCache (per-instruction lowering equals
+ * whole-circuit lowering, see transpileToNative()).
  */
 class FlatSink
 {
   public:
     FlatSink(std::vector<std::vector<Instruction>> segments,
              std::size_t num_qubits, std::size_t num_clbits,
-             const TranspileOptions *native, TranspileCache *cache)
+             TranspileCache *native)
         : _segments(std::move(segments)),
           _numQubits(num_qubits),
           _numClbits(num_clbits),
-          _native(native),
-          _cache(cache)
+          _native(native)
     {
         _out.reserve(_segments.size());
     }
@@ -200,26 +185,12 @@ class FlatSink
     std::vector<std::vector<Instruction>> _out;
     std::size_t _numQubits;
     std::size_t _numClbits;
-    const TranspileOptions *_native;
-    TranspileCache *_cache;
+    TranspileCache *_native;
 
     std::vector<Instruction>
     lower(std::vector<Instruction> insts)
     {
-        if (!_native)
-            return insts;
-        if (_cache) {
-            std::vector<Instruction> out;
-            out.reserve(insts.size());
-            for (const Instruction &inst : insts) {
-                const std::vector<Instruction> &frag =
-                    _cache->fragmentFor(inst);
-                out.insert(out.end(), frag.begin(), frag.end());
-            }
-            return out;
-        }
-        return transpileFragment(std::move(insts), _numQubits,
-                                 _numClbits, *_native);
+        return _native ? _native->lower(insts) : insts;
     }
 };
 
@@ -235,12 +206,16 @@ class CaEcWalk
   public:
     CaEcWalk(const std::vector<const Layer *> &layers,
              std::size_t num_qubits, const Backend &backend,
-             const CaecOptions &options, CaecStats *stats,
-             FlatSink &sink, ConjugationTable &tables)
+             const CaecOptions &options, CaecScope scope,
+             CaecStats *stats, FlatSink &sink,
+             ConjugationTable &tables)
         : _layers(layers),
           _numQubits(num_qubits),
           _backend(backend),
           _opts(options),
+          _compensateZ(scope != CaecScope::ZzOnly),
+          _idleContexts(scope != CaecScope::ActiveOnly),
+          _stark(scope == CaecScope::All),
           _stats(stats),
           _sink(sink),
           _err1q(num_qubits, 0.0),
@@ -270,6 +245,9 @@ class CaEcWalk
     std::size_t _numQubits;
     const Backend &_backend;
     const CaecOptions &_opts;
+    const bool _compensateZ;  //!< discharge single-qubit Z errors
+    const bool _idleContexts; //!< pairs with an idle qubit
+    const bool _stark;        //!< AC Stark shifts on spectators
     CaecStats *_stats;
     FlatSink &_sink;
 
@@ -293,7 +271,7 @@ class CaEcWalk
     {
         const double err = _err1q[q];
         _err1q[q] = 0.0;
-        if (!_opts.compensateZ || std::abs(err) < _opts.minAngle)
+        if (!_compensateZ || std::abs(err) < _opts.minAngle)
             return;
         Instruction rz(Op::RZ, {q}, {-err});
         rz.tag = InstTag::Compensation;
@@ -310,9 +288,7 @@ class CaEcWalk
             return;
         const double err = it->second;
         _err2q.erase(it);
-        if (!_opts.compensateZz || std::abs(err) < _opts.minAngle)
-            return;
-        if (!_opts.insertRzz)
+        if (std::abs(err) < _opts.minAngle)
             return;
         Instruction rzz(Op::RZZ, {pair.a, pair.b}, {-err});
         rzz.tag = InstTag::Compensation;
@@ -436,7 +412,7 @@ class CaEcWalk
             // Absorb a pending ZZ error on exactly this pair into
             // an absorber gate: can / rzz (paper Fig. 1c-d).
             auto it = _err2q.find(QubitPair(a, b));
-            if (it != _err2q.end() && _opts.compensateZz &&
+            if (it != _err2q.end() &&
                 std::abs(it->second) >= _opts.minAngle) {
                 if (inst.op == Op::Can) {
                     inst.params[2] += it->second / 2.0;
@@ -647,20 +623,12 @@ class CaEcWalk
             if (props.zzRateMHz > 0.0) {
                 const QubitContext &cp = ctx[pair.a];
                 const QubitContext &cq = ctx[pair.b];
-                const bool p_active = cp.gate != nullptr;
-                const bool q_active = cq.gate != nullptr;
-                bool enabled;
-                if (p_active && q_active &&
-                    cp.gate != cq.gate) {
-                    enabled = _opts.activePairs;
-                } else if (p_active != q_active) {
-                    enabled = _opts.mixedPairs;
-                } else if (!p_active && !q_active) {
-                    enabled = _opts.idlePairs;
-                } else {
-                    enabled = false; // same gate: calibrated away
-                }
-                if (enabled) {
+                // Both qubits on one gate: calibrated away.
+                const bool same_gate =
+                    cp.gate != nullptr && cp.gate == cq.gate;
+                const bool both_active =
+                    cp.gate != nullptr && cq.gate != nullptr;
+                if (!same_gate && (both_active || _idleContexts)) {
                     const PairIntegrals f =
                         integratePair(cp, cq, tau);
                     const double rate =
@@ -671,7 +639,7 @@ class CaEcWalk
                 }
             }
             // AC Stark shift on undriven spectators (Fig. 4a).
-            if (_opts.starkCompensation &&
+            if (_stark &&
                 props.starkShiftMHz > 0.0 && !props.nextNearest) {
                 const QubitContext &cp = ctx[pair.a];
                 const QubitContext &cq = ctx[pair.b];
@@ -689,7 +657,7 @@ class CaEcWalk
             // Readout-induced Stark shift: acts for the (known)
             // measurement duration on spectators of the measured
             // qubit (paper Sec. V D).
-            if (_opts.starkCompensation &&
+            if (_stark &&
                 props.measureStarkMHz > 0.0 && !props.nextNearest) {
                 const QubitContext &cp = ctx[pair.a];
                 const QubitContext &cq = ctx[pair.b];
@@ -761,10 +729,8 @@ class CaEcWalk
             for (const auto &pair : pairs) {
                 const double err = _err2q[pair];
                 _err2q.erase(pair);
-                if (!_opts.compensateZz ||
-                    std::abs(err) < _opts.minAngle) {
+                if (std::abs(err) < _opts.minAngle)
                     continue;
-                }
                 zz_conv[pair.other(m)] = {inst.cbit, err};
             }
         }
@@ -786,7 +752,7 @@ class CaEcWalk
             const int flip_cbit = has_flip ? flips[q].first : -1;
 
             double phi = 0.0;
-            if (_opts.compensateZ && has_flip) {
+            if (_compensateZ && has_flip) {
                 // Plain Z errors only need conditional treatment
                 // when a feedforward Pauli sits after them.
                 phi = _err1q[q];
@@ -847,8 +813,8 @@ Circuit
 applyCaEcFlat(const Circuit &flat, const CaecPlan &plan,
               const TwirlFrames *frames, const Backend &backend,
               ConjugationTable &tables, const CaecOptions &options,
-              const TranspileOptions *native, CaecStats *stats,
-              TranspileCache *cache)
+              CaecScope scope, TranspileCache *native,
+              CaecStats *stats)
 {
     const std::vector<Layer> &layers = plan.layered.layers();
     if (layers.empty())
@@ -893,9 +859,9 @@ applyCaEcFlat(const Circuit &flat, const CaecPlan &plan,
                 view.size());
 
     FlatSink sink(std::move(segments), plan.layered.numQubits(),
-                  plan.layered.numClbits(), native, cache);
+                  plan.layered.numClbits(), native);
     CaEcWalk pass(view, plan.layered.numQubits(), backend, options,
-                  stats, sink, tables);
+                  scope, stats, sink, tables);
     pass.walk();
     return sink.take();
 }

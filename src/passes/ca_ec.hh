@@ -31,30 +31,27 @@
 
 namespace casq {
 
+/**
+ * Which error contexts a CA-EC walk compensates.  The strategy
+ * picks the scope (buildPipeline() derives it), because each
+ * strategy leaves a different remainder to compensation.
+ */
+enum class CaecScope
+{
+    /** Every context: Z and ZZ errors on idle, spectator and
+     *  gate-active pairs, plus AC Stark shifts (CA-EC alone). */
+    All,
+    /** ZZ errors only: aligned DD removes the Z errors and Stark
+     *  shifts (paper Fig. 3c combined curve). */
+    ZzOnly,
+    /** Z and ZZ errors on gate-active pairs only: CA-DD covers the
+     *  idle contexts (paper Sec. V E). */
+    ActiveOnly,
+};
+
 /** Tunables of the CA-EC pass. */
 struct CaecOptions
 {
-    /** Compensate single-qubit Z errors (virtual, zero cost). */
-    bool compensateZ = true;
-
-    /** Compensate two-qubit ZZ errors. */
-    bool compensateZz = true;
-
-    /** Handle pairs where both qubits idle (case I). */
-    bool idlePairs = true;
-
-    /** Handle gate-spectator pairs (cases II/III). */
-    bool mixedPairs = true;
-
-    /** Handle pairs of two gate-active qubits (case IV). */
-    bool activePairs = true;
-
-    /** Include AC Stark compensation on spectators. */
-    bool starkCompensation = true;
-
-    /** Allow inserting explicit rzz gates when nothing absorbs. */
-    bool insertRzz = true;
-
     /**
      * Drop compensations smaller than this (radians).  Inserting a
      * pulse for a milliradian residual costs more (pulse error plus
@@ -83,13 +80,6 @@ struct CaecStats
 };
 
 /**
- * Options preset for the combined CA-EC + CA-DD strategy: only
- * compensate what DD cannot address (gate-active pairs, paper
- * Sec. V E), leaving idle periods to the decoupling pass.
- */
-CaecOptions caecActiveOnlyOptions();
-
-/**
  * Deterministic blueprint for the flat-stage CA-EC walk: the
  * pre-twirl layered circuit captured before lowering, from which
  * applyCaEcFlat() reconstructs -- together with the frames the
@@ -110,8 +100,10 @@ CaecPlan makeCaecPlan(const LayeredCircuit &circuit);
 /**
  * Apply Algorithm 2 on the flat (scheduled-representation) stream:
  * `flat` must be flatten() of the plan's circuit, optionally
- * transpiled (pass the same options through `native`), with the
- * late-twirl frames of `frames` already spliced in.  Layer segments
+ * transpiled (pass the pipeline's TranspileCache through `native`;
+ * null means the stream is not lowered), with the late-twirl frames
+ * of `frames` already spliced in.  `scope` selects the error
+ * contexts the walk compensates.  Layer segments
  * are recovered from the full barriers flatten() emits; the walk
  * runs over the reconstructed pre-lowering twirled layers, passes
  * untouched segments through verbatim, re-lowers the layers it
@@ -124,20 +116,16 @@ CaecPlan makeCaecPlan(const LayeredCircuit &circuit);
  * untwirled.
  *
  * The walk's Pauli-conjugation tables come from `tables` (in a
- * pipeline, the table the twirl-plan pass already warmed).  `cache`,
- * when given, memoizes the per-instruction re-lowering of absorbed
- * and compensation layers across calls (share one cache across an
- * ensemble; see TranspileCache).  It must have been constructed
- * with the same options as `native`.
+ * pipeline, the table the twirl-plan pass already warmed).
  */
 Circuit applyCaEcFlat(const Circuit &flat, const CaecPlan &plan,
                       const TwirlFrames *frames,
                       const Backend &backend,
                       ConjugationTable &tables,
                       const CaecOptions &options = {},
-                      const TranspileOptions *native = nullptr,
-                      CaecStats *stats = nullptr,
-                      TranspileCache *cache = nullptr);
+                      CaecScope scope = CaecScope::All,
+                      TranspileCache *native = nullptr,
+                      CaecStats *stats = nullptr);
 
 } // namespace casq
 

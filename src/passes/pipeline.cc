@@ -50,31 +50,24 @@ allStrategies()
 
 namespace {
 
-/** The CA-EC option set a strategy's compensation pass runs with. */
-CaecOptions
-caecOptionsFor(const CompileOptions &options)
+/**
+ * The error contexts a strategy's compensation pass treats: each
+ * strategy leaves a different remainder to CA-EC.
+ */
+CaecScope
+caecScopeOf(Strategy strategy)
 {
-    switch (options.strategy) {
-      case Strategy::EcAlignedDd: {
+    switch (strategy) {
+      case Strategy::EcAlignedDd:
         // Aligned DD removes the Z errors; compensation handles
         // the surviving ZZ (paper Fig. 3c combined curve).
-        CaecOptions caec = options.caec;
-        caec.compensateZ = false;
-        caec.starkCompensation = false;
-        return caec;
-      }
-      case Strategy::Combined: {
+        return CaecScope::ZzOnly;
+      case Strategy::Combined:
         // CA-DD covers idle contexts; compensation covers the
         // gate-active contexts DD cannot touch (paper Sec. V E).
-        CaecOptions caec = caecActiveOnlyOptions();
-        caec.assumedDynamicIdleNs =
-            options.caec.assumedDynamicIdleNs;
-        caec.minAngle = options.caec.minAngle;
-        caec.insertRzz = options.caec.insertRzz;
-        return caec;
-      }
+        return CaecScope::ActiveOnly;
       default:
-        return options.caec;
+        return CaecScope::All;
     }
 }
 
@@ -95,24 +88,26 @@ buildPipeline(const CompileOptions &options)
 
     // One conjugation table for the whole pipeline: the plan pass
     // warms it in the deterministic prefix, late-twirl and the CA-EC
-    // walk read it.
+    // walk read it.  Likewise one lowering cache when the stream is
+    // lowered: every layer late-twirl or CA-EC splices in goes
+    // through it.
     const auto tables = std::make_shared<ConjugationTable>();
+    const auto native = options.lowerToNative
+                            ? std::make_shared<TranspileCache>()
+                            : nullptr;
     if (options.twirl)
         manager.emplace<TwirlPlanPass>(tables);
     if (uses_caec)
         manager.emplace<CaEcPlanPass>();
 
-    const std::optional<TranspileOptions> native =
-        options.lowerToNative
-            ? std::optional<TranspileOptions>(options.transpile)
-            : std::nullopt;
     manager.emplace<FlattenPass>();
     if (options.lowerToNative)
-        manager.emplace<TranspilePass>(options.transpile);
+        manager.emplace<TranspilePass>();
     if (options.twirl)
         manager.emplace<LateTwirlPass>(tables, native, uses_caec);
     if (uses_caec)
-        manager.emplace<CaEcFlatPass>(caecOptionsFor(options),
+        manager.emplace<CaEcFlatPass>(options.caec,
+                                      caecScopeOf(options.strategy),
                                       native, tables);
     manager.emplace<SchedulePass>();
 
@@ -120,17 +115,15 @@ buildPipeline(const CompileOptions &options)
     switch (options.strategy) {
       case Strategy::DdAligned:
       case Strategy::EcAlignedDd:
-        manager.emplace<UniformDdPass>(UniformDdStyle::Aligned,
-                                       options.cadd.minDuration);
+        manager.emplace<UniformDdPass>(UniformDdStyle::Aligned);
         break;
       case Strategy::DdStaggered:
         manager.emplace<UniformDdPass>(
-            UniformDdStyle::StaggeredByParity,
-            options.cadd.minDuration);
+            UniformDdStyle::StaggeredByParity);
         break;
       case Strategy::CaDd:
       case Strategy::Combined:
-        manager.emplace<CaDdPass>(options.cadd);
+        manager.emplace<CaDdPass>();
         break;
       default:
         break;

@@ -22,8 +22,9 @@
  * compileCircuit / compileEnsemble are convenience wrappers that
  * build and run the pipeline in one call; callers that sweep a
  * parameter (depth scans, ensembles) should build the pipeline once
- * and reuse it, which also reuses pass-internal caches such as the
- * pipeline's ConjugationTable.  Ensemble compilation is parallel and
+ * and reuse it, which also reuses the pipeline's shared caches: one
+ * ConjugationTable, and one TranspileCache when it lowers to the
+ * native gate set.  Ensemble compilation is parallel and
  * cached under the hood (PassManager::runEnsemble): instances
  * compile concurrently on a work-stealing pool when a thread count
  * is given, and the pipeline's deterministic prefix -- the passes
@@ -75,7 +76,11 @@ std::optional<Strategy> strategyFromName(const std::string &name);
 /** Every Strategy value, in declaration order. */
 const std::vector<Strategy> &allStrategies();
 
-/** Pipeline configuration. */
+/**
+ * Pipeline configuration.  The strategy configures the passes: it
+ * picks the DD pass and the error contexts CA-EC compensates
+ * (CaecScope); the DD tunables are the constants of ca_dd.hh.
+ */
 struct CompileOptions
 {
     Strategy strategy = Strategy::None;
@@ -83,12 +88,11 @@ struct CompileOptions
     /** Insert Pauli-twirl layers around two-qubit layers. */
     bool twirl = true;
 
-    /** Lower to the native {rz, sx, x, cx, rzz} set (expands can). */
+    /** Lower to the native {rz, sx, x, cx, ecr, rzz} set. */
     bool lowerToNative = false;
 
-    CaddOptions cadd;
+    /** CA-EC angle threshold and assumed dynamic idle time. */
     CaecOptions caec;
-    TranspileOptions transpile;
 };
 
 /**

@@ -107,7 +107,7 @@ barrierSegments(const Circuit &flat)
 Circuit
 insertTwirlFrames(const Circuit &flat, const TwirlPlan &plan, Rng &rng,
                   ConjugationTable &tables,
-                  const TranspileOptions *native,
+                  TranspileCache *native,
                   std::size_t *frames, TwirlFrames *frame_insts)
 {
     if (frames)
@@ -121,16 +121,6 @@ insertTwirlFrames(const Circuit &flat, const TwirlPlan &plan, Rng &rng,
                 "flat circuit has ", segments.size(),
                 " barrier segment(s) but the twirl plan was "
                 "captured from ", plan.layerCount, " layer(s)");
-
-    // Frame gates receive the same lowering the transpile pass
-    // applied to the rest of the stream.
-    const auto lowered = [&](std::vector<Instruction> layer) {
-        if (!native)
-            return layer;
-        return transpileFragment(std::move(layer),
-                                 flat.numQubits(),
-                                 flat.numClbits(), *native);
-    };
 
     std::vector<std::vector<Instruction>> out_segments;
     out_segments.reserve(segments.size() + 2 * plan.targets.size());
@@ -150,12 +140,16 @@ insertTwirlFrames(const Circuit &flat, const TwirlPlan &plan, Rng &rng,
             frame_insts->targets.push_back(
                 {plan.targets[next].layer, pre, post});
         ++next;
-        // Empty frame layers are elided before lowering.
+        // Empty frame layers are elided before lowering; the rest
+        // receive the lowering the transpile pass applied to the
+        // stream.
         if (!pre.empty())
-            out_segments.push_back(lowered(std::move(pre)));
+            out_segments.push_back(native ? native->lower(pre)
+                                          : std::move(pre));
         out_segments.push_back(std::move(segments[li]));
         if (!post.empty())
-            out_segments.push_back(lowered(std::move(post)));
+            out_segments.push_back(native ? native->lower(post)
+                                          : std::move(post));
     }
 
     Circuit out(flat.numQubits(), flat.numClbits());

@@ -102,9 +102,10 @@ barrierSegments(const Circuit &flat);
 /**
  * Insert freshly sampled Pauli-twirl frames into a lowered circuit:
  * `flat` must be flatten() of the circuit the plan was captured
- * from, optionally transpiled to the native set (pass the same
- * options through `native` so the frame gates receive the identical
- * lowering).  Layer boundaries are recovered from the full barriers
+ * from, optionally transpiled to the native set (pass the
+ * pipeline's TranspileCache through `native` so the frame gates
+ * receive the identical lowering; null means the stream is not
+ * lowered).  Layer boundaries are recovered from the full barriers
  * flatten() emits; for every target the sampled Pauli P of each
  * two-qubit gate goes into a frame layer before the segment and its
  * conjugation Q = U P U^dagger into one after it, exactly where
@@ -121,7 +122,7 @@ barrierSegments(const Circuit &flat);
  */
 Circuit insertTwirlFrames(const Circuit &flat, const TwirlPlan &plan,
                           Rng &rng, ConjugationTable &tables,
-                          const TranspileOptions *native = nullptr,
+                          TranspileCache *native = nullptr,
                           std::size_t *frames = nullptr,
                           TwirlFrames *frame_insts = nullptr);
 

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "passes/pipeline.hh"
+#include "sim/statevector.hh"
 
 namespace casq {
 
@@ -171,17 +172,35 @@ validateJobSpec(const JobSpec &job)
                    "and >= 0");
     }
 
-    // A forced stabilizer run cannot simulate non-Clifford noise
-    // draws; the worker would abort mid-shard (and take an
-    // in-process daemon with it), so turn the job away here.
-    if (work.simBackend == SimBackendKind::Stabilizer) {
-        const std::string why =
-            work.makeNoise().cliffordBlocker(work.makeBackend());
-        if (!why.empty()) {
-            reject("--sim-backend stabilizer cannot simulate this "
-                   "job's noise (" +
-                   why + "); use auto or dense");
-        }
+    // Substrates the worker would otherwise find it cannot use
+    // mid-shard, aborting (and taking an in-process daemon with
+    // it): a forced stabilizer run cannot simulate non-Clifford
+    // noise draws, and a job that runs dense -- forced, or auto
+    // routing under non-Clifford noise -- cannot exceed the
+    // statevector limit.
+    const SimBackendKind kind = work.simBackend;
+    const std::size_t width = work.logical.numQubits();
+    const bool too_wide = width > kMaxDenseQubits;
+    std::string blocker;
+    if (kind == SimBackendKind::Stabilizer ||
+        (kind == SimBackendKind::Auto && too_wide))
+        blocker = work.makeNoise().cliffordBlocker(work.makeBackend());
+    if (kind == SimBackendKind::Stabilizer && !blocker.empty()) {
+        reject("--sim-backend stabilizer cannot simulate this "
+               "job's noise (" +
+               blocker + "); use auto or dense");
+    }
+    const bool dense = kind == SimBackendKind::Dense ||
+                       (kind == SimBackendKind::Auto && !blocker.empty());
+    if (dense && too_wide) {
+        reject(std::to_string(width) +
+               " qubits exceed the dense statevector limit (" +
+               std::to_string(kMaxDenseQubits) + ")" +
+               (blocker.empty() ? std::string()
+                                : "; auto routing runs this job "
+                                  "dense (" + blocker + ")") +
+               "; wider jobs need Pauli noise and --sim-backend "
+               "auto or stabilizer");
     }
 }
 

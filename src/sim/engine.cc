@@ -13,6 +13,7 @@
 #include "sim/backend.hh"
 #include "sim/noise/source.hh"
 #include "sim/stabilizer.hh"
+#include "sim/statevector.hh"
 #include "sim/timeline.hh"
 
 namespace casq {
@@ -596,11 +597,13 @@ class TrajectoryRunner
         auto &slot = kind == SimBackendKind::Stabilizer ? _tableau
                                                         : _dense;
         if (!slot) {
-            if (kind == SimBackendKind::Dense && _numQubits > 24) {
+            if (kind == SimBackendKind::Dense &&
+                _numQubits > kMaxDenseQubits) {
                 casq_fatal(
                     _numQubits,
-                    " qubits exceed the dense statevector limit "
-                    "(24); a Clifford workload can run at this "
+                    " qubits exceed the dense statevector limit (",
+                    kMaxDenseQubits,
+                    "); a Clifford workload can run at this "
                     "size with --backend auto or stabilizer");
             }
             slot = makeStateBackend(kind, _numQubits);

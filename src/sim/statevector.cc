@@ -24,7 +24,8 @@ Statevector::Statevector(std::size_t num_qubits)
     : _numQubits(num_qubits),
       _amps(std::size_t(1) << num_qubits)
 {
-    casq_assert(num_qubits <= 24, "statevector too large");
+    casq_assert(num_qubits <= kMaxDenseQubits,
+                "statevector too large");
     _amps[0] = 1.0;
 }
 

@@ -10,6 +10,7 @@
 #ifndef CASQ_SIM_STATEVECTOR_HH
 #define CASQ_SIM_STATEVECTOR_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -18,6 +19,13 @@
 #include "pauli/pauli.hh"
 
 namespace casq {
+
+/**
+ * Widest dense statevector (2^24 amplitudes, 256 MiB).  Wider
+ * circuits need the stabilizer substrate, which requires Clifford
+ * gates and Pauli noise.
+ */
+inline constexpr std::size_t kMaxDenseQubits = 24;
 
 /** Per-qubit Z-rotation angle entry for the fused phase kernel. */
 struct QubitAngle

@@ -53,12 +53,14 @@ ramseyFidelity(const Circuit &flat, const Backend &backend,
 /** Algorithm 2 over an untwirled circuit's flat stream. */
 Circuit
 compensate(const LayeredCircuit &circuit, const Backend &backend,
-           const CaecOptions &options = {}, CaecStats *stats = nullptr)
+           CaecStats *stats = nullptr,
+           CaecScope scope = CaecScope::All,
+           const CaecOptions &options = {})
 {
     ConjugationTable tables;
     return applyCaEcFlat(circuit.flatten(), makeCaecPlan(circuit),
-                         nullptr, backend, tables, options, nullptr,
-                         stats);
+                         nullptr, backend, tables, options, scope,
+                         nullptr, stats);
 }
 
 TEST(CaEc, CompensatesIdleIdleZz)
@@ -70,8 +72,7 @@ TEST(CaEc, CompensatesIdleIdleZz)
     EXPECT_LT(bare, 0.9); // errors are significant
 
     CaecStats stats;
-    const Circuit fixed =
-        compensate(base, backend, CaecOptions{}, &stats);
+    const Circuit fixed = compensate(base, backend, &stats);
     const double comp = ramseyFidelity(fixed, backend, {0, 1});
     EXPECT_GT(comp, 0.999);
     EXPECT_GT(stats.insertedRz, 0);
@@ -100,8 +101,7 @@ TEST(CaEc, CompensatesControlControlZz)
     EXPECT_LT(bare, 0.95);
 
     CaecStats stats;
-    const Circuit fixed =
-        compensate(base, backend, CaecOptions{}, &stats);
+    const Circuit fixed = compensate(base, backend, &stats);
     const double comp = ramseyFidelity(fixed, backend, {1, 2});
     EXPECT_GT(comp, 0.99);
 }
@@ -131,8 +131,7 @@ TEST(CaEc, AbsorbsIntoCanGates)
     circuit.addLayer(std::move(gate));
 
     CaecStats stats;
-    const Circuit fixed =
-        compensate(circuit, backend, CaecOptions{}, &stats);
+    const Circuit fixed = compensate(circuit, backend, &stats);
     EXPECT_GE(stats.absorbedIntoGates, 1);
     // Find the can gate: gamma must have moved from 0.4.
     bool found = false;
@@ -163,8 +162,7 @@ TEST(CaEc, AbsorbsIntoRzzGates)
     circuit.addLayer(std::move(gate));
 
     CaecStats stats;
-    const Circuit fixed =
-        compensate(circuit, backend, CaecOptions{}, &stats);
+    const Circuit fixed = compensate(circuit, backend, &stats);
     EXPECT_GE(stats.absorbedIntoGates, 1);
     for (const auto &inst : fixed.instructions()) {
         if (inst.op == Op::RZZ && inst.tag != InstTag::Compensation) {
@@ -213,7 +211,7 @@ TEST(CaEc, MinAngleSkipsTinyCompensations)
     CaecOptions opts;
     opts.minAngle = 1e-3;
     CaecStats stats;
-    compensate(base, backend, opts, &stats);
+    compensate(base, backend, &stats, CaecScope::All, opts);
     EXPECT_EQ(stats.insertedRz, 0);
     EXPECT_EQ(stats.insertedRzz, 0);
 }
@@ -224,8 +222,53 @@ TEST(CaEc, ActiveOnlyOptionsSkipIdlePairs)
     const LayeredCircuit base =
         buildCaseIdleIdle(2, 0, 1, 6, 500.0);
     CaecStats stats;
-    compensate(base, backend, caecActiveOnlyOptions(), &stats);
+    compensate(base, backend, &stats, CaecScope::ActiveOnly);
     EXPECT_EQ(stats.insertedRzz, 0);
+}
+
+TEST(CaEc, ZzOnlyScopeInsertsRzzButNoRz)
+{
+    // Aligned DD removes the Z errors, so ZzOnly compensates the
+    // case-I pair's ZZ and leaves its Z errors alone.
+    const Backend backend = coherentBackend(2);
+    const LayeredCircuit base =
+        buildCaseIdleIdle(2, 0, 1, 6, 500.0);
+    CaecStats stats;
+    const Circuit fixed =
+        compensate(base, backend, &stats, CaecScope::ZzOnly);
+    EXPECT_GT(stats.insertedRzz, 0);
+    EXPECT_EQ(stats.insertedRz, 0);
+    for (const Instruction &inst : fixed.instructions())
+        EXPECT_FALSE(inst.op == Op::RZ &&
+                     inst.tag == InstTag::Compensation);
+}
+
+TEST(CaEc, StarkCompensationOnlyInAllScope)
+{
+    // A driven qubit Stark-shifts its undriven neighbour (Fig. 4a).
+    // With no ZZ, that Z error is the only context: All compensates
+    // it; ZzOnly leaves Z errors to aligned DD and ActiveOnly leaves
+    // spectators to CA-DD.
+    Backend backend = coherentBackend(2, 0.0);
+    backend.pair(0, 1).starkShiftMHz = 0.5;
+    LayeredCircuit circuit(2, 0);
+    for (int k = 0; k < 6; ++k) {
+        Layer drive{LayerKind::OneQubit, {}};
+        drive.insts.emplace_back(Op::X,
+                                 std::vector<std::uint32_t>{0});
+        circuit.addLayer(std::move(drive));
+    }
+
+    CaecStats all;
+    compensate(circuit, backend, &all, CaecScope::All);
+    EXPECT_GT(all.insertedRz, 0);
+
+    for (CaecScope scope : {CaecScope::ZzOnly, CaecScope::ActiveOnly}) {
+        CaecStats stats;
+        compensate(circuit, backend, &stats, scope);
+        EXPECT_EQ(stats.insertedRz, 0);
+        EXPECT_EQ(stats.insertedRzz, 0);
+    }
 }
 
 TEST(CaEc, StatsCountConditionalRules)
@@ -242,7 +285,7 @@ TEST(CaEc, StatsCountConditionalRules)
     circuit.addLayer(std::move(dyn));
 
     CaecStats stats;
-    compensate(circuit, backend, CaecOptions{}, &stats);
+    compensate(circuit, backend, &stats);
     // Pairs (0,1) and (1,2) accumulate during the measurement and
     // convert into conditional rules.
     EXPECT_GE(stats.conditionalRz, 1);

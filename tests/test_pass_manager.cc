@@ -176,7 +176,7 @@ TEST(PassManager, IdleAnalysisPublishesWindows)
     PassManager manager;
     manager.emplace<FlattenPass>();
     manager.emplace<SchedulePass>();
-    manager.emplace<IdleAnalysisPass>(150.0);
+    manager.emplace<IdleAnalysisPass>();
     manager.emplace<CaDdPass>();
     const CompilationResult result =
         manager.compile(circuit, backend, rng);

@@ -1,8 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "experiments/ramsey.hh"
-#include "sim/engine.hh"
+#include "passes/builtin.hh"
 #include "passes/pipeline.hh"
+#include "sim/engine.hh"
 
 namespace casq {
 namespace {
@@ -83,6 +84,30 @@ TEST(Pipeline, EcStrategyInsertsCompensation)
     for (const auto &t : sched.instructions())
         comp += t.inst.tag == InstTag::Compensation;
     EXPECT_GE(comp, 2u);
+}
+
+TEST(Pipeline, StrategyPicksTheCompensationScope)
+{
+    // ec+aligned-dd leaves Z errors to aligned DD (ZZ only), ca-ec
+    // compensates them too: same circuit, published CaecStats.
+    const Backend backend = testBackend();
+    const LayeredCircuit circuit =
+        buildCaseIdleIdle(4, 1, 2, 4, 500.0);
+    auto statsFor = [&](Strategy strategy) {
+        CompileOptions opts;
+        opts.strategy = strategy;
+        Rng rng(1);
+        const CompilationResult result =
+            buildPipeline(opts).compile(circuit, backend, rng);
+        const auto *stats = result.property<CaecStats>(kCaecStatsKey);
+        EXPECT_NE(stats, nullptr) << strategyName(strategy);
+        return stats ? *stats : CaecStats{};
+    };
+    const CaecStats zz_only = statsFor(Strategy::EcAlignedDd);
+    const CaecStats all = statsFor(Strategy::Ec);
+    EXPECT_EQ(zz_only.insertedRz, 0);
+    EXPECT_GT(all.insertedRz, 0);
+    EXPECT_GT(zz_only.insertedRzz + zz_only.absorbedIntoGates, 0);
 }
 
 TEST(Pipeline, NoneStrategyLeavesCircuitBare)

@@ -27,6 +27,7 @@
 #include "service/protocol.hh"
 #include "service/socket.hh"
 #include "sim/shard.hh"
+#include "sim/statevector.hh"
 
 namespace casq {
 namespace {
@@ -314,6 +315,54 @@ TEST(ServiceAdmission, RejectsForcedStabilizerUnderNonCliffordNoise)
     job = testJob("auto");
     job.work.simBackend = SimBackendKind::Auto;
     EXPECT_NO_THROW(validateJobSpec(job));
+}
+
+TEST(ServiceAdmission, RejectsDenseJobsBeyondTheStatevectorLimit)
+{
+    // A worker cannot allocate a dense statevector wider than
+    // kMaxDenseQubits, so admission turns such jobs away whenever
+    // they would run dense: forced, or auto under non-Clifford
+    // noise.
+    auto job_of = [](std::uint32_t n, SimBackendKind kind,
+                     const NoiseModel &noise) {
+        JobSpec job = testJob("wide");
+        job.work.logical = bench::syntheticChainWorkload(
+            n, 2, /*idle_layers=*/true);
+        job.work.observables = {
+            PauliString::single(n, 0, PauliOp::Z)};
+        job.work.backendQubits = n;
+        job.work.simBackend = kind;
+        job.work.noise = noise;
+        return job;
+    };
+    const std::uint32_t wide = 30;
+    for (SimBackendKind kind :
+         {SimBackendKind::Dense, SimBackendKind::Auto}) {
+        const JobSpec job =
+            job_of(wide, kind, NoiseModel::standard());
+        try {
+            validateJobSpec(job);
+            ADD_FAILURE() << simBackendKindName(kind)
+                          << " job at 30 qubits admitted";
+        } catch (const AdmissionError &err) {
+            EXPECT_NE(std::string(err.what()).find(
+                          "dense statevector limit (24)"),
+                      std::string::npos)
+                << err.what();
+        }
+    }
+    JobService service(serviceOptions(1));
+    EXPECT_THROW(service.submit(job_of(wide, SimBackendKind::Dense,
+                                       NoiseModel::standard())),
+                 AdmissionError);
+    EXPECT_FALSE(service.status("wide").has_value());
+
+    // Pauli noise keeps auto on the tableau; 24 qubits fit dense.
+    EXPECT_NO_THROW(validateJobSpec(job_of(
+        wide, SimBackendKind::Auto, NoiseModel::pauliOnly())));
+    EXPECT_NO_THROW(validateJobSpec(job_of(
+        kMaxDenseQubits, SimBackendKind::Dense,
+        NoiseModel::standard())));
 }
 
 // --------------------------------------------------------- queue

@@ -73,7 +73,6 @@ struct CliOptions
     std::string noise = "standard"; //!< noise recipe (docs/noise.md)
     bool twirl = true;
     double caecMinAngle = -1.0; //!< < 0 = CaecOptions default
-    bool caecInsertRzz = true;  //!< allow explicit rzz insertions
     bool lowerToNative = false;
     bool analyzeIdle = false;
     bool dump = false;
@@ -114,13 +113,12 @@ usage(const char *prog)
         << "  --caec-min-angle R  drop CA-EC compensations smaller\n"
         << "                    than R radians (default "
         << CaecOptions{}.minAngle << ")\n"
-        << "  --caec-no-rzz     never insert explicit rzz\n"
-        << "                    compensation pulses (absorb or\n"
-        << "                    drop instead)\n"
         << "  --hexfloat        print --simulate estimates as\n"
         << "                    bit-exact hexfloat (diffable)\n"
         << "  --native          lower to the native gate set\n"
-        << "  --analyze-idle    report residual idle windows after\n"
+        << "  --analyze-idle    report residual idle windows of at\n"
+        << "                    least Dmin = " << kMinIdleNs
+        << " ns after\n"
         << "                    compilation (grafts an analysis pass)\n"
         << "  --dump            print the full schedule\n"
         << "  --verbose         per-pass debug logging\n"
@@ -156,8 +154,6 @@ main(int argc, char **argv)
             return 0;
         } else if (std::strcmp(argv[i], "--no-twirl") == 0) {
             cli.twirl = false;
-        } else if (std::strcmp(argv[i], "--caec-no-rzz") == 0) {
-            cli.caecInsertRzz = false;
         } else if (std::strcmp(argv[i], "--hexfloat") == 0) {
             cli.hexfloat = true;
         } else if (std::strcmp(argv[i], "--native") == 0) {
@@ -244,15 +240,13 @@ main(int argc, char **argv)
     options.lowerToNative = cli.lowerToNative;
     if (cli.caecMinAngle >= 0.0)
         options.caec.minAngle = cli.caecMinAngle;
-    options.caec.insertRzz = cli.caecInsertRzz;
 
     const bool uses_caec = cli.strategy == Strategy::Ec ||
                            cli.strategy == Strategy::EcAlignedDd ||
                            cli.strategy == Strategy::Combined;
     PassManager pipeline = buildPipeline(options);
     if (cli.analyzeIdle)
-        pipeline.emplace<IdleAnalysisPass>(
-            options.cadd.minDuration);
+        pipeline.emplace<IdleAnalysisPass>();
     std::cout << "strategy: " << strategyName(cli.strategy)
               << "\npipeline:";
     for (const std::string &name : pipeline.passNames())
@@ -260,8 +254,7 @@ main(int argc, char **argv)
     std::cout << "\n";
     if (uses_caec)
         std::cout << "ca-ec options: min angle "
-                  << options.caec.minAngle << " rad, rzz insertion "
-                  << (options.caec.insertRzz ? "on" : "off") << "\n";
+                  << options.caec.minAngle << " rad\n";
     std::cout << "\n";
 
     if (cli.simulate) {

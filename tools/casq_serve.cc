@@ -359,9 +359,9 @@ main(int argc, char **argv)
             options.scheduler.workStealing = false;
         } else if (const char *v =
                        value(argc, argv, i, "--straggler-factor")) {
-            options.scheduler.stragglerFactor = double(
-                bench::checkedInt("--straggler-factor", v, 1,
-                                  kMaxInt));
+            options.scheduler.stragglerFactor =
+                bench::checkedDoubleAtLeast("--straggler-factor", v,
+                                            1.0);
         } else if (const char *v = value(argc, argv, i,
                                          "--straggler-min-ms")) {
             options.scheduler.stragglerMinMillis = double(
