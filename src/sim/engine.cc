@@ -18,25 +18,29 @@
 
 namespace casq {
 
+namespace {
+
+std::uint64_t
+doubleBits(double d)
+{
+    std::uint64_t u;
+    std::memcpy(&u, &d, sizeof(u));
+    return u;
+}
+
+} // namespace
+
 namespace detail {
 
 /** The composed source list the engine drives (owner: the engine). */
 using NoiseSources = std::vector<std::unique_ptr<NoiseSource>>;
-
-/** Stochastic per-qubit hook of a segment. */
-struct StochasticQubit
-{
-    std::uint32_t qubit;
-    std::int8_t sign;
-    double tau;
-};
 
 /** Precomputed noise plan of one timeline segment. */
 struct SegmentPlan
 {
     std::vector<QubitAngle> detZ;
     std::vector<PairAngle> detZz;
-    std::vector<StochasticQubit> stoch;
+    std::size_t plannedRow = 0; //!< offset in CompiledVariant::planned
 };
 
 /** Clifford generator images of one scheduled instruction. */
@@ -53,6 +57,17 @@ struct CompiledVariant
     std::vector<SegmentPlan> plans;
     std::vector<CMat> unitaries; //!< per scheduled instruction
     std::uint64_t fingerprint = 0;
+
+    /** Composed sources that want the segment hook. */
+    std::size_t segmentHooks = 0;
+
+    /**
+     * NoiseSource::planSegmentQubit() values, one row per distinct
+     * segment duration (shared by every segment of that duration):
+     * a row is qubit-major, segmentHooks values per qubit in
+     * composition order.
+     */
+    std::vector<double> planned;
 
     /**
      * True when every instruction unitary, every compiled noise
@@ -131,28 +146,39 @@ CompiledVariant::CompiledVariant(const ScheduledCircuit &circuit,
         }
     }
 
-    // Does any composed source inject per-segment stochastic
-    // phases?  If so every qubit of every segment gets a hook (the
-    // sources themselves decide per qubit what to contribute).
-    bool any_segment_hook = false;
-    for (const auto &source : sources)
-        any_segment_hook |= source->wantsSegmentHook();
+    // Sources with per-segment stochastic phases run on every qubit
+    // of every segment (they decide per qubit what to contribute);
+    // their per-(qubit, duration) constants are planned here, once
+    // per distinct duration.
+    std::vector<const NoiseSource *> hooks;
+    for (const auto &source : sources) {
+        if (source->wantsSegmentHook())
+            hooks.push_back(source.get());
+    }
+    segmentHooks = hooks.size();
+    std::unordered_map<std::uint64_t, std::size_t> rows;
 
     plans.resize(timeline.segments().size());
     for (std::size_t s = 0; s < plans.size(); ++s) {
         const Segment &seg = timeline.segments()[s];
         SegmentPlan &plan = plans[s];
-        const double tau = seg.duration();
 
         // Deterministic Z/ZZ contributions, composed in the
         // canonical source order (docs/noise.md).
         for (const auto &source : sources)
             source->planSegment(seg, plan.detZ, plan.detZz);
 
-        if (any_segment_hook) {
-            for (std::uint32_t q = 0; q < seg.qubits.size(); ++q) {
-                plan.stoch.push_back(StochasticQubit{
-                    q, seg.qubits[q].frameSign, tau});
+        if (!hooks.empty()) {
+            const double tau = seg.duration();
+            const auto [row, fresh] =
+                rows.try_emplace(doubleBits(tau), planned.size());
+            plan.plannedRow = row->second;
+            if (fresh) {
+                for (std::uint32_t q = 0; q < seg.qubits.size(); ++q) {
+                    for (const NoiseSource *source : hooks)
+                        planned.push_back(
+                            source->planSegmentQubit(q, tau));
+                }
             }
         }
 
@@ -180,7 +206,7 @@ CompiledVariant::analyzePrefixEligibility(const NoiseSources &sources)
     // deterministic prefix.  The rules mirror TrajectoryRunner
     // event by event, with the per-source decisions delegated to
     // the composed sources (docs/noise.md):
-    //  - a segment is eligible when it has no stochastic hooks, or
+    //  - a segment is eligible when no source has a segment hook, or
     //    when its duration is zero (sources must contribute exactly
     //    0.0 there and draw nothing -- RNG rule 3 of
     //    sim/noise/source.hh);
@@ -204,9 +230,8 @@ CompiledVariant::analyzePrefixEligibility(const NoiseSources &sources)
     const auto &insts = timeline.circuit().instructions();
     for (const auto &event : timeline.events()) {
         if (event.kind == TimelineEvent::Kind::Segment) {
-            const SegmentPlan &plan = plans[event.index];
             const double tau = segments[event.index].duration();
-            if (!plan.stoch.empty() && tau > 0.0)
+            if (segmentHooks > 0 && tau > 0.0)
                 break;
             if (any_idle_flush)
                 pending += tau;
@@ -378,14 +403,6 @@ mixHash(std::uint64_t h, std::uint64_t v)
     return h;
 }
 
-std::uint64_t
-doubleBits(double d)
-{
-    std::uint64_t u;
-    std::memcpy(&u, &d, sizeof(u));
-    return u;
-}
-
 /** 64-bit identity fingerprint of a schedule (collisions are
  *  resolved by sameSchedule below, never trusted blindly). */
 std::uint64_t
@@ -550,7 +567,7 @@ class TrajectoryRunner
         for (std::size_t e = first_event; e < events.size(); ++e) {
             const TimelineEvent &event = events[e];
             if (event.kind == TimelineEvent::Kind::Segment) {
-                applySegment(variant.plans[event.index],
+                applySegment(variant, variant.plans[event.index],
                              segments[event.index], rng);
             } else {
                 fire(variant, insts[event.index], event.index, rng);
@@ -627,7 +644,8 @@ class TrajectoryRunner
     }
 
     void
-    applySegment(const SegmentPlan &plan, const Segment &seg,
+    applySegment(const CompiledVariant &variant,
+                 const SegmentPlan &plan, const Segment &seg,
                  Rng &rng)
     {
         // Convention: a Hamiltonian term (nu/2) Z acting for tau
@@ -636,21 +654,27 @@ class TrajectoryRunner
         // in composition order; sources that draw (the dephasing
         // jump) do so inside their segmentPhase, so the stream
         // stays per-qubit-ordered.
+        const double tau = seg.duration();
         _zBuffer.assign(plan.detZ.begin(), plan.detZ.end());
-        for (const auto &sq : plan.stoch) {
-            double theta = 0.0;
-            for (const auto &[source, shot] : _segmentHooks) {
-                theta += source->segmentPhase(shot, sq.qubit,
-                                              sq.sign, sq.tau, rng);
+        if (!_segmentHooks.empty()) {
+            const double *planned =
+                variant.planned.data() + plan.plannedRow;
+            for (std::uint32_t q = 0; q < seg.qubits.size(); ++q) {
+                const int sign = seg.qubits[q].frameSign;
+                double theta = 0.0;
+                for (const auto &[source, shot] : _segmentHooks) {
+                    theta += source->segmentPhase(shot, q, sign, tau,
+                                                  *planned++, rng);
+                }
+                if (theta != 0.0)
+                    _zBuffer.push_back(QubitAngle{q, theta});
             }
-            if (theta != 0.0)
-                _zBuffer.push_back(QubitAngle{sq.qubit, theta});
         }
         _state->applyPhases(_zBuffer, plan.detZz);
 
         if (!_idleHooks.empty()) {
             for (std::uint32_t q = 0; q < _numQubits; ++q)
-                _pendingT1[q] += seg.duration();
+                _pendingT1[q] += tau;
         }
     }
 
@@ -795,9 +819,14 @@ prefixStateModeFromName(const std::string &name)
 
 SimulationEngine::SimulationEngine(const Backend &backend,
                                    const NoiseModel &noise)
-    : _backend(backend),
-      _noise(noise),
-      _sources(noise.buildSources(backend))
+    : SimulationEngine(backend, noise.buildSources(backend))
+{
+}
+
+SimulationEngine::SimulationEngine(
+    const Backend &backend,
+    std::vector<std::unique_ptr<NoiseSource>> sources)
+    : _backend(backend), _sources(std::move(sources))
 {
 }
 

@@ -202,6 +202,14 @@ class SimulationEngine
 {
   public:
     SimulationEngine(const Backend &backend, const NoiseModel &noise);
+
+    /**
+     * Drive an explicit composed source list instead of the one a
+     * NoiseModel describes (custom or instrumented mechanisms).  The
+     * list is the composition order; the sources borrow `backend`.
+     */
+    SimulationEngine(const Backend &backend,
+                     std::vector<std::unique_ptr<NoiseSource>> sources);
     ~SimulationEngine();
 
     SimulationEngine(const SimulationEngine &) = delete;
@@ -261,7 +269,6 @@ class SimulationEngine
                         std::uint32_t shard_count);
 
     const Backend &backend() const { return _backend; }
-    const NoiseModel &noise() const { return _noise; }
 
     // ------------------------------------- variant cache controls
 
@@ -289,12 +296,11 @@ class SimulationEngine
 
   private:
     const Backend &_backend;
-    NoiseModel _noise;
 
     /**
-     * The composed source list _noise describes, built once at
-     * construction (sim/noise/source.hh).  Owns the sources; the
-     * compiled variants and trajectory runners borrow them.
+     * The composed source list, built once at construction
+     * (sim/noise/source.hh).  Owns the sources; the compiled
+     * variants and trajectory runners borrow them.
      */
     std::vector<std::unique_ptr<NoiseSource>> _sources;
 

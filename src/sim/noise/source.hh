@@ -10,6 +10,8 @@
  *
  *  - compile-time segment planning (deterministic Z/ZZ phases folded
  *    into the per-segment plans) to planSegment(),
+ *  - compile-time per-(qubit, duration) constants of the segment
+ *    hook (jump probabilities, drift scales) to planSegmentQubit(),
  *  - per-trajectory sampling (charge-parity signs, quasi-static
  *    detunings, correlated fluctuator fields) to makeShot() /
  *    sampleShotQubit() / sampleShot(),
@@ -150,20 +152,41 @@ class NoiseSource
     }
 
     /**
+     * The constant segmentPhase() needs for qubit q over a segment
+     * of duration `tau` (a jump probability, a drift scale).  The
+     * compiled variant evaluates it once per qubit per distinct
+     * segment duration and hands the value back to every
+     * trajectory, so it must be a pure function of the backend: it
+     * draws nothing and reads no per-shot state.  It reads the
+     * backend live (never a copy taken at construction), so a
+     * backend mutation followed by clearVariantCache() reaches the
+     * next variant build.
+     */
+    virtual double
+    planSegmentQubit(std::uint32_t q, double tau) const
+    {
+        (void)q;
+        (void)tau;
+        return 0.0;
+    }
+
+    /**
      * Stochastic Z phase this source contributes on qubit q over one
      * segment of duration `tau`, with the qubit's toggling-frame
      * sign already applied where physics says it should be (frame
-     * flips refocus detunings but not dephasing jumps).  Must not
-     * draw when tau <= 0 (RNG rule 3).
+     * flips refocus detunings but not dephasing jumps).  `planned`
+     * is planSegmentQubit(q, tau).  Must not draw when tau <= 0
+     * (RNG rule 3).
      */
     virtual double
     segmentPhase(Shot *shot, std::uint32_t q, int frame_sign,
-                 double tau, Rng &rng) const
+                 double tau, double planned, Rng &rng) const
     {
         (void)shot;
         (void)q;
         (void)frame_sign;
         (void)tau;
+        (void)planned;
         (void)rng;
         return 0.0;
     }

@@ -141,11 +141,16 @@ ChargeParitySource::sampleShotQubit(Shot *shot, std::uint32_t q,
 }
 
 double
+ChargeParitySource::planSegmentQubit(std::uint32_t q, double) const
+{
+    return _backend.qubit(q).chargeParityMHz;
+}
+
+double
 ChargeParitySource::segmentPhase(Shot *shot, std::uint32_t q,
                                  int frame_sign, double tau,
-                                 Rng &) const
+                                 double rate, Rng &) const
 {
-    const double rate = _backend.qubit(q).chargeParityMHz;
     if (rate == 0.0)
         return 0.0;
     const int sign = static_cast<SignShot *>(shot)->sign[q];
@@ -180,7 +185,7 @@ QuasiStaticSource::sampleShotQubit(Shot *shot, std::uint32_t q,
 
 double
 QuasiStaticSource::segmentPhase(Shot *shot, std::uint32_t q,
-                                int frame_sign, double tau,
+                                int frame_sign, double tau, double,
                                 Rng &) const
 {
     const double detuning =
@@ -222,12 +227,15 @@ WhiteDephasingSource::jumpProbability(std::uint32_t q,
 }
 
 double
-WhiteDephasingSource::segmentPhase(Shot *, std::uint32_t q, int,
-                                   double tau, Rng &rng) const
+WhiteDephasingSource::segmentPhase(Shot *, std::uint32_t, int,
+                                   double, double jump_probability,
+                                   Rng &rng) const
 {
     // Rz(pi) is a Z flip up to global phase; jump signs are
     // frame-independent, so the toggling frame never refocuses them.
-    if (rng.bernoulli(jumpProbability(q, tau)))
+    // tau <= 0 plans a probability <= 0, which bernoulli() answers
+    // without drawing (RNG rule 3).
+    if (rng.bernoulli(jump_probability))
         return kPi;
     return 0.0;
 }
@@ -418,7 +426,7 @@ CorrelatedDephasingSource::sampleShot(Shot *shot, Rng &rng) const
 double
 CorrelatedDephasingSource::segmentPhase(Shot *shot, std::uint32_t q,
                                         int frame_sign, double tau,
-                                        Rng &) const
+                                        double, Rng &) const
 {
     const double detuning =
         static_cast<FieldShot *>(shot)->field[q];
@@ -457,16 +465,22 @@ PhaseDriftSource::sampleShot(Shot *shot, Rng &) const
 }
 
 double
+PhaseDriftSource::planSegmentQubit(std::uint32_t, double tau) const
+{
+    return _rate * std::sqrt(tau);
+}
+
+double
 PhaseDriftSource::segmentPhase(Shot *shot, std::uint32_t q,
                                int frame_sign, double tau,
-                               Rng &rng) const
+                               double step_scale, Rng &rng) const
 {
     // One Wiener increment per (segment, qubit); zero-duration
     // segments advance nothing and must not draw (prefix contract).
     if (_rate == 0.0 || tau <= 0.0)
         return 0.0;
     auto *vs = static_cast<ValueShot *>(shot);
-    vs->value[q] += _rate * std::sqrt(tau) * rng.normal();
+    vs->value[q] += step_scale * rng.normal();
     return angleOf(vs->value[q], tau) * frame_sign;
 }
 

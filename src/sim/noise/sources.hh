@@ -100,8 +100,12 @@ class ChargeParitySource final : public NoiseSource
     void sampleShotQubit(Shot *shot, std::uint32_t q,
                          Rng &rng) const override;
     bool wantsSegmentHook() const override { return true; }
+    /** Plans the qubit's charge-parity splitting in MHz. */
+    double planSegmentQubit(std::uint32_t q,
+                            double tau) const override;
     double segmentPhase(Shot *shot, std::uint32_t q, int frame_sign,
-                        double tau, Rng &rng) const override;
+                        double tau, double planned,
+                        Rng &rng) const override;
     std::string cliffordBlocker() const override;
 
   private:
@@ -124,7 +128,8 @@ class QuasiStaticSource final : public NoiseSource
                          Rng &rng) const override;
     bool wantsSegmentHook() const override { return true; }
     double segmentPhase(Shot *shot, std::uint32_t q, int frame_sign,
-                        double tau, Rng &rng) const override;
+                        double tau, double planned,
+                        Rng &rng) const override;
     std::string cliffordBlocker() const override;
 
   private:
@@ -147,8 +152,15 @@ class WhiteDephasingSource final : public NoiseSource
 
     const char *name() const override { return "white-dephasing"; }
     bool wantsSegmentHook() const override { return true; }
+    /** Plans jumpProbability(q, tau). */
+    double
+    planSegmentQubit(std::uint32_t q, double tau) const override
+    {
+        return jumpProbability(q, tau);
+    }
     double segmentPhase(Shot *shot, std::uint32_t q, int frame_sign,
-                        double tau, Rng &rng) const override;
+                        double tau, double planned,
+                        Rng &rng) const override;
 
     /** Z-jump probability over `tau` idle nanoseconds. */
     double jumpProbability(std::uint32_t q, double tau) const;
@@ -241,7 +253,8 @@ class CorrelatedDephasingSource final : public NoiseSource
     void sampleShot(Shot *shot, Rng &rng) const override;
     bool wantsSegmentHook() const override { return _sigma != 0.0; }
     double segmentPhase(Shot *shot, std::uint32_t q, int frame_sign,
-                        double tau, Rng &rng) const override;
+                        double tau, double planned,
+                        Rng &rng) const override;
     std::string cliffordBlocker() const override;
 
     /** Normalized kernel weight of fluctuator p on qubit q. */
@@ -278,8 +291,12 @@ class PhaseDriftSource final : public NoiseSource
     bool wantsShotSampling() const override { return true; }
     void sampleShot(Shot *shot, Rng &rng) const override;
     bool wantsSegmentHook() const override { return _rate != 0.0; }
+    /** Plans the walk's step scale rate * sqrt(tau). */
+    double planSegmentQubit(std::uint32_t q,
+                            double tau) const override;
     double segmentPhase(Shot *shot, std::uint32_t q, int frame_sign,
-                        double tau, Rng &rng) const override;
+                        double tau, double planned,
+                        Rng &rng) const override;
     std::string cliffordBlocker() const override;
 
   private:

@@ -78,11 +78,16 @@ Timeline::annotateActivity()
             timed.inst.op == Op::Delay) {
             continue;
         }
-        for (auto &seg : _segments) {
-            if (seg.t0 < timed.start - kTimeEps ||
-                seg.t1 > timed.end() + kTimeEps) {
-                continue;
-            }
+        // Segments tile the timeline in order, so the covered ones
+        // (t0 >= start - eps and t1 <= end + eps) are one run that
+        // starts at the first t0 >= start - eps.
+        const double hi = timed.end() + kTimeEps;
+        auto it = std::lower_bound(
+            _segments.begin(), _segments.end(),
+            timed.start - kTimeEps,
+            [](const Segment &seg, double t) { return seg.t0 < t; });
+        for (; it != _segments.end() && it->t1 <= hi; ++it) {
+            Segment &seg = *it;
             // Quarter index of the segment midpoint within the gate.
             const double mid = (seg.t0 + seg.t1) / 2.0;
             const int quarter = std::min(

@@ -3,15 +3,19 @@
  * The composable NoiseSource layer (sim/noise/): per-source physics
  * and RNG contracts, the sampled-channel correctness fixes (the
  * t2Ns <= 0 dephasing guard and the uncoupled-pair depolarizing
- * scaling), the two new sources (spatially correlated dephasing and
- * intra-circuit phase drift), eligibility delegation, composed-model
- * determinism across threads and shards, and the serialized noise
- * configuration (wire block, recipe strings, corruption rejection).
+ * scaling), per-variant planning of the segment hooks, the two new
+ * sources (spatially correlated dephasing and intra-circuit phase
+ * drift), eligibility delegation, composed-model determinism across
+ * threads and shards, and the serialized noise configuration (wire
+ * block, recipe strings, corruption rejection).
  */
 
+#include <atomic>
 #include <cmath>
 #include <limits>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,6 +29,7 @@
 #include "sim/engine.hh"
 #include "sim/noise/sources.hh"
 #include "sim/shard.hh"
+#include "sim/timeline.hh"
 
 namespace casq {
 namespace {
@@ -123,6 +128,122 @@ TEST(NoiseSources, DephasingRateSubtractsT1AndClamps)
         0.5 * (1.0 - std::exp(-3000.0 / 100e3));
     EXPECT_DOUBLE_EQ(without_t1.jumpProbability(0, 3000.0),
                      expected);
+}
+
+// ----------------------- per-variant planning of segment hooks
+
+TEST(NoiseSources, PlannedJumpsFollowBackendAfterCacheClear)
+{
+    // Jump probabilities are planned when a variant is built, from
+    // the live backend: after a mutation and clearVariantCache() the
+    // next run must see the new rates.  A source that cached its
+    // rates at construction would keep dephasing here.
+    Backend backend = cleanLinearBackend(1);
+    backend.qubit(0).t2Ns = 20e3;
+    NoiseModel noise = NoiseModel::ideal();
+    noise.whiteDephasing = true;
+    Circuit qc(1, 0);
+    qc.h(0).delay(0, 20e3);
+    const ScheduledCircuit circuit =
+        scheduleASAP(qc, backend.durations());
+    const std::vector<PauliString> obs = {
+        PauliString::fromLabel("X")};
+    ExecutionOptions opts;
+    opts.trajectories = 64;
+
+    SimulationEngine engine(backend, noise);
+    const RunResult dephased = engine.run(circuit, obs, opts);
+    backend.qubit(0).t2Ns = 0.0;
+    engine.clearVariantCache();
+    const RunResult disabled = engine.run(circuit, obs, opts);
+    const RunResult ideal =
+        runX(backend, NoiseModel::ideal(), qc, obs, 64);
+    EXPECT_LT(dephased.means[0], 0.9);
+    EXPECT_EQ(disabled.means[0], ideal.means[0]);
+    EXPECT_EQ(disabled.stderrs[0], ideal.stderrs[0]);
+}
+
+/** Counts its planning and per-trajectory segment-hook calls. */
+class CountingSource final : public NoiseSource
+{
+  public:
+    CountingSource(std::atomic<std::size_t> &plans,
+                   std::atomic<std::size_t> &phases)
+        : _plans(plans), _phases(phases)
+    {
+    }
+
+    const char *name() const override { return "counting"; }
+    bool wantsSegmentHook() const override { return true; }
+
+    double
+    planSegmentQubit(std::uint32_t, double) const override
+    {
+        ++_plans;
+        return 0.0;
+    }
+
+    double
+    segmentPhase(Shot *, std::uint32_t, int, double, double,
+                 Rng &) const override
+    {
+        ++_phases;
+        return 0.0;
+    }
+
+  private:
+    std::atomic<std::size_t> &_plans;
+    std::atomic<std::size_t> &_phases;
+};
+
+TEST(NoiseSources, SegmentPlanningRunsOncePerVariantBuild)
+{
+    // planSegmentQubit() is variant-build work: its count does not
+    // grow with the trajectory count and stays within one call per
+    // qubit per distinct segment duration.  segmentPhase() is the
+    // per-trajectory work: one call per qubit of every segment the
+    // timeline applies, per trajectory.
+    const Backend backend = makeFakeLinear(4, 11);
+    Circuit qc(4, 0);
+    qc.h(0).h(1).h(2).h(3).ecr(0, 1).ecr(2, 3).delay(1, 400);
+    qc.x(1).ecr(1, 2).delay(0, 1000).x(3).x(3);
+    const ScheduledCircuit circuit =
+        scheduleASAP(qc, backend.durations());
+    const std::vector<PauliString> obs = {
+        PauliString::fromLabel("XIII")};
+
+    const Timeline timeline(circuit);
+    std::set<double> durations;
+    for (const Segment &seg : timeline.segments())
+        durations.insert(seg.duration());
+    std::size_t applied = 0;
+    for (const TimelineEvent &event : timeline.events()) {
+        if (event.kind == TimelineEvent::Kind::Segment &&
+            timeline.segments()[event.index].duration() > 0.0) {
+            ++applied;
+        }
+    }
+    ASSERT_GT(applied, durations.size());
+
+    const auto counts = [&](int trajectories, int threads) {
+        std::atomic<std::size_t> plans{0}, phases{0};
+        std::vector<std::unique_ptr<NoiseSource>> sources;
+        sources.push_back(
+            std::make_unique<CountingSource>(plans, phases));
+        SimulationEngine engine(backend, std::move(sources));
+        ExecutionOptions opts;
+        opts.trajectories = trajectories;
+        opts.threads = threads;
+        engine.run(circuit, obs, opts);
+        return std::pair<std::size_t, std::size_t>(plans, phases);
+    };
+    const auto [plans1, phases1] = counts(1, 1);
+    const auto [plans64, phases64] = counts(64, 3);
+    EXPECT_GT(plans1, 0u);
+    EXPECT_EQ(plans1, plans64);
+    EXPECT_LE(plans1, durations.size() * 4);
+    EXPECT_EQ(phases1, applied * 4);
+    EXPECT_EQ(phases64, applied * 4 * 64);
 }
 
 // ------------------- satellite fix: uncoupled-pair depolarizing
