@@ -15,7 +15,6 @@
 #include <iostream>
 
 #include "experiments/heisenberg.hh"
-#include "passes/builtin.hh"
 #include "passes/pipeline.hh"
 #include "sim/engine.hh"
 
@@ -36,8 +35,7 @@ main(int argc, char **argv)
     Rng rng(3);
     const CompilationResult compiled =
         buildPipeline(Strategy::Ec).compile(circuit, backend, rng);
-    const CaecStats &stats =
-        *compiled.property<CaecStats>(kCaecStatsKey);
+    const CaecStats &stats = *compiled.artifacts.caecStats;
     std::cout << "CA-EC on " << n << "-qubit ring, " << steps
               << " Trotter steps:\n"
               << "  compensations absorbed into can gates: "

@@ -19,54 +19,56 @@ countTag(const ScheduledCircuit &schedule, InstTag tag)
 void
 TwirlPlanPass::run(PassContext &context)
 {
-    TwirlPlan plan = makeTwirlPlan(context.layered());
+    auto plan =
+        std::make_shared<const TwirlPlan>(makeTwirlPlan(context.layered()));
     // Build each distinct gate's conjugation table now, in the
     // (once-per-ensemble) prefix, so no twirl instance pays for it.
-    for (const TwirlPlan::LayerGates &target : plan.targets)
+    for (const TwirlPlan::LayerGates &target : plan->targets)
         for (const Instruction &gate : target.gates)
             _tables->of2q(instructionUnitary(gate));
-    context.setProperty(kTwirlPlanKey, std::move(plan));
+    context.artifacts().twirlPlan = std::move(plan);
 }
 
 void
 LateTwirlPass::run(PassContext &context)
 {
-    const TwirlPlan &plan =
-        context.requireProperty<TwirlPlan>(kTwirlPlanKey);
+    PassArtifacts &artifacts = context.artifacts();
+    casq_assert(artifacts.twirlPlan != nullptr,
+                "pass property 'twirl.plan' missing or of the wrong "
+                "type");
     std::size_t frames = 0;
     TwirlFrames frame_insts;
     context.setFlat(insertTwirlFrames(
-        context.flat(), plan, context.rng(), *_tables,
-        _native.get(), &frames,
+        context.flat(), *artifacts.twirlPlan, context.rng(),
+        *_tables, _native.get(), &frames,
         _publishFrames ? &frame_insts : nullptr));
-    context.setProperty(kTwirlGatesKey, frames);
+    artifacts.twirlGates = frames;
     if (_publishFrames)
-        context.setProperty(kTwirlFramesKey,
-                            std::move(frame_insts));
+        artifacts.twirlFrames = std::move(frame_insts);
 }
 
 void
 CaEcPlanPass::run(PassContext &context)
 {
-    context.setProperty(kCaecPlanKey,
-                        std::make_shared<const CaecPlan>(
-                            makeCaecPlan(context.layered())));
+    context.artifacts().caecPlan = std::make_shared<const CaecPlan>(
+        makeCaecPlan(context.layered()));
 }
 
 void
 CaEcFlatPass::run(PassContext &context)
 {
-    const auto &plan =
-        context.requireProperty<std::shared_ptr<const CaecPlan>>(
-            kCaecPlanKey);
+    PassArtifacts &artifacts = context.artifacts();
+    casq_assert(artifacts.caecPlan != nullptr,
+                "pass property 'caec.plan' missing or of the wrong "
+                "type");
     const TwirlFrames *frames =
-        context.property<TwirlFrames>(kTwirlFramesKey);
+        artifacts.twirlFrames ? &*artifacts.twirlFrames : nullptr;
     CaecStats stats;
-    context.setFlat(applyCaEcFlat(context.flat(), *plan, frames,
-                                  context.backend(), *_tables,
+    context.setFlat(applyCaEcFlat(context.flat(), *artifacts.caecPlan,
+                                  frames, context.backend(), *_tables,
                                   _options, _scope, _native.get(),
                                   &stats));
-    context.setProperty(kCaecStatsKey, stats);
+    artifacts.caecStats = stats;
 }
 
 void
@@ -91,9 +93,8 @@ SchedulePass::run(PassContext &context)
 void
 IdleAnalysisPass::run(PassContext &context)
 {
-    context.setProperty(
-        kIdleWindowsKey,
-        context.scheduled().idleWindows(kMinIdleNs));
+    context.artifacts().idleWindows =
+        context.scheduled().idleWindows(kMinIdleNs);
 }
 
 std::string
@@ -109,8 +110,8 @@ UniformDdPass::run(PassContext &context)
     context.setScheduled(applyUniformDd(
         context.scheduled(), context.backend().durations(),
         _style));
-    context.setProperty(
-        kDdPulsesKey, countTag(context.scheduled(), InstTag::DD));
+    context.artifacts().ddPulses =
+        countTag(context.scheduled(), InstTag::DD);
 }
 
 void
@@ -118,8 +119,8 @@ CaDdPass::run(PassContext &context)
 {
     context.setScheduled(
         applyCaDd(context.scheduled(), context.backend()));
-    context.setProperty(
-        kDdPulsesKey, countTag(context.scheduled(), InstTag::DD));
+    context.artifacts().ddPulses =
+        countTag(context.scheduled(), InstTag::DD);
 }
 
 } // namespace casq

@@ -5,9 +5,9 @@
  * assembled from uniform Pass objects instead of hardcoded calls.
  *
  * Every pass documents the stage it expects; see docs/passes.md for
- * the full contract and a worked custom-pass example.  Analysis
- * results flow between passes through the PassContext property map
- * under the `k*Key` keys declared here.
+ * the full contract and a worked custom-pass example.  Blueprints
+ * and analysis results flow between passes through the context's
+ * PassArtifacts record (pass.hh).
  */
 
 #ifndef CASQ_PASSES_BUILTIN_HH
@@ -23,40 +23,14 @@
 
 namespace casq {
 
-/** Property: number of twirl gates inserted (std::size_t). */
-inline constexpr const char kTwirlGatesKey[] = "twirl.gates";
-
-/** Property: twirl blueprint for the late-twirl pass (TwirlPlan). */
-inline constexpr const char kTwirlPlanKey[] = "twirl.plan";
-
-/**
- * Property: pre-lowering twirl frames the late-twirl pass sampled
- * (TwirlFrames), published for the scheduled CA-EC walk.
- */
-inline constexpr const char kTwirlFramesKey[] = "twirl.frames";
-
-/** Property: CA-EC bookkeeping (CaecStats). */
-inline constexpr const char kCaecStatsKey[] = "caec.stats";
-
-/**
- * Property: blueprint for the scheduled CA-EC walk
- * (std::shared_ptr<const CaecPlan>).
- */
-inline constexpr const char kCaecPlanKey[] = "caec.plan";
-
-/** Property: idle windows found (std::vector<IdleWindow>). */
-inline constexpr const char kIdleWindowsKey[] = "idle.windows";
-
-/** Property: DD pulses inserted (std::size_t). */
-inline constexpr const char kDdPulsesKey[] = "dd.pulses";
-
 /**
  * Analysis-only pass (Layered stage, deterministic): publish the
- * twirl blueprint under kTwirlPlanKey and pre-build the conjugation
- * table of every targeted two-qubit gate into the pipeline's shared
- * ConjugationTable.  Running in the deterministic prefix of an
- * ensemble pipeline, it moves both the blueprint capture and the
- * numeric table construction out of the per-instance suffix.
+ * twirl blueprint as PassArtifacts::twirlPlan and pre-build the
+ * conjugation table of every targeted two-qubit gate into the
+ * pipeline's shared ConjugationTable.  Running in the deterministic
+ * prefix of an ensemble pipeline, it moves both the blueprint
+ * capture and the numeric table construction out of the
+ * per-instance suffix.
  */
 class TwirlPlanPass : public Pass
 {
@@ -89,8 +63,8 @@ class TwirlPlanPass : public Pass
  * is not lowered.
  *
  * Pass publish_frames = true when a CaEcFlatPass follows: the
- * sampled pre-lowering frames are then published under
- * kTwirlFramesKey so the scheduled CA-EC walk can rebuild the
+ * sampled pre-lowering frames are then published as
+ * PassArtifacts::twirlFrames so the CA-EC walk can rebuild the
  * twirled layer sequence.
  */
 class LateTwirlPass : public Pass
@@ -118,9 +92,9 @@ class LateTwirlPass : public Pass
 
 /**
  * Analysis-only pass (Layered stage, deterministic): publish the
- * CA-EC walk's blueprint under kCaecPlanKey.  Runs in the
+ * CA-EC walk's blueprint as PassArtifacts::caecPlan.  Runs in the
  * deterministic prefix of an ensemble pipeline, so the pre-lowering
- * layer capture happens once per ensemble; the property holds a
+ * layer capture happens once per ensemble; the artifact is a
  * shared_ptr, so per-instance context forks copy a pointer rather
  * than the circuit.
  */
@@ -137,7 +111,7 @@ class CaEcPlanPass : public Pass
  * segments of the lowered stream, reconstructing the pre-lowering
  * twirled layers from the CaEcPlanPass blueprint and the frames the
  * LateTwirlPass published (see applyCaEcFlat()).  Publishes its
- * CaecStats under kCaecStatsKey.
+ * PassArtifacts::caecStats.
  *
  * The scope (which error contexts to compensate) comes from the
  * strategy, apart from the user-settable options.  The conjugation
@@ -195,8 +169,8 @@ class SchedulePass : public Pass
 
 /**
  * Analysis-only pass: publish the schedule's idle windows of at
- * least kMinIdleNs (the DD passes' Dmin) under kIdleWindowsKey
- * (Scheduled stage).
+ * least kMinIdleNs (the DD passes' Dmin) as
+ * PassArtifacts::idleWindows (Scheduled stage).
  */
 class IdleAnalysisPass : public Pass
 {

@@ -85,7 +85,7 @@ struct CaecStats
  * applyCaEcFlat() reconstructs -- together with the frames the
  * late-twirl pass sampled -- the twirled layer sequence the walk
  * runs over.  Captured once in a pipeline's deterministic prefix and
- * shared across ensemble instances (the property map stores it as a
+ * shared across ensemble instances (PassArtifacts holds it as a
  * shared_ptr so the per-instance context forks copy a pointer, not
  * the circuit).
  */

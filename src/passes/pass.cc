@@ -27,7 +27,7 @@ PassContext::PassContext(const PassContext &snapshot, Rng &rng)
       _rng(rng), _stage(snapshot._stage),
       _layered(snapshot._layered), _flat(snapshot._flat),
       _scheduled(snapshot._scheduled),
-      _properties(snapshot._properties), _notes(snapshot._notes)
+      _artifacts(snapshot._artifacts)
 {
 }
 
@@ -56,13 +56,6 @@ PassContext::mutableLayered()
 }
 
 void
-PassContext::setLayered(LayeredCircuit circuit)
-{
-    requireStage(CircuitStage::Layered, "layered");
-    _layered = std::move(circuit);
-}
-
-void
 PassContext::setFlat(Circuit circuit)
 {
     casq_assert(_stage != CircuitStage::Scheduled,
@@ -75,13 +68,6 @@ PassContext::setFlat(Circuit circuit)
 
 const Circuit &
 PassContext::flat() const
-{
-    requireStage(CircuitStage::Flat, "flat");
-    return *_flat;
-}
-
-Circuit &
-PassContext::mutableFlat()
 {
     requireStage(CircuitStage::Flat, "flat");
     return *_flat;
@@ -117,30 +103,6 @@ PassContext::takeScheduled()
 {
     requireStage(CircuitStage::Scheduled, "scheduled");
     return std::move(*_scheduled);
-}
-
-void
-PassContext::setProperty(const std::string &key, std::any value)
-{
-    _properties[key] = std::move(value);
-}
-
-bool
-PassContext::hasProperty(const std::string &key) const
-{
-    return _properties.count(key) > 0;
-}
-
-void
-PassContext::eraseProperty(const std::string &key)
-{
-    _properties.erase(key);
-}
-
-void
-PassContext::addNote(std::string note)
-{
-    _notes.push_back(std::move(note));
 }
 
 } // namespace casq

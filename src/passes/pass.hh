@@ -7,23 +7,23 @@
  * context owns the circuit being lowered -- which moves through three
  * stages, Layered -> Flat -> Scheduled -- plus everything a pass
  * needs to do context-aware work: the target backend, the RNG that
- * drives stochastic passes (twirl sampling), and a string-keyed
- * property map through which passes exchange metadata (idle-window
- * analyses, colouring results, compensation statistics).
+ * drives stochastic passes (twirl sampling), and the PassArtifacts
+ * record through which passes hand each other blueprints and
+ * publish what they did (twirl gates, idle windows, DD pulses,
+ * compensation statistics).
  *
  * Passes never copy the input circuit eagerly: the context starts
  * with a borrowed view of the caller's logical circuit and only
- * materializes an owned copy when a pass first mutates it in place.
- * A pass that rebuilds the circuit wholesale (twirling, CA-EC)
- * simply installs its result with setLayered(), so compiling an
- * ensemble of N twirled instances copies nothing per instance.
+ * materializes an owned copy when a pass first mutates it in place,
+ * so compiling an ensemble of N twirled instances copies nothing
+ * per instance.
  */
 
 #ifndef CASQ_PASSES_PASS_HH
 #define CASQ_PASSES_PASS_HH
 
-#include <any>
-#include <map>
+#include <cstddef>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -33,6 +33,7 @@
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "device/backend.hh"
+#include "passes/ca_ec.hh"
 
 namespace casq {
 
@@ -48,25 +49,42 @@ enum class CircuitStage
 const char *stageName(CircuitStage stage);
 
 /**
- * Typed read of a string-keyed std::any map; nullptr when the key
- * is absent or holds a different type.  Shared by PassContext and
- * CompilationResult.
+ * What the built-in passes publish, one field per fact.  An unset
+ * field means the pass that publishes it did not run.  The two
+ * blueprints are shared, so forking a context from a prefix
+ * snapshot copies pointers, not plans.
  */
-template <typename T>
-const T *
-propertyAs(const std::map<std::string, std::any> &properties,
-           const std::string &key)
+struct PassArtifacts
 {
-    const auto it = properties.find(key);
-    if (it == properties.end())
-        return nullptr;
-    return std::any_cast<T>(&it->second);
-}
+    /** Twirl blueprint (twirl-plan). */
+    std::shared_ptr<const TwirlPlan> twirlPlan;
+
+    /** CA-EC walk blueprint (ca-ec-plan). */
+    std::shared_ptr<const CaecPlan> caecPlan;
+
+    /**
+     * Pre-lowering frames late-twirl sampled, for the CA-EC walk
+     * (late-twirl, when a CA-EC pass follows).
+     */
+    std::optional<TwirlFrames> twirlFrames;
+
+    /** Frame gates inserted before native lowering (late-twirl). */
+    std::optional<std::size_t> twirlGates;
+
+    /** Compensation bookkeeping (ca-ec). */
+    std::optional<CaecStats> caecStats;
+
+    /** Idle windows of at least kMinIdleNs (idle-analysis). */
+    std::optional<std::vector<IdleWindow>> idleWindows;
+
+    /** DD pulses inserted (dd-uniform-*, ca-dd). */
+    std::optional<std::size_t> ddPulses;
+};
 
 /**
  * Mutable state threaded through a pass pipeline: the circuit at its
  * current lowering stage, the compilation environment, and the
- * inter-pass property map.
+ * artifacts the passes have published so far.
  *
  * Stage accessors are checked: reading layered() once the circuit
  * has been flattened (or scheduled() before scheduling) is a bug in
@@ -84,8 +102,8 @@ class PassContext
 
     /**
      * Fork a context from a mid-pipeline snapshot: the new context
-     * copies the snapshot's circuit (at whatever stage it reached),
-     * property map, and notes, but draws randomness from `rng`
+     * copies the snapshot's circuit (at whatever stage it reached)
+     * and artifacts, but draws randomness from `rng`
      * instead of the snapshot's generator.  PassManager::runEnsemble
      * uses this to run a pipeline's deterministic prefix once and
      * fork one context per ensemble instance from the cached result;
@@ -108,13 +126,9 @@ class PassContext
      */
     LayeredCircuit &mutableLayered();
 
-    /** Replace the layered circuit without copying the source. */
-    void setLayered(LayeredCircuit circuit);
-
     /** Lower to the flat stage. */
     void setFlat(Circuit circuit);
     const Circuit &flat() const;
-    Circuit &mutableFlat();
 
     /** Lower to the scheduled stage. */
     void setScheduled(ScheduledCircuit circuit);
@@ -124,62 +138,7 @@ class PassContext
     /** Move the final schedule out (context is done afterwards). */
     ScheduledCircuit takeScheduled();
 
-    // ------------------------------------------------ property map
-
-    /** Store a property, replacing any previous value. */
-    void setProperty(const std::string &key, std::any value);
-
-    bool hasProperty(const std::string &key) const;
-
-    /** Remove a property; no-op when absent. */
-    void eraseProperty(const std::string &key);
-
-    /**
-     * Typed read of a property; nullptr when the key is absent or
-     * holds a different type.
-     */
-    template <typename T>
-    const T *
-    property(const std::string &key) const
-    {
-        return propertyAs<T>(_properties, key);
-    }
-
-    /** Typed read that panics when the property is missing. */
-    template <typename T>
-    const T &
-    requireProperty(const std::string &key) const
-    {
-        const T *value = property<T>(key);
-        casq_assert(value != nullptr,
-                    "pass property '", key,
-                    "' missing or of the wrong type");
-        return *value;
-    }
-
-    const std::map<std::string, std::any> &properties() const
-    {
-        return _properties;
-    }
-
-    /** Move the property map out (context is done afterwards). */
-    std::map<std::string, std::any> takeProperties()
-    {
-        return std::move(_properties);
-    }
-
-    // ------------------------------------------------- diagnostics
-
-    /** Record a human-readable diagnostic line. */
-    void addNote(std::string note);
-
-    const std::vector<std::string> &notes() const { return _notes; }
-
-    /** Move the notes out (context is done afterwards). */
-    std::vector<std::string> takeNotes()
-    {
-        return std::move(_notes);
-    }
+    PassArtifacts &artifacts() { return _artifacts; }
 
   private:
     const LayeredCircuit *_source; //!< borrowed until first mutation
@@ -189,15 +148,14 @@ class PassContext
     std::optional<LayeredCircuit> _layered;
     std::optional<Circuit> _flat;
     std::optional<ScheduledCircuit> _scheduled;
-    std::map<std::string, std::any> _properties;
-    std::vector<std::string> _notes;
+    PassArtifacts _artifacts;
 
     void requireStage(CircuitStage wanted, const char *what) const;
 };
 
 /**
  * One unit of compilation work.  Implementations transform the
- * context's circuit, publish properties, or both.  Passes may keep
+ * context's circuit, publish artifacts, or both.  Passes may keep
  * state across run() calls (e.g. the pipeline's ConjugationTable),
  * which a PassManager reuses across the instances of an ensemble.
  *

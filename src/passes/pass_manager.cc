@@ -116,8 +116,7 @@ PassManager::packageResult(PassContext &context,
     CompilationResult result;
     result.metrics = std::move(metrics);
     result.scheduled = context.takeScheduled();
-    result.notes = context.takeNotes();
-    result.properties = context.takeProperties();
+    result.artifacts = std::move(context.artifacts());
     return result;
 }
 

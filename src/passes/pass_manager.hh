@@ -3,19 +3,19 @@
  * PassManager: an ordered, reusable pass pipeline.
  *
  * The manager owns its passes and executes them in registration
- * order over a PassContext, timing each pass and collecting the
- * context's diagnostics into a CompilationResult.  Because passes
- * may carry caches (the pipeline's ConjugationTable), a manager is
- * built once and reused across every instance of an ensemble or
- * every depth of a parameter sweep.
+ * order over a PassContext, timing each pass and packaging the
+ * schedule and the published artifacts into a CompilationResult.
+ * Because passes may carry caches (the pipeline's ConjugationTable),
+ * a manager is built once and reused across every instance of an
+ * ensemble or every depth of a parameter sweep.
  *
  * Ensembles are first-class: runEnsemble() compiles N instances
  * concurrently on a work-stealing pool (common/thread_pool.hh) and
  * reuses the pipeline's deterministic prefix -- every pass before
  * the first isStochastic() one -- across all instances via a cached
  * context snapshot.  Instance k always draws from the RNG stream
- * derived as (seed, k), so the schedules are bit-identical to the
- * serial path for every thread count.
+ * derived as (seed, k + 7001), so the schedules are bit-identical
+ * to the serial path for every thread count.
  */
 
 #ifndef CASQ_PASSES_PASS_MANAGER_HH
@@ -47,22 +47,11 @@ struct CompilationResult
     /** Per-pass wall-clock timings, in execution order. */
     std::vector<PassMetric> metrics;
 
-    /** Human-readable diagnostics recorded by passes. */
-    std::vector<std::string> notes;
-
-    /** Final inter-pass property map (analysis results). */
-    std::map<std::string, std::any> properties;
+    /** What the passes published (analysis results). */
+    PassArtifacts artifacts;
 
     /** Sum of the per-pass timings. */
     double totalMillis() const;
-
-    /** Typed read of a final property; nullptr when absent. */
-    template <typename T>
-    const T *
-    property(const std::string &key) const
-    {
-        return propertyAs<T>(properties, key);
-    }
 };
 
 /** Configuration of a runEnsemble() call. */
@@ -75,7 +64,10 @@ struct EnsembleOptions
      */
     int instances = 1;
 
-    /** Master seed; instance k uses the derived stream (seed, k). */
+    /**
+     * Master seed; instance k uses the derived stream
+     * (seed, k + 7001).
+     */
     std::uint64_t seed = 0;
 
     /** Worker threads; 1 compiles inline, 0 means one per core. */
@@ -242,7 +234,7 @@ class PassManager
 
     /**
      * Execute every pass in order over the context.  Returns the
-     * per-pass timings; diagnostics accumulate on the context.  The
+     * per-pass timings; artifacts accumulate on the context.  The
      * final stage is whatever the last pass left -- an empty
      * manager leaves the context untouched (the identity pipeline).
      */

@@ -116,7 +116,8 @@ barrierSegments(const Circuit &flat);
  * The output is pinned bit for bit, at a given seed, by
  * tests/golden/twirl_reference_schedules.txt.  `frames`, when
  * given, receives the number of non-identity frame gates before
- * native lowering (the kTwirlGatesKey convention); `frame_insts`,
+ * native lowering (what late-twirl publishes as
+ * PassArtifacts::twirlGates); `frame_insts`,
  * when given, receives the sampled pre-lowering frame instructions
  * per target (for the CA-EC walk).
  */

@@ -335,10 +335,8 @@ TEST(CaEcScheduled, DynamicRuleEmitsConditionalRz)
                 timed.inst.condBit >= 0 &&
                 timed.inst.tag == InstTag::Compensation;
         EXPECT_TRUE(any_conditional) << "instance " << k;
-        const auto *stats =
-            result.instances[k].property<CaecStats>(
-                kCaecStatsKey);
-        ASSERT_NE(stats, nullptr);
+        const auto &stats = result.instances[k].artifacts.caecStats;
+        ASSERT_TRUE(stats.has_value());
         EXPECT_GE(stats->conditionalRz, 1);
     }
 }

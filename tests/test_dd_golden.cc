@@ -319,11 +319,11 @@ std::string
 publishedCounts(const CompilationResult &result)
 {
     std::ostringstream os;
-    if (const auto *gates = result.property<std::size_t>(kTwirlGatesKey))
+    if (const auto &gates = result.artifacts.twirlGates)
         os << "twirl_gates=" << *gates;
     else
         os << "twirl_gates=-";
-    if (const auto *stats = result.property<CaecStats>(kCaecStatsKey))
+    if (const auto &stats = result.artifacts.caecStats)
         os << " caec=" << stats->absorbedIntoGates << "/"
            << stats->insertedRz << "/" << stats->insertedRzz << "/"
            << stats->conditionalRz << "/" << stats->flushedEarly;

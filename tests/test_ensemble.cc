@@ -60,8 +60,6 @@ class RandomTailPass : public Pass
         Instruction inst(Op::X, {qubit});
         context.mutableScheduled().add(
             TimedInstruction{inst, start, duration});
-        context.setProperty("random-tail.qubit",
-                            std::size_t(qubit));
     }
 };
 
@@ -277,10 +275,10 @@ TEST(RunEnsemble, InstanceResultsKeepOneMetricPerPass)
         EXPECT_EQ(instance.metrics[0].name, "flatten");
         EXPECT_EQ(instance.metrics[1].name, "schedule-asap");
         EXPECT_EQ(instance.metrics[2].name, "random-tail");
-        // Properties published by suffix passes are per-instance.
-        EXPECT_NE(instance.property<std::size_t>(
-                      "random-tail.qubit"),
-                  nullptr);
+        // Suffix passes run per instance: each schedule ends with
+        // its own random tail.
+        EXPECT_EQ(instance.scheduled.instructions().back().inst.op,
+                  Op::X);
     }
 }
 
@@ -307,22 +305,42 @@ TEST(PassContext, ForkCopiesSnapshotStateWithFreshRng)
     const LayeredCircuit circuit = workload();
     Rng base_rng(1);
     PassContext base(circuit, backend, base_rng);
-    base.setProperty("key", std::string("value"));
-    base.addNote("prefix note");
+    base.artifacts().twirlPlan =
+        std::make_shared<const TwirlPlan>(makeTwirlPlan(circuit));
+    base.artifacts().twirlGates = 3;
     base.setFlat(base.layered().flatten());
 
     Rng fork_rng(2);
     PassContext fork(base, fork_rng);
     EXPECT_EQ(fork.stage(), CircuitStage::Flat);
     EXPECT_EQ(fork.flat().toString(), base.flat().toString());
-    EXPECT_EQ(fork.requireProperty<std::string>("key"), "value");
-    ASSERT_EQ(fork.notes().size(), 1u);
-    EXPECT_EQ(fork.notes()[0], "prefix note");
+    EXPECT_EQ(fork.artifacts().twirlPlan, base.artifacts().twirlPlan);
+    EXPECT_EQ(fork.artifacts().twirlGates, 3u);
     EXPECT_EQ(&fork.rng(), &fork_rng);
 
     // Mutating the fork must not leak back into the snapshot.
-    fork.setProperty("key", std::string("changed"));
-    EXPECT_EQ(base.requireProperty<std::string>("key"), "value");
+    fork.artifacts().twirlGates = 5;
+    fork.artifacts().caecStats = CaecStats{};
+    EXPECT_EQ(base.artifacts().twirlGates, 3u);
+    EXPECT_FALSE(base.artifacts().caecStats.has_value());
+
+    // The prefix publishes the blueprints once: every instance of
+    // one ensemble holds the same plans, not copies.
+    PassManager pipeline = buildPipeline(Strategy::Combined);
+    EnsembleOptions options;
+    options.instances = 4;
+    options.seed = 9;
+    options.threads = 2;
+    const EnsembleResult result =
+        pipeline.runEnsemble(circuit, backend, options);
+    ASSERT_EQ(result.instances.size(), 4u);
+    const PassArtifacts &first = result.instances[0].artifacts;
+    ASSERT_NE(first.twirlPlan, nullptr);
+    ASSERT_NE(first.caecPlan, nullptr);
+    for (const CompilationResult &instance : result.instances) {
+        EXPECT_EQ(instance.artifacts.twirlPlan, first.twirlPlan);
+        EXPECT_EQ(instance.artifacts.caecPlan, first.caecPlan);
+    }
 }
 
 } // namespace

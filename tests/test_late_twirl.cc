@@ -142,9 +142,9 @@ TEST(LateTwirl, PartialBarrierInsideALayerIsTwirled)
 
 TEST(LateTwirl, LateTwirlPassCountsPreLoweringFrames)
 {
-    // kTwirlGatesKey counts the frame gates before native lowering:
-    // the same number with and without --native, and exactly the
-    // Twirl-tagged gates when nothing is lowered.
+    // The published twirlGates counts the frame gates before native
+    // lowering: the same number with and without --native, and
+    // exactly the Twirl-tagged gates when nothing is lowered.
     const Backend backend = testBackend();
     const LayeredCircuit circuit = twirlWorkload();
 
@@ -156,9 +156,8 @@ TEST(LateTwirl, LateTwirlPassCountsPreLoweringFrames)
         PassManager pipeline = buildPipeline(options);
         const CompilationResult result =
             pipeline.compile(circuit, backend, rng);
-        const auto *gates =
-            result.property<std::size_t>(kTwirlGatesKey);
-        ASSERT_NE(gates, nullptr);
+        const auto &gates = result.artifacts.twirlGates;
+        ASSERT_TRUE(gates.has_value());
         counts.push_back(*gates);
         if (!native) {
             std::size_t tagged = 0;

@@ -99,9 +99,9 @@ TEST(Pipeline, StrategyPicksTheCompensationScope)
         Rng rng(1);
         const CompilationResult result =
             buildPipeline(opts).compile(circuit, backend, rng);
-        const auto *stats = result.property<CaecStats>(kCaecStatsKey);
-        EXPECT_NE(stats, nullptr) << strategyName(strategy);
-        return stats ? *stats : CaecStats{};
+        const auto &stats = result.artifacts.caecStats;
+        EXPECT_TRUE(stats.has_value()) << strategyName(strategy);
+        return stats.value_or(CaecStats{});
     };
     const CaecStats zz_only = statsFor(Strategy::EcAlignedDd);
     const CaecStats all = statsFor(Strategy::Ec);

@@ -13,7 +13,7 @@
  * Demonstrates the composable pass API end to end: strategy names
  * parse via strategyFromName(), buildPipeline() assembles the pass
  * list, and PassManager::compile() returns the CompilationResult
- * whose metrics and properties are printed below.  With --ensemble,
+ * whose metrics and artifacts are printed below.  With --ensemble,
  * PassManager::runEnsemble() compiles the twirled instances on
  * --threads workers and the wall-time report shows the parallel
  * throughput (the schedules are identical for every thread count).
@@ -390,24 +390,20 @@ main(int argc, char **argv)
     std::cout << "schedule: " << sched.instructions().size()
               << " instructions, " << sched.totalDuration()
               << " ns\n";
-    if (const auto *gates =
-            result.property<std::size_t>(kTwirlGatesKey))
-        std::cout << "twirl gates inserted: " << *gates << "\n";
-    if (const auto *windows =
-            result.property<std::vector<IdleWindow>>(
-                kIdleWindowsKey))
+    const PassArtifacts &artifacts = result.artifacts;
+    if (artifacts.twirlGates)
+        std::cout << "twirl gates inserted: " << *artifacts.twirlGates
+                  << "\n";
+    if (artifacts.idleWindows)
         std::cout << "residual idle windows >= Dmin: "
-                  << windows->size() << "\n";
-    if (const auto *pulses =
-            result.property<std::size_t>(kDdPulsesKey))
-        std::cout << "DD pulses inserted: " << *pulses << "\n";
-    if (const auto *stats =
-            result.property<CaecStats>(kCaecStatsKey))
+                  << artifacts.idleWindows->size() << "\n";
+    if (artifacts.ddPulses)
+        std::cout << "DD pulses inserted: " << *artifacts.ddPulses
+                  << "\n";
+    if (const auto &stats = artifacts.caecStats)
         std::cout << "CA-EC: " << stats->absorbedIntoGates
                   << " absorbed, " << stats->insertedRz << " rz, "
                   << stats->insertedRzz << " rzz\n";
-    for (const std::string &note : result.notes)
-        std::cout << "note: " << note << "\n";
 
     if (cli.dump)
         std::cout << "\n" << sched.toString();
