@@ -230,6 +230,9 @@ class DenseBackend final : public StateBackend
         return _state.expectation(p);
     }
 
+    /** Full passes over the amplitude array (Statevector::sweeps). */
+    std::uint64_t sweeps() const { return _state.sweeps(); }
+
     /** The wrapped statevector (tests and benches peek at it). */
     Statevector &state() { return _state; }
     const Statevector &state() const { return _state; }

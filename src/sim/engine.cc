@@ -1,6 +1,7 @@
 #include "sim/engine.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <mutex>
@@ -578,6 +579,13 @@ class TrajectoryRunner
             out[k] = _state->expectation(observables[k]);
     }
 
+    /** Full passes over the dense state by this runner so far. */
+    std::uint64_t
+    denseSweeps() const
+    {
+        return _dense ? _dense->sweeps() : 0;
+    }
+
   private:
     /** A source paired with its per-shot state (null if stateless). */
     using SourceShot =
@@ -600,7 +608,7 @@ class TrajectoryRunner
      * 50-100+ qubit workloads through) and a dense ensemble never
      * pays for a tableau.
      */
-    std::unique_ptr<StateBackend> _dense;
+    std::unique_ptr<DenseBackend> _dense;
     std::unique_ptr<StateBackend> _tableau;
     StateBackend *_state = nullptr; //!< this trajectory's substrate
 
@@ -611,11 +619,13 @@ class TrajectoryRunner
     StateBackend &
     stateFor(SimBackendKind kind)
     {
-        auto &slot = kind == SimBackendKind::Stabilizer ? _tableau
-                                                        : _dense;
-        if (!slot) {
-            if (kind == SimBackendKind::Dense &&
-                _numQubits > kMaxDenseQubits) {
+        if (kind == SimBackendKind::Stabilizer) {
+            if (!_tableau)
+                _tableau = makeStateBackend(kind, _numQubits);
+            return *_tableau;
+        }
+        if (!_dense) {
+            if (_numQubits > kMaxDenseQubits) {
                 casq_fatal(
                     _numQubits,
                     " qubits exceed the dense statevector limit (",
@@ -623,9 +633,9 @@ class TrajectoryRunner
                     "); a Clifford workload can run at this "
                     "size with --backend auto or stabilizer");
             }
-            slot = makeStateBackend(kind, _numQubits);
+            _dense = std::make_unique<DenseBackend>(_numQubits);
         }
-        return *slot;
+        return *_dense;
     }
 
     void
@@ -788,6 +798,7 @@ reduceShard(const ShardSlots &shard, const ExecutionOptions &opts,
         shard.slots, std::size_t(opts.trajectories), observables);
     result.stabilizerTrajectories = shard.stabilizerTrajectories;
     result.prefixStateHits = shard.prefixStateHits;
+    result.denseSweeps = shard.denseSweeps;
     return result;
 }
 
@@ -987,6 +998,7 @@ SimulationEngine::dispatch(std::size_t instances,
     const auto ordinalsOf = [&](std::size_t n) -> const auto & {
         return ordinals_of[out.instances[n]];
     };
+    std::atomic<std::uint64_t> sweeps{0};
     const auto simulate = [&](const CompiledVariant &variant,
                               std::size_t n, std::size_t o0,
                               std::size_t o1) {
@@ -999,6 +1011,7 @@ SimulationEngine::dispatch(std::size_t instances,
             runner.run(variant, kinds[n], rng, observables,
                        out.slots.data() + j * K, opts.prefixState);
         }
+        sweeps += runner.denseSweeps();
     };
 
     const unsigned threads = std::min<std::size_t>(
@@ -1040,6 +1053,7 @@ SimulationEngine::dispatch(std::size_t instances,
         if (prefixed[n])
             out.prefixStateHits += count;
     }
+    out.denseSweeps = sweeps;
     return out;
 }
 

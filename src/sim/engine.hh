@@ -76,6 +76,18 @@ const char *prefixStateModeName(PrefixStateMode mode);
 std::optional<PrefixStateMode>
 prefixStateModeFromName(const std::string &name);
 
+/**
+ * Version of the dense trajectory numerics.  Bumped by any change to
+ * the dense kernels or to the sequence of kernel calls that can move
+ * a bit of a dense estimate; a dense estimate is byte-stable only
+ * within one version.  Shard results carry it, and mergeShards
+ * refuses to mix versions (sim/shard.hh).
+ *
+ *  1 -- eager statevector kernels: every operator swept the state
+ *       the moment it was applied.
+ */
+inline constexpr std::uint32_t kEngineNumerics = 1;
+
 /** Trajectory-count, seeding and threading options. */
 struct ExecutionOptions
 {
@@ -122,6 +134,14 @@ struct RunResult
     /** Trajectories that forked from a prefix-state checkpoint. */
     std::uint64_t prefixStateHits = 0;
 
+    /**
+     * Full passes over the dense amplitude array made by the
+     * trajectories (DenseBackend::sweeps), the checkpoint fork or
+     * reset included and the one-time checkpoint builds excluded.
+     * Deterministic for every thread count and shard split.
+     */
+    std::uint64_t denseSweeps = 0;
+
     double mean(std::size_t k = 0) const { return means.at(k); }
 };
 
@@ -159,6 +179,9 @@ struct ShardSlots
 
     /** Owned trajectories that forked from a prefix checkpoint. */
     std::uint64_t prefixStateHits = 0;
+
+    /** Dense sweeps of the owned trajectories (RunResult). */
+    std::uint64_t denseSweeps = 0;
 
     /**
      * Owned trajectories the backend routing sent to the tableau

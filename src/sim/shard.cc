@@ -18,8 +18,9 @@ constexpr std::uint8_t kResultMagic[4] = {'C', 'S', 'Q', 'R'};
 // prefix-state hit counter to the result; version 4 replaced the
 // 3-value noise recipe byte with the full serialized noise
 // configuration (encodeNoiseModel block -- docs/sharding.md and
-// docs/noise.md record the history).
-constexpr std::uint32_t kFormatVersion = 4;
+// docs/noise.md record the history); version 5 appended the engine
+// numerics stamp and the dense sweep counter to the result.
+constexpr std::uint32_t kFormatVersion = 5;
 
 void
 writeMagic(ByteWriter &w, const std::uint8_t (&magic)[4])
@@ -501,6 +502,8 @@ ShardResult::encode() const
     for (double v : slots)
         w.f64(v);
     w.u64(prefixStateHits);
+    w.u32(engineNumerics);
+    w.u64(denseSweeps);
     return w.take();
 }
 
@@ -556,6 +559,11 @@ decodeResultBody(ByteReader &r)
             std::to_string(result.ownedTrajectories()) +
             " owned trajectory(ies)");
     }
+    result.engineNumerics = r.u32();
+    if (result.engineNumerics == 0)
+        throw SerializeError("shard result engine numerics must be "
+                             ">= 1");
+    result.denseSweeps = r.u64();
     r.requireEnd();
     return result;
 }
@@ -622,6 +630,7 @@ executeShard(const ShardSpec &spec, int threads)
     result.fingerprints = std::move(slots.fingerprints);
     result.slots = std::move(slots.slots);
     result.prefixStateHits = slots.prefixStateHits;
+    result.denseSweeps = slots.denseSweeps;
     return result;
 }
 
@@ -645,6 +654,15 @@ mergeShards(const std::vector<ShardResult> &shards)
     std::vector<const ShardResult *> by_index(S, nullptr);
     std::map<std::uint32_t, std::uint64_t> schedule_prints;
     for (const ShardResult &shard : shards) {
+        if (shard.engineNumerics != head.engineNumerics) {
+            throw ShardError(
+                "shard " + std::to_string(shard.shardIndex) +
+                " was executed with engine numerics " +
+                std::to_string(shard.engineNumerics) + " but shard " +
+                std::to_string(head.shardIndex) + " with " +
+                std::to_string(head.engineNumerics) +
+                "; re-run every shard of the job with one build");
+        }
         if (shard.shardCount != S || shard.trajectories != head.trajectories ||
             shard.observableCount != head.observableCount ||
             shard.jobFingerprint != head.jobFingerprint ||
@@ -709,8 +727,10 @@ mergeShards(const std::vector<ShardResult> &shards)
         }
     }
     RunResult merged = reduceTrajectorySlots(slots, total, K);
-    for (const ShardResult &shard : shards)
+    for (const ShardResult &shard : shards) {
         merged.prefixStateHits += shard.prefixStateHits;
+        merged.denseSweeps += shard.denseSweeps;
+    }
     return merged;
 }
 

@@ -201,6 +201,16 @@ struct ShardResult
     /** Owned trajectories that forked from a prefix checkpoint. */
     std::uint64_t prefixStateHits = 0;
 
+    /**
+     * kEngineNumerics of the build that executed the shard: slots
+     * from different numerics may differ in the last bits, so
+     * mergeShards() refuses to mix them.
+     */
+    std::uint32_t engineNumerics = kEngineNumerics;
+
+    /** Dense sweeps of the owned trajectories (RunResult). */
+    std::uint64_t denseSweeps = 0;
+
     /** Number of global trajectories this shard owns. */
     std::size_t ownedTrajectories() const;
 
@@ -221,8 +231,9 @@ ShardResult executeShard(const ShardSpec &spec, int threads = 1);
 /**
  * Deterministically merge the S results of one job back into the
  * single-process estimate.  Validates the set -- exactly the shards
- * 0..S-1 of one job, matching provenance, agreeing schedule
- * fingerprints wherever two shards compiled the same instance --
+ * 0..S-1 of one job, one engine-numerics version, matching
+ * provenance, agreeing schedule fingerprints wherever two shards
+ * compiled the same instance --
  * and throws ShardError with a diagnostic on any inconsistency.
  * The reduction is reduceTrajectorySlots over the reassembled
  * global trajectory order, so the merged RunResult is bit-identical

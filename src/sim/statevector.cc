@@ -32,6 +32,7 @@ Statevector::Statevector(std::size_t num_qubits)
 void
 Statevector::reset()
 {
+    ++_sweeps;
     std::fill(_amps.begin(), _amps.end(), Complex{});
     _amps[0] = 1.0;
 }
@@ -41,12 +42,14 @@ Statevector::copyFrom(const Statevector &other)
 {
     casq_assert(other._numQubits == _numQubits,
                 "copyFrom width mismatch");
+    ++_sweeps;
     _amps.assign(other._amps.begin(), other._amps.end());
 }
 
 void
 Statevector::applyGate1q(const CMat &u, std::uint32_t q)
 {
+    ++_sweeps;
     const std::size_t half = std::size_t(1) << q;
     const Complex u00 = u(0, 0), u01 = u(0, 1);
     const Complex u10 = u(1, 0), u11 = u(1, 1);
@@ -68,6 +71,7 @@ void
 Statevector::applyGate2q(const CMat &u, std::uint32_t q0,
                          std::uint32_t q1)
 {
+    ++_sweeps;
     const std::size_t m0 = std::size_t(1) << q0;
     const std::size_t m1 = std::size_t(1) << q1;
     Complex m[4][4];
@@ -104,6 +108,7 @@ Statevector::applyGate2q(const CMat &u, std::uint32_t q0,
 void
 Statevector::applyRz(std::uint32_t q, double theta)
 {
+    ++_sweeps;
     const std::size_t half = std::size_t(1) << q;
     const Complex p0 = std::exp(Complex(0, -theta * 0.5));
     const Complex p1 = std::exp(Complex(0, theta * 0.5));
@@ -124,6 +129,7 @@ Statevector::applyRzz(std::uint32_t q0, std::uint32_t q1,
                       double theta)
 {
     casq_assert(q0 != q1, "applyRzz needs distinct qubits");
+    ++_sweeps;
     const std::size_t mlo = std::size_t(1)
                             << (q0 < q1 ? q0 : q1);
     const std::size_t mhi = std::size_t(1)
@@ -243,6 +249,7 @@ Statevector::applyPhases(const std::vector<QubitAngle> &z_angles,
         }
     }
 
+    ++_sweeps;
     Complex *amps = _amps.data();
     for (std::size_t i = 0; i < n; ++i)
         amps[i] *= table[i];
@@ -283,6 +290,7 @@ Statevector::applyPauli(const PauliString &p)
     const std::size_t smask = zmask | ymask;
     const std::size_t n = _amps.size();
     Complex *amps = _amps.data();
+    ++_sweeps;
     if (xmask == 0) {
         for (std::size_t i = 0; i < n; ++i) {
             const Complex c =
@@ -325,6 +333,7 @@ Statevector::applyPauliOp(PauliOp op, std::uint32_t q)
 double
 Statevector::probabilityOne(std::uint32_t q) const
 {
+    ++_sweeps;
     const std::size_t half = std::size_t(1) << q;
     const std::size_t n = _amps.size();
     const Complex *amps = _amps.data();
@@ -350,6 +359,7 @@ Statevector::probabilityOfOutcome(
         if (bits[k])
             want |= std::size_t(1) << qubits[k];
     }
+    ++_sweeps;
     double p = 0.0;
     for (std::size_t i = 0; i < _amps.size(); ++i)
         if ((i & mask) == want)
@@ -363,6 +373,7 @@ Statevector::measure(std::uint32_t q, Rng &rng)
     // Fused: one pass accumulates both outcome probabilities (each
     // in ascending index order, matching the unfused subset sums),
     // then a single pass collapses and rescales.
+    _sweeps += 2;
     const std::size_t half = std::size_t(1) << q;
     const std::size_t n = _amps.size();
     Complex *amps = _amps.data();
@@ -398,6 +409,7 @@ Statevector::collapse(std::uint32_t q, int outcome)
 {
     // Fused: zero the dropped branch while accumulating the kept
     // norm (adding the exact zeros changes nothing), then rescale.
+    _sweeps += 2;
     const std::size_t half = std::size_t(1) << q;
     const std::size_t n = _amps.size();
     Complex *amps = _amps.data();
@@ -442,6 +454,7 @@ Statevector::amplitudeDamp(std::uint32_t q, double tau, double t1,
         const double nrm = std::sqrt(p1);
         casq_assert(nrm > 1e-12, "state collapsed to zero norm");
         const double inv = 1.0 / nrm;
+        ++_sweeps;
         for (std::size_t base = 0; base < n; base += 2 * half) {
             Complex *lo = amps + base;
             Complex *hi = lo + half;
@@ -454,6 +467,7 @@ Statevector::amplitudeDamp(std::uint32_t q, double tau, double t1,
     }
     // No-jump back-action: damp the |1> amplitudes while
     // accumulating the norm in full ascending index order.
+    _sweeps += 2;
     const double k = std::sqrt(decay);
     double nsum = 0.0;
     for (std::size_t base = 0; base < n; base += 2 * half) {
@@ -500,6 +514,7 @@ Statevector::expectation(const PauliString &p) const
     for (int k = __builtin_popcountll(ymask); k > 0; --k)
         base *= Complex(0, 1);
     const std::size_t smask = zmask | ymask;
+    ++_sweeps;
     Complex acc{};
     const std::size_t n = _amps.size();
     const Complex *amps = _amps.data();
@@ -516,6 +531,7 @@ Complex
 Statevector::overlap(const Statevector &other) const
 {
     casq_assert(other.size() == size(), "overlap size mismatch");
+    ++_sweeps;
     Complex acc{};
     for (std::size_t i = 0; i < _amps.size(); ++i)
         acc += std::conj(other._amps[i]) * _amps[i];
@@ -525,6 +541,7 @@ Statevector::overlap(const Statevector &other) const
 double
 Statevector::norm() const
 {
+    ++_sweeps;
     double n = 0.0;
     for (const auto &a : _amps)
         n += std::norm(a);
@@ -537,6 +554,7 @@ Statevector::renormalize()
     const double n = std::sqrt(norm());
     casq_assert(n > 1e-12, "state collapsed to zero norm");
     const double inv = 1.0 / n;
+    ++_sweeps;
     for (auto &a : _amps)
         a *= inv;
 }

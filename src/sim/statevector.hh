@@ -118,10 +118,19 @@ class Statevector
     /** Squared norm (should stay 1 within roundoff). */
     double norm() const;
 
+    /**
+     * Full passes over the amplitude array since construction: every
+     * kernel counts each walk it makes over the array, so a kernel
+     * that reads the state and then writes it counts 2.  A pass that
+     * touches only one half (probabilityOne) still counts 1.
+     */
+    std::uint64_t sweeps() const { return _sweeps; }
+
   private:
     std::size_t _numQubits;
     std::vector<Complex> _amps;
     std::vector<Complex> _phaseScratch; //!< lazily sized factor table
+    mutable std::uint64_t _sweeps = 0;
 
     void renormalize();
 };

@@ -321,5 +321,63 @@ TEST(Shard, ReduceTrajectorySlotsMatchesEngineReduction)
                        "one-shard merge");
 }
 
+TEST(Shard, MergeRefusesMixedEngineNumerics)
+{
+    // Slots computed under different dense numerics may differ in
+    // their last bits: the merge must name the skew, not reduce it.
+    auto results = executeAllShards(2, 1);
+    results[1].engineNumerics = kEngineNumerics + 1;
+    try {
+        mergeShards(results);
+        FAIL() << "merge accepted mixed engine numerics";
+    } catch (const ShardError &err) {
+        EXPECT_NE(std::string(err.what()).find("engine numerics"),
+                  std::string::npos)
+            << err.what();
+    }
+}
+
+TEST(Shard, ResultRoundTripCarriesNumericsAndSweeps)
+{
+    const ShardResult result = executeShard(testSpec(0, 2), 1);
+    EXPECT_EQ(result.engineNumerics, kEngineNumerics);
+    EXPECT_GT(result.denseSweeps, 0u);
+    const auto bytes = result.encode();
+    const ShardResult back = ShardResult::decode(bytes);
+    EXPECT_EQ(back.engineNumerics, result.engineNumerics);
+    EXPECT_EQ(back.denseSweeps, result.denseSweeps);
+    EXPECT_EQ(back.prefixStateHits, result.prefixStateHits);
+    EXPECT_EQ(back.slots, result.slots);
+    EXPECT_EQ(back.encode(), bytes);
+
+    // The merged count is the single-process count.
+    EXPECT_EQ(mergeShards(executeAllShards(3, 2)).denseSweeps,
+              singleProcessReference(testSpec()).denseSweeps);
+}
+
+TEST(Shard, DecodeRejectsVersionFourPayloads)
+{
+    // A version-4 result is today's payload without the trailing
+    // numerics stamp (u32) and sweep counter (u64); a version-4 spec
+    // differs only in the version field.
+    auto result = executeShard(testSpec(), 1).encode();
+    result.resize(result.size() - 12);
+    auto spec = testSpec().encode();
+    for (auto *bytes : {&result, &spec}) {
+        (*bytes)[4] = 4; // version field follows the 4-byte magic
+        try {
+            if (bytes == &result)
+                ShardResult::decode(*bytes);
+            else
+                ShardSpec::decode(*bytes);
+            FAIL() << "decode accepted a version-4 payload";
+        } catch (const SerializeError &err) {
+            EXPECT_NE(std::string(err.what()).find("version 4"),
+                      std::string::npos)
+                << err.what();
+        }
+    }
+}
+
 } // namespace
 } // namespace casq

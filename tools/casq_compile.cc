@@ -313,7 +313,12 @@ main(int argc, char **argv)
                   << prefixStateModeName(cli.prefixState) << " ("
                   << result.prefixStateHits << " of "
                   << result.trajectories
-                  << " trajectories forked from a checkpoint)\n";
+                  << " trajectories forked from a checkpoint)\n"
+                  << "dense sweeps: " << result.denseSweeps << " ("
+                  << std::setprecision(1)
+                  << double(result.denseSweeps) /
+                         double(result.trajectories)
+                  << " per trajectory)\n";
         // Hexfloat estimates are bit-exact, so runs that must agree
         // (any thread count) diff clean against a committed capture;
         // CI gates the estimates exactly that way.

@@ -281,7 +281,9 @@ cmdDescribe(int argc, char **argv)
         std::cout << " " << result.instances[i] << ":" << std::hex
                   << result.fingerprints[i] << std::dec;
     std::cout << "\n  seeds sim " << result.seed << " compile "
-              << result.compileSeed << "\n";
+              << result.compileSeed << "\n"
+              << "  engine numerics " << result.engineNumerics
+              << ", " << result.denseSweeps << " dense sweeps\n";
     return 0;
 }
 
