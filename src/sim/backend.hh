@@ -140,14 +140,29 @@ class StateBackend
     int measure(std::uint32_t q, Rng &rng);
 };
 
-/** The exact dense statevector behind the StateBackend interface. */
+/**
+ * The exact dense statevector behind the StateBackend interface,
+ * with a lazy operator frame (docs/simulator.md, "Lazy frame").
+ *
+ * The true state is D P |phi>: |phi> is the stored statevector, P a
+ * Pauli frame (an X and a Z bit per qubit) and D a diagonal frame
+ * of pending Rz angles per qubit and Rzz angles per pair, all up to
+ * a global phase.  Diagonal operators (applyPhases, applyRz and
+ * diagonal gates) only add angles to D; Pauli operators
+ * (applyPauliOp and Pauli gates) only flip frame bits and the signs
+ * of the pending terms they anticommute with.  Any other gate folds
+ * the frame's part on its own qubits into its matrix, after one
+ * applyPhases sweep for the pending Rzz terms that couple its
+ * qubits to the rest.  Reads see through the frame: the X bit
+ * swaps which stored half a qubit's |1> is in, and Z-type
+ * expectations only pick up the frame's sign.  Gates are classified
+ * by exact matrix pattern, so a gate that is not recognised takes
+ * the folding path, which is always exact.
+ */
 class DenseBackend final : public StateBackend
 {
   public:
-    explicit DenseBackend(std::size_t num_qubits)
-        : _state(num_qubits)
-    {
-    }
+    explicit DenseBackend(std::size_t num_qubits);
 
     SimBackendKind
     kind() const override
@@ -161,84 +176,83 @@ class DenseBackend final : public StateBackend
         return _state.numQubits();
     }
 
-    void
-    reset() override
-    {
-        _state.reset();
-    }
+    void reset() override;
 
+    /** Copies the stored state and the frame. */
     void assign(const StateBackend &src) override;
 
     using StateBackend::applyGate1q;
     using StateBackend::applyGate2q;
 
-    void
-    applyGate1q(const CMat &u, std::uint32_t q,
-                const CliffordImages1Q *) override
-    {
-        _state.applyGate1q(u, q);
-    }
+    void applyGate1q(const CMat &u, std::uint32_t q,
+                     const CliffordImages1Q *) override;
+    void applyGate2q(const CMat &u, std::uint32_t q0, std::uint32_t q1,
+                     const CliffordImages2Q *) override;
+    void applyRz(std::uint32_t q, double theta) override;
+    void applyPhases(const std::vector<QubitAngle> &z_angles,
+                     const std::vector<PairAngle> &zz_angles) override;
+    void applyPauliOp(PauliOp op, std::uint32_t q) override;
+    double probabilityOne(std::uint32_t q) const override;
+    void collapse(std::uint32_t q, int outcome) override;
+    void amplitudeDamp(std::uint32_t q, double tau, double t1,
+                       Rng &rng) override;
 
-    void
-    applyGate2q(const CMat &u, std::uint32_t q0, std::uint32_t q1,
-                const CliffordImages2Q *) override
-    {
-        _state.applyGate2q(u, q0, q1);
-    }
-
-    void
-    applyRz(std::uint32_t q, double theta) override
-    {
-        _state.applyRz(q, theta);
-    }
-
-    void
-    applyPhases(const std::vector<QubitAngle> &z_angles,
-                const std::vector<PairAngle> &zz_angles) override
-    {
-        _state.applyPhases(z_angles, zz_angles);
-    }
-
-    void
-    applyPauliOp(PauliOp op, std::uint32_t q) override
-    {
-        _state.applyPauliOp(op, q);
-    }
-
-    double
-    probabilityOne(std::uint32_t q) const override
-    {
-        return _state.probabilityOne(q);
-    }
-
-    void
-    collapse(std::uint32_t q, int outcome) override
-    {
-        _state.collapse(q, outcome);
-    }
-
-    void
-    amplitudeDamp(std::uint32_t q, double tau, double t1,
-                  Rng &rng) override
-    {
-        _state.amplitudeDamp(q, tau, t1, rng);
-    }
-
-    double
-    expectation(const PauliString &p) const override
-    {
-        return _state.expectation(p);
-    }
+    /** Z-type strings read through the frame; X/Y strings flush. */
+    double expectation(const PauliString &p) const override;
 
     /** Full passes over the amplitude array (Statevector::sweeps). */
     std::uint64_t sweeps() const { return _state.sweeps(); }
 
-    /** The wrapped statevector (tests and benches peek at it). */
-    Statevector &state() { return _state; }
-    const Statevector &state() const { return _state; }
+    /**
+     * The true state (tests and benches peek at it): the frame is
+     * flushed into the stored statevector first.
+     */
+    Statevector &state();
+    const Statevector &state() const;
 
   private:
-    Statevector _state;
+    /** D and P of the class comment. */
+    struct Frame
+    {
+        std::vector<double> z;  //!< pending Rz angle per qubit
+        std::vector<double> zz; //!< pending Rzz angle, n x n, q0 < q1
+        std::uint64_t x = 0;    //!< Pauli frame X bits
+        std::uint64_t zBits = 0; //!< Pauli frame Z bits
+
+        void clear();
+    };
+
+    // Flushing is logically const: the true state does not change.
+    mutable Statevector _state;
+    mutable Frame _frame;
+    std::vector<PairAngle> _coupling; //!< scratch for flushCoupling
+    CMat _fold1;                      //!< scratch folded 1q matrix
+    CMat _fold2;                      //!< scratch folded 2q matrix
+
+    double &pair(std::uint32_t a, std::uint32_t b) const;
+    bool xBit(std::uint32_t q) const { return (_frame.x >> q) & 1; }
+
+    /** Conjugate D by X_q: negate every pending term on q. */
+    void flipSigns(std::uint32_t q);
+
+    /**
+     * Sweep the pending Rzz terms between qubits in `mask` and
+     * qubits outside it into the stored state (pulled through P).
+     */
+    void flushCoupling(std::uint64_t mask);
+
+    /** Drop the frame's part on the qubits in `mask`. */
+    void clearQubits(std::uint64_t mask);
+
+    /**
+     * Qubit q of the true state is in computational state `value`:
+     * its Rz term becomes a global phase and each Rzz term on it a
+     * signed Rz on the partner.
+     */
+    void settle(std::uint32_t q, int value);
+
+    /** Apply P then D to the stored state and clear the frame. */
+    void flush() const;
 };
 
 /**

@@ -85,8 +85,11 @@ prefixStateModeFromName(const std::string &name);
  *
  *  1 -- eager statevector kernels: every operator swept the state
  *       the moment it was applied.
+ *  2 -- DenseBackend's lazy Pauli + diagonal frame and the two-pass
+ *       amplitude-damping kernel (docs/simulator.md, "Lazy frame");
+ *       within 1e-12 of version 1 on every mean.
  */
-inline constexpr std::uint32_t kEngineNumerics = 1;
+inline constexpr std::uint32_t kEngineNumerics = 2;
 
 /** Trajectory-count, seeding and threading options. */
 struct ExecutionOptions

@@ -331,17 +331,17 @@ Statevector::applyPauliOp(PauliOp op, std::uint32_t q)
 }
 
 double
-Statevector::probabilityOne(std::uint32_t q) const
+Statevector::probability(std::uint32_t q, int outcome) const
 {
     ++_sweeps;
     const std::size_t half = std::size_t(1) << q;
     const std::size_t n = _amps.size();
-    const Complex *amps = _amps.data();
+    const Complex *amps = _amps.data() + (outcome ? half : 0);
     double p = 0.0;
     for (std::size_t base = 0; base < n; base += 2 * half) {
-        const Complex *hi = amps + base + half;
+        const Complex *branch = amps + base;
         for (std::size_t off = 0; off < half; ++off)
-            p += std::norm(hi[off]);
+            p += std::norm(branch[off]);
     }
     return p;
 }
@@ -434,57 +434,64 @@ Statevector::collapse(std::uint32_t q, int outcome)
     }
 }
 
-void
+bool
 Statevector::amplitudeDamp(std::uint32_t q, double tau, double t1,
-                           Rng &rng)
+                           Rng &rng, bool mirrored)
 {
     if (tau <= 0.0 || t1 <= 0.0)
-        return;
+        return false;
     const double decay = std::exp(-tau / t1);
-    const double p1 = probabilityOne(q);
-    const double p_jump = p1 * (1.0 - decay);
     const std::size_t half = std::size_t(1) << q;
     const std::size_t n = _amps.size();
     Complex *amps = _amps.data();
-    if (rng.uniform() < p_jump) {
-        // Jump: |1> decays to |0>.  The post-jump norm is exactly
-        // p1 (the moved amplitudes are summed in the same order the
-        // probability pass visited them), so move and rescale fuse
-        // into one pass.
-        const double nrm = std::sqrt(p1);
+    // Read pass: both branch populations, each in ascending index
+    // order.  `ground` and `excited` name the halves as the channel
+    // sees them (swapped when mirrored).
+    double p0 = 0.0, p1 = 0.0;
+    for (std::size_t base = 0; base < n; base += 2 * half) {
+        const Complex *lo = amps + base;
+        const Complex *hi = lo + half;
+        for (std::size_t off = 0; off < half; ++off)
+            p0 += std::norm(lo[off]);
+        for (std::size_t off = 0; off < half; ++off)
+            p1 += std::norm(hi[off]);
+    }
+    const double p_ground = mirrored ? p1 : p0;
+    const double p_excited = mirrored ? p0 : p1;
+    const std::size_t ground = mirrored ? half : 0;
+    const std::size_t excited = mirrored ? 0 : half;
+    _sweeps += 2;
+    if (rng.uniform() < p_excited * (1.0 - decay)) {
+        // Jump: the excited half decays into the ground half, and
+        // its population is the post-jump norm.
+        const double nrm = std::sqrt(p_excited);
         casq_assert(nrm > 1e-12, "state collapsed to zero norm");
         const double inv = 1.0 / nrm;
-        ++_sweeps;
         for (std::size_t base = 0; base < n; base += 2 * half) {
-            Complex *lo = amps + base;
-            Complex *hi = lo + half;
+            Complex *to = amps + base + ground;
+            Complex *from = amps + base + excited;
             for (std::size_t off = 0; off < half; ++off) {
-                lo[off] = hi[off] * inv;
-                hi[off] = 0.0;
+                to[off] = from[off] * inv;
+                from[off] = 0.0;
             }
         }
-        return;
+        return true;
     }
-    // No-jump back-action: damp the |1> amplitudes while
-    // accumulating the norm in full ascending index order.
-    _sweeps += 2;
-    const double k = std::sqrt(decay);
-    double nsum = 0.0;
-    for (std::size_t base = 0; base < n; base += 2 * half) {
-        Complex *lo = amps + base;
-        Complex *hi = lo + half;
-        for (std::size_t off = 0; off < half; ++off)
-            nsum += std::norm(lo[off]);
-        for (std::size_t off = 0; off < half; ++off) {
-            hi[off] *= k;
-            nsum += std::norm(hi[off]);
-        }
-    }
-    const double nrm = std::sqrt(nsum);
+    // No-jump back-action diag(1, sqrt(decay)), renormalized in the
+    // same write: the kept norm is p_ground + decay * p_excited.
+    const double nrm = std::sqrt(p_ground + decay * p_excited);
     casq_assert(nrm > 1e-12, "state collapsed to zero norm");
-    const double inv = 1.0 / nrm;
-    for (std::size_t i = 0; i < n; ++i)
-        amps[i] *= inv;
+    const double keep = 1.0 / nrm;
+    const double damp = std::sqrt(decay) * keep;
+    for (std::size_t base = 0; base < n; base += 2 * half) {
+        Complex *g = amps + base + ground;
+        Complex *e = amps + base + excited;
+        for (std::size_t off = 0; off < half; ++off)
+            g[off] *= keep;
+        for (std::size_t off = 0; off < half; ++off)
+            e[off] *= damp;
+    }
+    return false;
 }
 
 double

@@ -87,8 +87,14 @@ class Statevector
     /** Apply a single-qubit Pauli by enum. */
     void applyPauliOp(PauliOp op, std::uint32_t q);
 
+    /** Probability that qubit q reads `outcome` (0 or 1). */
+    double probability(std::uint32_t q, int outcome) const;
+
     /** Probability that qubit q reads 1. */
-    double probabilityOne(std::uint32_t q) const;
+    double probabilityOne(std::uint32_t q) const
+    {
+        return probability(q, 1);
+    }
 
     /** Probability of a full/partial computational outcome. */
     double probabilityOfOutcome(
@@ -104,10 +110,14 @@ class Statevector
     /**
      * Amplitude-damping channel for idling time tau with relaxation
      * time t1, unravelled as a quantum jump (one of the two Kraus
-     * branches is sampled and the state renormalized).
+     * branches is sampled and the state renormalized).  Two passes:
+     * one reads both branch populations, one writes the branch.
+     * `mirrored` swaps the roles of the halves (the stored |0> half
+     * decays into the |1> half), which is the channel seen through
+     * an X on qubit q.  Returns whether the jump branch was taken.
      */
-    void amplitudeDamp(std::uint32_t q, double tau, double t1,
-                       Rng &rng);
+    bool amplitudeDamp(std::uint32_t q, double tau, double t1,
+                       Rng &rng, bool mirrored = false);
 
     /** Exact expectation <psi| P |psi> (real part). */
     double expectation(const PauliString &p) const;
