@@ -54,7 +54,7 @@ DenseBackend::Frame::clear()
 }
 
 DenseBackend::DenseBackend(std::size_t num_qubits)
-    : _state(num_qubits), _fold1(2, 2), _fold2(4, 4)
+    : _state(num_qubits)
 {
     _frame.z.assign(num_qubits, 0.0);
     _frame.zz.assign(num_qubits * num_qubits, 0.0);
@@ -106,7 +106,7 @@ DenseBackend::flushCoupling(std::uint64_t mask)
     // D P = P (P D P): pulled through the Pauli frame, a pending
     // Rzz term flips sign when exactly one of its qubits carries an
     // X bit.
-    _coupling.clear();
+    std::vector<PairAngle> coupling;
     const std::uint32_t n = std::uint32_t(_state.numQubits());
     for (std::uint32_t q = 0; q < n; ++q) {
         if (!(mask & bit(q)))
@@ -115,13 +115,13 @@ DenseBackend::flushCoupling(std::uint64_t mask)
             double &theta = pair(q, p);
             if ((mask & bit(p)) || theta == 0.0)
                 continue;
-            _coupling.push_back(PairAngle{
+            coupling.push_back(PairAngle{
                 q, p, xBit(q) != xBit(p) ? -theta : theta});
             theta = 0.0;
         }
     }
-    if (!_coupling.empty())
-        _state.applyPhases({}, _coupling);
+    if (!coupling.empty())
+        _state.applyPhases({}, coupling);
 }
 
 void
@@ -223,12 +223,13 @@ DenseBackend::applyGate1q(const CMat &u, std::uint32_t q,
     const std::size_t x = xBit(q);
     const bool z = (_frame.zBits >> q) & 1;
     const Complex col[2][2] = {{a * e0, c * e0}, {b * e1, d * e1}};
+    CMat fold(2, 2);
     for (std::size_t j = 0; j < 2; ++j) {
         const Complex sign = z && j == 1 ? -1.0 : 1.0;
-        _fold1(0, j) = col[j ^ x][0] * sign;
-        _fold1(1, j) = col[j ^ x][1] * sign;
+        fold(0, j) = col[j ^ x][0] * sign;
+        fold(1, j) = col[j ^ x][1] * sign;
     }
-    _state.applyGate1q(_fold1, q);
+    _state.applyGate1q(fold, q);
     clearQubits(bit(q));
 }
 
@@ -268,14 +269,15 @@ DenseBackend::applyGate2q(const CMat &u, std::uint32_t q0,
     const std::size_t xl = xBit(q0) | std::size_t(xBit(q1)) << 1;
     const std::size_t zl = ((_frame.zBits >> q0) & 1) |
                            ((_frame.zBits >> q1) & 1) << 1;
+    CMat fold(4, 4);
     for (std::size_t j = 0; j < 4; ++j) {
         const std::size_t k = j ^ xl;
         const Complex f =
             phase[k] * (__builtin_popcountll(j & zl) & 1 ? -1.0 : 1.0);
         for (std::size_t r = 0; r < 4; ++r)
-            _fold2(r, j) = u(r, k) * f;
+            fold(r, j) = u(r, k) * f;
     }
-    _state.applyGate2q(_fold2, q0, q1);
+    _state.applyGate2q(fold, q0, q1);
     clearQubits(mask);
 }
 

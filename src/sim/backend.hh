@@ -5,8 +5,9 @@
  * StateBackend kernel surface (generic 1q/2q gates, the fused
  * diagonal-phase kernel, Pauli injection, measurement, amplitude
  * damping, Pauli expectation values).  DenseBackend wraps the exact
- * Statevector; StabilizerBackend (sim/stabilizer.hh) is the
- * CHP-style tableau fast path for Clifford-only trajectories.
+ * Statevector behind a lazy Pauli + diagonal frame;
+ * StabilizerBackend (sim/stabilizer.hh) is the CHP-style tableau
+ * fast path for Clifford-only trajectories.
  *
  * The engine resolves SimBackendKind::Auto per compiled variant: a
  * variant whose every instruction, noise phase and sampled error is
@@ -225,10 +226,8 @@ class DenseBackend final : public StateBackend
     // Flushing is logically const: the true state does not change.
     mutable Statevector _state;
     mutable Frame _frame;
-    std::vector<PairAngle> _coupling; //!< scratch for flushCoupling
-    CMat _fold1;                      //!< scratch folded 1q matrix
-    CMat _fold2;                      //!< scratch folded 2q matrix
 
+    /** The pending Rzz angle of the pair (a, b), either order. */
     double &pair(std::uint32_t a, std::uint32_t b) const;
     bool xBit(std::uint32_t q) const { return (_frame.x >> q) & 1; }
 

@@ -113,7 +113,8 @@ struct ExecutionOptions
 
     /**
      * Simulation substrate (sim/backend.hh).  Dense keeps results
-     * bit-identical to historical runs; Auto routes each variant to
+     * bit-identical to earlier runs of the same kEngineNumerics;
+     * Auto routes each variant to
      * the stabilizer tableau when its whole execution is Clifford
      * and falls back to dense otherwise; Stabilizer forces the
      * tableau and fails loudly on an ineligible variant.

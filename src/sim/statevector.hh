@@ -132,7 +132,10 @@ class Statevector
      * Full passes over the amplitude array since construction: every
      * kernel counts each walk it makes over the array, so a kernel
      * that reads the state and then writes it counts 2.  A pass that
-     * touches only one half (probabilityOne) still counts 1.
+     * touches only one half (probabilityOne) still counts 1.  Const
+     * kernels count as well, so concurrent reads of one shared
+     * statevector race on the counter; copyFrom only reads its
+     * source.
      */
     std::uint64_t sweeps() const { return _sweeps; }
 
