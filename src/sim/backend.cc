@@ -282,12 +282,6 @@ DenseBackend::applyGate2q(const CMat &u, std::uint32_t q0,
 }
 
 void
-DenseBackend::applyRz(std::uint32_t q, double theta)
-{
-    _frame.z[q] += theta;
-}
-
-void
 DenseBackend::applyPhases(const std::vector<QubitAngle> &z_angles,
                           const std::vector<PairAngle> &zz_angles)
 {

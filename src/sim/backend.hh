@@ -51,8 +51,8 @@ simBackendKindFromName(const std::string &name);
  * Abstract per-trajectory quantum state.
  *
  * The interface is exactly the kernel surface TrajectoryRunner
- * (sim/engine.cc) needs; angles handed to applyRz/applyPhases follow
- * the Statevector convention Rz(theta) = exp(-i theta Z / 2).  An
+ * (sim/engine.cc) needs; angles handed to applyPhases follow the
+ * Statevector convention Rz(theta) = exp(-i theta Z / 2).  An
  * implementation that cannot represent an operation (e.g. a
  * non-Clifford gate on the tableau) must fail loudly rather than
  * approximate -- routing is the engine's job, not the backend's.
@@ -86,7 +86,8 @@ class StateBackend
      * Apply a 2x2 unitary to qubit q.  `images`, when given, are
      * u's Clifford generator images (the engine resolves them once
      * per compiled variant): the tableau applies them as they are,
-     * the dense state ignores them.
+     * or derives them from u when they are null; the dense state
+     * ignores them.
      */
     virtual void applyGate1q(const CMat &u, std::uint32_t q,
                              const CliffordImages1Q *images) = 0;
@@ -96,23 +97,10 @@ class StateBackend
                              std::uint32_t q1,
                              const CliffordImages2Q *images) = 0;
 
-    /** Bare-matrix forms: the tableau derives the images from u. */
-    void
-    applyGate1q(const CMat &u, std::uint32_t q)
-    {
-        applyGate1q(u, q, nullptr);
-    }
-
-    void
-    applyGate2q(const CMat &u, std::uint32_t q0, std::uint32_t q1)
-    {
-        applyGate2q(u, q0, q1, nullptr);
-    }
-
-    /** Rz(theta) on q (diagonal fast path). */
-    virtual void applyRz(std::uint32_t q, double theta) = 0;
-
-    /** Fused diagonal kernel: all Rz and Rzz angles of one segment. */
+    /**
+     * Fused diagonal kernel: all Rz and Rzz angles of one segment,
+     * or the single Rz of a virtual gate.
+     */
     virtual void
     applyPhases(const std::vector<QubitAngle> &z_angles,
                 const std::vector<PairAngle> &zz_angles) = 0;
@@ -148,8 +136,8 @@ class StateBackend
  * The true state is D P |phi>: |phi> is the stored statevector, P a
  * Pauli frame (an X and a Z bit per qubit) and D a diagonal frame
  * of pending Rz angles per qubit and Rzz angles per pair, all up to
- * a global phase.  Diagonal operators (applyPhases, applyRz and
- * diagonal gates) only add angles to D; Pauli operators
+ * a global phase.  Diagonal operators (applyPhases and diagonal
+ * gates) only add angles to D; Pauli operators
  * (applyPauliOp and Pauli gates) only flip frame bits and the signs
  * of the pending terms they anticommute with.  Any other gate folds
  * the frame's part on its own qubits into its matrix, after one
@@ -182,14 +170,10 @@ class DenseBackend final : public StateBackend
     /** Copies the stored state and the frame. */
     void assign(const StateBackend &src) override;
 
-    using StateBackend::applyGate1q;
-    using StateBackend::applyGate2q;
-
     void applyGate1q(const CMat &u, std::uint32_t q,
                      const CliffordImages1Q *) override;
     void applyGate2q(const CMat &u, std::uint32_t q0, std::uint32_t q1,
                      const CliffordImages2Q *) override;
-    void applyRz(std::uint32_t q, double theta) override;
     void applyPhases(const std::vector<QubitAngle> &z_angles,
                      const std::vector<PairAngle> &zz_angles) override;
     void applyPauliOp(PauliOp op, std::uint32_t q) override;

@@ -279,7 +279,7 @@ CompiledVariant::buildPrefixCheckpoint(
         if (inst.op == Op::I)
             continue;
         if (inst.op == Op::RZ)
-            state->applyRz(inst.qubits[0], inst.params[0]);
+            state->applyPhases({{inst.qubits[0], inst.params[0]}}, {});
         else
             applyGate(*state, event.index);
     }
@@ -739,10 +739,13 @@ class TrajectoryRunner
         // Virtual diagonal gates: exact, free, no T1 flush needed
         // (they commute with the damping Kraus operators).
         if (opIsVirtual(inst.op)) {
-            if (inst.op == Op::RZ)
-                _state->applyRz(inst.qubits[0], inst.params[0]);
-            else
+            if (inst.op == Op::RZ) {
+                _zBuffer.assign(
+                    1, QubitAngle{inst.qubits[0], inst.params[0]});
+                _state->applyPhases(_zBuffer, {});
+            } else {
                 variant.applyGate(*_state, index);
+            }
             return;
         }
         for (auto q : inst.qubits)

@@ -275,15 +275,6 @@ StabilizerBackend::applyQuarterZz(std::uint32_t q0, std::uint32_t q1,
 }
 
 void
-StabilizerBackend::applyRz(std::uint32_t q, double theta)
-{
-    const auto k = quarterTurns(theta);
-    casq_assert(k, "non-Clifford Rz angle ", theta,
-                " reached the stabilizer backend");
-    applyQuarterZ(q, *k);
-}
-
-void
 StabilizerBackend::applyPhases(
     const std::vector<QubitAngle> &z_angles,
     const std::vector<PairAngle> &zz_angles)

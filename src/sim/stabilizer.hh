@@ -20,8 +20,8 @@
  * U Z U^dag per acted qubit), derived numerically via
  * Conjugation1Q/Conjugation2Q -- no hand-written per-gate tables to
  * get wrong.  The engine resolves them once per compiled variant and
- * hands them in with each gate; a bare-matrix call derives them on
- * the spot.  Non-Clifford input is a hard error: routing
+ * hands them in with each gate; a call with null images derives
+ * them on the spot.  Non-Clifford input is a hard error: routing
  * Clifford-only variants here is the engine's eligibility analysis
  * (sim/engine.cc, docs/backends.md).
  */
@@ -58,13 +58,10 @@ class StabilizerBackend final : public StateBackend
 
     void reset() override;
     void assign(const StateBackend &src) override;
-    using StateBackend::applyGate1q;
-    using StateBackend::applyGate2q;
     void applyGate1q(const CMat &u, std::uint32_t q,
                      const CliffordImages1Q *images) override;
     void applyGate2q(const CMat &u, std::uint32_t q0, std::uint32_t q1,
                      const CliffordImages2Q *images) override;
-    void applyRz(std::uint32_t q, double theta) override;
     void applyPhases(const std::vector<QubitAngle> &z_angles,
                      const std::vector<PairAngle> &zz_angles) override;
     void applyPauliOp(PauliOp op, std::uint32_t q) override;
@@ -81,7 +78,7 @@ class StabilizerBackend final : public StateBackend
      * theta as a multiple of pi/2 in {0..3}, or nullopt when it is
      * not one (within 1e-9 of a quarter turn).  This is the shared
      * quantization rule: the engine's Clifford-eligibility analysis
-     * accepts exactly the angles applyRz/applyPhases accept.
+     * accepts exactly the angles applyPhases accepts.
      */
     static std::optional<int> quarterTurns(double theta);
 

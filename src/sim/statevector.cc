@@ -322,14 +322,6 @@ Statevector::applyPauli(const PauliString &p)
     }
 }
 
-void
-Statevector::applyPauliOp(PauliOp op, std::uint32_t q)
-{
-    if (op == PauliOp::I)
-        return;
-    applyGate1q(pauliMatrix(op), q);
-}
-
 double
 Statevector::probability(std::uint32_t q, int outcome) const
 {
@@ -344,64 +336,6 @@ Statevector::probability(std::uint32_t q, int outcome) const
             p += std::norm(branch[off]);
     }
     return p;
-}
-
-double
-Statevector::probabilityOfOutcome(
-    const std::vector<std::uint32_t> &qubits,
-    const std::vector<int> &bits) const
-{
-    casq_assert(qubits.size() == bits.size(),
-                "outcome spec size mismatch");
-    std::size_t mask = 0, want = 0;
-    for (std::size_t k = 0; k < qubits.size(); ++k) {
-        mask |= std::size_t(1) << qubits[k];
-        if (bits[k])
-            want |= std::size_t(1) << qubits[k];
-    }
-    ++_sweeps;
-    double p = 0.0;
-    for (std::size_t i = 0; i < _amps.size(); ++i)
-        if ((i & mask) == want)
-            p += std::norm(_amps[i]);
-    return p;
-}
-
-int
-Statevector::measure(std::uint32_t q, Rng &rng)
-{
-    // Fused: one pass accumulates both outcome probabilities (each
-    // in ascending index order, matching the unfused subset sums),
-    // then a single pass collapses and rescales.
-    _sweeps += 2;
-    const std::size_t half = std::size_t(1) << q;
-    const std::size_t n = _amps.size();
-    Complex *amps = _amps.data();
-    double p0 = 0.0, p1 = 0.0;
-    for (std::size_t base = 0; base < n; base += 2 * half) {
-        const Complex *lo = amps + base;
-        const Complex *hi = lo + half;
-        for (std::size_t off = 0; off < half; ++off)
-            p0 += std::norm(lo[off]);
-        for (std::size_t off = 0; off < half; ++off)
-            p1 += std::norm(hi[off]);
-    }
-    const int outcome = rng.uniform() < p1 ? 1 : 0;
-    const double kept = outcome ? p1 : p0;
-    const double nrm = std::sqrt(kept);
-    casq_assert(nrm > 1e-12, "state collapsed to zero norm");
-    const double inv = 1.0 / nrm;
-    for (std::size_t base = 0; base < n; base += 2 * half) {
-        Complex *lo = amps + base;
-        Complex *hi = lo + half;
-        Complex *keep = outcome ? hi : lo;
-        Complex *drop = outcome ? lo : hi;
-        for (std::size_t off = 0; off < half; ++off)
-            keep[off] *= inv;
-        for (std::size_t off = 0; off < half; ++off)
-            drop[off] = 0.0;
-    }
-    return outcome;
 }
 
 void
@@ -532,38 +466,6 @@ Statevector::expectation(const PauliString &p) const
         acc += std::conj(amps[j]) * c * amps[i];
     }
     return acc.real();
-}
-
-Complex
-Statevector::overlap(const Statevector &other) const
-{
-    casq_assert(other.size() == size(), "overlap size mismatch");
-    ++_sweeps;
-    Complex acc{};
-    for (std::size_t i = 0; i < _amps.size(); ++i)
-        acc += std::conj(other._amps[i]) * _amps[i];
-    return acc;
-}
-
-double
-Statevector::norm() const
-{
-    ++_sweeps;
-    double n = 0.0;
-    for (const auto &a : _amps)
-        n += std::norm(a);
-    return n;
-}
-
-void
-Statevector::renormalize()
-{
-    const double n = std::sqrt(norm());
-    casq_assert(n > 1e-12, "state collapsed to zero norm");
-    const double inv = 1.0 / n;
-    ++_sweeps;
-    for (auto &a : _amps)
-        a *= inv;
 }
 
 } // namespace casq

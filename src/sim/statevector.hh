@@ -3,8 +3,8 @@
  * Dense statevector with the specialized kernels needed by the
  * trajectory simulator: generic 1q/2q gate application, a fused
  * diagonal-phase kernel for the per-segment Z/ZZ crosstalk errors,
- * projective measurement, amplitude damping, and exact Pauli
- * expectation values.
+ * Pauli strings, single-qubit probabilities and collapse, amplitude
+ * damping, and exact Pauli expectation values.
  */
 
 #ifndef CASQ_SIM_STATEVECTOR_HH
@@ -67,9 +67,6 @@ class Statevector
     void applyGate2q(const CMat &u, std::uint32_t q0,
                      std::uint32_t q1);
 
-    /** Rz(theta) on q (diagonal fast path). */
-    void applyRz(std::uint32_t q, double theta);
-
     /** Rzz(theta) on (q0, q1) (diagonal fast path). */
     void applyRzz(std::uint32_t q0, std::uint32_t q1, double theta);
 
@@ -84,9 +81,6 @@ class Statevector
     /** Apply a Pauli string (its phase included). */
     void applyPauli(const PauliString &p);
 
-    /** Apply a single-qubit Pauli by enum. */
-    void applyPauliOp(PauliOp op, std::uint32_t q);
-
     /** Probability that qubit q reads `outcome` (0 or 1). */
     double probability(std::uint32_t q, int outcome) const;
 
@@ -95,14 +89,6 @@ class Statevector
     {
         return probability(q, 1);
     }
-
-    /** Probability of a full/partial computational outcome. */
-    double probabilityOfOutcome(
-        const std::vector<std::uint32_t> &qubits,
-        const std::vector<int> &bits) const;
-
-    /** Projective measurement with collapse; returns the outcome. */
-    int measure(std::uint32_t q, Rng &rng);
 
     /** Project qubit q onto `outcome` and renormalize. */
     void collapse(std::uint32_t q, int outcome);
@@ -122,12 +108,6 @@ class Statevector
     /** Exact expectation <psi| P |psi> (real part). */
     double expectation(const PauliString &p) const;
 
-    /** <other|this>. */
-    Complex overlap(const Statevector &other) const;
-
-    /** Squared norm (should stay 1 within roundoff). */
-    double norm() const;
-
     /**
      * Full passes over the amplitude array since construction: every
      * kernel counts each walk it makes over the array, so a kernel
@@ -145,7 +125,8 @@ class Statevector
     std::vector<Complex> _phaseScratch; //!< lazily sized factor table
     mutable std::uint64_t _sweeps = 0;
 
-    void renormalize();
+    /** Rz(theta) on q: the one-term fast path of applyPhases. */
+    void applyRz(std::uint32_t q, double theta);
 };
 
 } // namespace casq

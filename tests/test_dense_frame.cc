@@ -93,14 +93,14 @@ TEST(DenseSweeps, FrameDefersPaulisAndDiagonals)
     // Paulis, virtual rz, diagonal gates and segment phases are
     // frame updates: no sweep.
     EXPECT_EQ(delta([&] {
-                  backend.applyGate1q(gateUnitary(Op::X), 0);
-                  backend.applyGate1q(gateUnitary(Op::Y), 1);
-                  backend.applyGate1q(gateUnitary(Op::Z), 2);
-                  backend.applyGate1q(gateUnitary(Op::S), 3);
+                  backend.applyGate1q(gateUnitary(Op::X), 0, nullptr);
+                  backend.applyGate1q(gateUnitary(Op::Y), 1, nullptr);
+                  backend.applyGate1q(gateUnitary(Op::Z), 2, nullptr);
+                  backend.applyGate1q(gateUnitary(Op::S), 3, nullptr);
                   backend.applyPauliOp(PauliOp::Y, 3);
-                  backend.applyRz(0, 0.3);
+                  backend.applyPhases({{0, 0.3}}, {});
                   backend.applyGate2q(gateUnitary(Op::RZZ, {0.4}), 1,
-                                      2);
+                                      2, nullptr);
                   backend.applyPhases({{0, 0.1}, {3, 0.2}},
                                       {{0, 1, 0.05}, {2, 3, 0.07}});
               }),
@@ -108,12 +108,13 @@ TEST(DenseSweeps, FrameDefersPaulisAndDiagonals)
     // A general gate folds its own qubits' frame into its matrix;
     // the pending Rzz terms from (1, 2) to 0 and 3 cost one sweep.
     EXPECT_EQ(delta([&] {
-                  backend.applyGate2q(gateUnitary(Op::ECR), 1, 2);
+                  backend.applyGate2q(gateUnitary(Op::ECR), 1, 2,
+                                      nullptr);
               }),
               2u);
     // Nothing couples qubit 1 to the rest any more.
     EXPECT_EQ(delta([&] {
-                  backend.applyGate1q(gateUnitary(Op::SX), 1);
+                  backend.applyGate1q(gateUnitary(Op::SX), 1, nullptr);
               }),
               1u);
     // Z-type reads see through the frame; an X string flushes P and
@@ -213,7 +214,9 @@ distanceUpToPhase(const Statevector &a, const Statevector &b)
  * Statevector with the eager kernels, in lockstep on twin RNG
  * streams: every measurement and damping branch must agree, every
  * read must agree to 1e-12, and the states must agree up to a global
- * phase.  A mid-sequence assign() moves the run to a fork.
+ * phase.  A mid-sequence assign() moves the run to a fork.  On the
+ * eager side a Pauli is its matrix and a measurement is
+ * probability, one uniform, collapse (StateBackend::measure).
  */
 TEST(DenseFrame, RandomSequencesMatchEagerKernels)
 {
@@ -234,14 +237,14 @@ TEST(DenseFrame, RandomSequencesMatchEagerKernels)
         };
         const auto angle = [&] { return script.uniform(-3.2, 3.2); };
         const auto gate1q = [&](const CMat &u, std::uint32_t q) {
-            lazy->applyGate1q(u, q);
+            lazy->applyGate1q(u, q, nullptr);
             eager.applyGate1q(u, q);
         };
         const auto gate2q = [&](const CMat &u) {
             const std::uint32_t q0 = qubit();
             const std::uint32_t q1 =
                 (q0 + 1 + std::uint32_t(script.uniformInt(n - 1))) % n;
-            lazy->applyGate2q(u, q0, q1);
+            lazy->applyGate2q(u, q0, q1, nullptr);
             eager.applyGate2q(u, q0, q1);
         };
         const auto pick = [&](const std::vector<Op> &ops) {
@@ -258,7 +261,7 @@ TEST(DenseFrame, RandomSequencesMatchEagerKernels)
                 const PauliOp op = PauliOp(1 + script.uniformInt(3));
                 const std::uint32_t q = qubit();
                 lazy->applyPauliOp(op, q);
-                eager.applyPauliOp(op, q);
+                eager.applyGate1q(pauliMatrix(op), q);
                 break;
               }
               case 2:
@@ -267,8 +270,8 @@ TEST(DenseFrame, RandomSequencesMatchEagerKernels)
               case 3: {
                 const std::uint32_t q = qubit();
                 const double theta = angle();
-                lazy->applyRz(q, theta);
-                eager.applyRz(q, theta);
+                lazy->applyPhases({{q, theta}}, {});
+                eager.applyPhases({{q, theta}}, {});
                 break;
               }
               case 4: {
@@ -315,11 +318,13 @@ TEST(DenseFrame, RandomSequencesMatchEagerKernels)
                 // Measurement, and a reset when `reset` says so.
                 const std::uint32_t q = qubit();
                 const int got = lazy->measure(q, lazy_rng);
-                const int want = eager.measure(q, eager_rng);
+                const double p1 = eager.probability(q, 1);
+                const int want = eager_rng.uniform() < p1 ? 1 : 0;
+                eager.collapse(q, want);
                 ASSERT_EQ(got, want) << label;
                 if (script.uniformInt(2) && want == 1) {
                     lazy->applyPauliOp(PauliOp::X, q);
-                    eager.applyPauliOp(PauliOp::X, q);
+                    eager.applyGate1q(pauliMatrix(PauliOp::X), q);
                 }
                 break;
               }

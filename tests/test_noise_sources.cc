@@ -525,7 +525,7 @@ TEST(NoiseSources, ComposedModelBitIdenticalAcrossShardsAndThreads)
             spec.trajectories = 42;
             spec.seed = 616;
             spec.noise = noise;
-            // Round-trip the v4 wire format on every shard.
+            // Round-trip the v5 wire format on every shard.
             results.push_back(executeShard(
                 ShardSpec::decode(spec.encode()), threads));
         }

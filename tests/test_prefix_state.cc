@@ -288,7 +288,7 @@ mergeJob(std::uint32_t shards, PrefixStateMode prefix,
 {
     std::vector<ShardResult> results;
     for (std::uint32_t k = 0; k < shards; ++k) {
-        // Round-trip the wire format on every shard: the v4 payload
+        // Round-trip the wire format on every shard: the v5 payload
         // must carry the prefix mode out and the hit count back.
         const ShardSpec spec = ShardSpec::decode(
             shardSpec(k, shards, prefix, noise).encode());

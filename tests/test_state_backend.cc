@@ -106,8 +106,8 @@ TEST(StateBackend, MakeStateBackendBuildsTheRequestedKind)
 TEST(StateBackend, DenseBackendDelegatesToStatevector)
 {
     DenseBackend backend(2);
-    backend.applyGate1q(gateUnitary(Op::H), 0);
-    backend.applyGate2q(gateUnitary(Op::CX), 0, 1);
+    backend.applyGate1q(gateUnitary(Op::H), 0, nullptr);
+    backend.applyGate2q(gateUnitary(Op::CX), 0, 1, nullptr);
     EXPECT_NEAR(backend.state().expectation(
                     PauliString::fromLabel("ZZ")),
                 1.0, 1e-12);
@@ -122,9 +122,9 @@ TEST(StabilizerVsDense, NamedCliffordStatesAgree)
     // GHZ: H 0; CX 0->1; CX 1->2.
     BackendPair ghz(3);
     ghz.both([](StateBackend &s) {
-        s.applyGate1q(gateUnitary(Op::H), 0);
-        s.applyGate2q(gateUnitary(Op::CX), 0, 1);
-        s.applyGate2q(gateUnitary(Op::CX), 1, 2);
+        s.applyGate1q(gateUnitary(Op::H), 0, nullptr);
+        s.applyGate2q(gateUnitary(Op::CX), 0, 1, nullptr);
+        s.applyGate2q(gateUnitary(Op::CX), 1, 2, nullptr);
     });
     ghz.expectZAgreement("ghz");
     ghz.expectAgree(PauliString::fromLabel("XXX"), "ghz");
@@ -134,10 +134,10 @@ TEST(StabilizerVsDense, NamedCliffordStatesAgree)
     // |i> x |-> via S H and H Z.
     BackendPair axes(2);
     axes.both([](StateBackend &s) {
-        s.applyGate1q(gateUnitary(Op::H), 0);
-        s.applyGate1q(gateUnitary(Op::S), 0);
-        s.applyGate1q(gateUnitary(Op::Z), 1);
-        s.applyGate1q(gateUnitary(Op::H), 1);
+        s.applyGate1q(gateUnitary(Op::H), 0, nullptr);
+        s.applyGate1q(gateUnitary(Op::S), 0, nullptr);
+        s.applyGate1q(gateUnitary(Op::Z), 1, nullptr);
+        s.applyGate1q(gateUnitary(Op::H), 1, nullptr);
     });
     for (const char *label : {"YI", "IX", "YX", "ZI", "IZ", "XI"})
         axes.expectAgree(PauliString::fromLabel(label), "axes");
@@ -156,7 +156,7 @@ TEST(StabilizerVsDense, RandomCliffordCircuitsAgree)
                 const auto q =
                     std::uint32_t(rng.uniformInt(n));
                 pair.both([&](StateBackend &s) {
-                    s.applyGate1q(gateUnitary(op), q);
+                    s.applyGate1q(gateUnitary(op), q, nullptr);
                 });
             } else {
                 const Op op = kClifford2q[rng.uniformInt(
@@ -167,7 +167,7 @@ TEST(StabilizerVsDense, RandomCliffordCircuitsAgree)
                 if (q1 >= q0)
                     ++q1;
                 pair.both([&](StateBackend &s) {
-                    s.applyGate2q(gateUnitary(op), q0, q1);
+                    s.applyGate2q(gateUnitary(op), q0, q1, nullptr);
                 });
             }
             if (step % 8 == 7) {
@@ -184,7 +184,7 @@ TEST(StabilizerVsDense, QuarterTurnPhaseKernelsAgree)
     BackendPair pair(4);
     pair.both([](StateBackend &s) {
         for (std::uint32_t q = 0; q < 4; ++q)
-            s.applyGate1q(gateUnitary(Op::H), q);
+            s.applyGate1q(gateUnitary(Op::H), q, nullptr);
     });
     // Mixed fused kernel: Rz quarter turns + Rzz quarter turns,
     // including negative multiples and whole turns.
@@ -199,8 +199,8 @@ TEST(StabilizerVsDense, QuarterTurnPhaseKernelsAgree)
         pair.expectAgree(PauliString::fromLabel(label), "fused");
 
     pair.both([](StateBackend &s) {
-        s.applyRz(0, kPi / 2);
-        s.applyRz(2, -kPi);
+        s.applyPhases({{0, kPi / 2}}, {});
+        s.applyPhases({{2, -kPi}}, {});
     });
     pair.expectAgree(PauliString::fromLabel("YIII"), "rz");
     pair.expectAgree(PauliString::fromLabel("IIXI"), "rz");
@@ -212,9 +212,9 @@ TEST(StabilizerVsDense, PauliInjectionAgrees)
     // fires most often; exercise every enum on a non-trivial state.
     BackendPair pair(3);
     pair.both([](StateBackend &s) {
-        s.applyGate1q(gateUnitary(Op::H), 0);
-        s.applyGate2q(gateUnitary(Op::ECR), 0, 1);
-        s.applyGate1q(gateUnitary(Op::S), 2);
+        s.applyGate1q(gateUnitary(Op::H), 0, nullptr);
+        s.applyGate2q(gateUnitary(Op::ECR), 0, 1, nullptr);
+        s.applyGate1q(gateUnitary(Op::S), 2, nullptr);
     });
     for (PauliOp op : {PauliOp::X, PauliOp::Y, PauliOp::Z}) {
         for (std::uint32_t q = 0; q < 3; ++q) {
@@ -233,9 +233,9 @@ TEST(StabilizerVsDense, MeasurementConsumesTheSameRngStream)
     for (std::uint64_t seed = 1; seed <= 24; ++seed) {
         BackendPair pair(3);
         pair.both([](StateBackend &s) {
-            s.applyGate1q(gateUnitary(Op::H), 0);
-            s.applyGate2q(gateUnitary(Op::CX), 0, 1);
-            s.applyGate1q(gateUnitary(Op::H), 2);
+            s.applyGate1q(gateUnitary(Op::H), 0, nullptr);
+            s.applyGate2q(gateUnitary(Op::CX), 0, 1, nullptr);
+            s.applyGate1q(gateUnitary(Op::H), 2, nullptr);
         });
         Rng dense_rng(seed);
         Rng tableau_rng(seed);
@@ -258,12 +258,12 @@ TEST(StabilizerVsDense, MeasurementConsumesTheSameRngStream)
 TEST(StabilizerBackend, DeterministicMeasurementDrawsNoBranch)
 {
     StabilizerBackend tableau(2);
-    tableau.applyGate1q(gateUnitary(Op::X), 0);
+    tableau.applyGate1q(gateUnitary(Op::X), 0, nullptr);
     EXPECT_TRUE(tableau.isDeterministicZ(0));
     EXPECT_EQ(tableau.probabilityOne(0), 1.0);
     EXPECT_EQ(tableau.probabilityOne(1), 0.0);
 
-    tableau.applyGate1q(gateUnitary(Op::H), 1);
+    tableau.applyGate1q(gateUnitary(Op::H), 1, nullptr);
     EXPECT_FALSE(tableau.isDeterministicZ(1));
     EXPECT_EQ(tableau.probabilityOne(1), 0.5);
 
@@ -295,12 +295,15 @@ TEST(StabilizerBackend, QuarterTurnQuantizationRule)
 TEST(StateBackendDeath, NonCliffordInputFailsLoudly)
 {
     StabilizerBackend tableau(2);
-    EXPECT_DEATH(tableau.applyGate1q(gateUnitary(Op::T), 0),
+    EXPECT_DEATH(tableau.applyGate1q(gateUnitary(Op::T), 0, nullptr),
                  "non-Clifford 1q unitary");
     EXPECT_DEATH(
-        tableau.applyGate2q(gateUnitary(Op::RZZ, {0.3}), 0, 1),
+        tableau.applyGate2q(gateUnitary(Op::RZZ, {0.3}), 0, 1, nullptr),
         "non-Clifford 2q unitary");
-    EXPECT_DEATH(tableau.applyRz(0, 0.7), "non-Clifford Rz angle");
+    EXPECT_DEATH(tableau.applyPhases({{0, 0.7}}, {}),
+                 "non-Clifford Z phase");
+    EXPECT_DEATH(tableau.applyPhases({}, {{0, 1, 0.3}}),
+                 "non-Clifford ZZ phase");
     Rng rng(1);
     EXPECT_DEATH(tableau.amplitudeDamp(0, 100.0, 50.0, rng),
                  "not a Clifford channel");

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "circuit/unitary.hh"
+#include "sim/backend.hh"
 #include "sim/statevector.hh"
 
 namespace casq {
@@ -13,7 +14,8 @@ TEST(Statevector, InitialState)
     Statevector sv(3);
     EXPECT_EQ(sv.size(), 8u);
     EXPECT_EQ(sv.amplitudes()[0], Complex(1));
-    EXPECT_NEAR(sv.norm(), 1.0, 1e-12);
+    EXPECT_NEAR(sv.probability(0, 0) + sv.probability(0, 1), 1.0,
+                1e-12);
 }
 
 TEST(Statevector, HadamardCreatesSuperposition)
@@ -46,7 +48,7 @@ TEST(Statevector, RzPhaseOnPlusState)
 {
     Statevector sv(1);
     sv.applyGate1q(gateUnitary(Op::H), 0);
-    sv.applyRz(0, 0.7);
+    sv.applyPhases({{0, 0.7}}, {});
     EXPECT_NEAR(sv.expectation(
                     PauliString::single(1, 0, PauliOp::X)),
                 std::cos(0.7), 1e-12);
@@ -78,8 +80,8 @@ TEST(Statevector, FusedPhasesMatchSequential)
 
     a.applyPhases({QubitAngle{0, 0.3}, QubitAngle{2, -0.5}},
                   {PairAngle{0, 1, 0.7}, PairAngle{1, 2, 0.2}});
-    b.applyRz(0, 0.3);
-    b.applyRz(2, -0.5);
+    b.applyPhases({{0, 0.3}}, {});
+    b.applyPhases({{2, -0.5}}, {});
     b.applyRzz(0, 1, 0.7);
     b.applyRzz(1, 2, 0.2);
     for (std::size_t i = 0; i < 8; ++i)
@@ -115,16 +117,21 @@ TEST(Statevector, ApplyPauliMatchesMatrix)
     }
 }
 
+// Measurement is StateBackend::measure (probabilityOne, one
+// uniform, collapse); these pin it on the dense backend.
+
 TEST(Statevector, MeasureCollapses)
 {
     Rng rng(5);
-    Statevector sv(2);
-    sv.applyGate1q(gateUnitary(Op::H), 0);
-    sv.applyGate2q(gateUnitary(Op::CX), 0, 1);
-    const int outcome = sv.measure(0, rng);
+    DenseBackend backend(2);
+    backend.applyGate1q(gateUnitary(Op::H), 0, nullptr);
+    backend.applyGate2q(gateUnitary(Op::CX), 0, 1, nullptr);
+    const int outcome = backend.measure(0, rng);
     // After collapse both qubits agree.
-    EXPECT_NEAR(sv.probabilityOne(1), double(outcome), 1e-12);
-    EXPECT_NEAR(sv.norm(), 1.0, 1e-12);
+    EXPECT_NEAR(backend.probabilityOne(1), double(outcome), 1e-12);
+    const Statevector &sv = backend.state();
+    EXPECT_NEAR(sv.probability(0, 0) + sv.probability(0, 1), 1.0,
+                1e-12);
 }
 
 TEST(Statevector, MeasurementStatistics)
@@ -133,9 +140,9 @@ TEST(Statevector, MeasurementStatistics)
     int ones = 0;
     const int shots = 2000;
     for (int s = 0; s < shots; ++s) {
-        Statevector sv(1);
-        sv.applyGate1q(gateUnitary(Op::H), 0);
-        ones += sv.measure(0, rng);
+        DenseBackend backend(1);
+        backend.applyGate1q(gateUnitary(Op::H), 0, nullptr);
+        ones += backend.measure(0, rng);
     }
     EXPECT_NEAR(ones / double(shots), 0.5, 0.05);
 }
@@ -146,17 +153,6 @@ TEST(Statevector, CollapseDeterministic)
     sv.applyGate1q(gateUnitary(Op::H), 0);
     sv.collapse(0, 1);
     EXPECT_NEAR(sv.probabilityOne(0), 1.0, 1e-12);
-}
-
-TEST(Statevector, ProbabilityOfOutcome)
-{
-    Statevector sv(2);
-    sv.applyGate1q(gateUnitary(Op::H), 0);
-    sv.applyGate2q(gateUnitary(Op::CX), 0, 1);
-    EXPECT_NEAR(sv.probabilityOfOutcome({0, 1}, {0, 0}), 0.5,
-                1e-12);
-    EXPECT_NEAR(sv.probabilityOfOutcome({0, 1}, {1, 0}), 0.0,
-                1e-12);
 }
 
 TEST(Statevector, AmplitudeDampDecaysExcitedState)
@@ -181,17 +177,8 @@ TEST(Statevector, AmplitudeDampPreservesGroundState)
     Statevector sv(1);
     sv.amplitudeDamp(0, 1000.0, 100.0, rng);
     EXPECT_NEAR(sv.probabilityOne(0), 0.0, 1e-12);
-    EXPECT_NEAR(sv.norm(), 1.0, 1e-12);
-}
-
-TEST(Statevector, OverlapOfIdenticalStatesIsOne)
-{
-    Statevector a(2), b(2);
-    for (Statevector *sv : {&a, &b}) {
-        sv->applyGate1q(gateUnitary(Op::H), 0);
-        sv->applyGate2q(gateUnitary(Op::CX), 0, 1);
-    }
-    EXPECT_NEAR(std::abs(a.overlap(b)), 1.0, 1e-12);
+    EXPECT_NEAR(sv.probability(0, 0) + sv.probability(0, 1), 1.0,
+                1e-12);
 }
 
 TEST(Statevector, CopyFromMatchesSourceExactly)
@@ -199,7 +186,7 @@ TEST(Statevector, CopyFromMatchesSourceExactly)
     Statevector src(3), dst(3);
     src.applyGate1q(gateUnitary(Op::H), 0);
     src.applyGate2q(gateUnitary(Op::ECR), 0, 2);
-    src.applyRz(1, 0.37);
+    src.applyPhases({{1, 0.37}}, {});
     dst.copyFrom(src);
     for (std::size_t i = 0; i < src.size(); ++i)
         EXPECT_EQ(dst.amplitudes()[i], src.amplitudes()[i]) << i;
@@ -415,39 +402,6 @@ TEST(StatevectorKernels, RandomizedPauliMatchesMatrixKernel)
     }
 }
 
-// --------------------------------- fused-kernel bit-exact pins
-//
-// measure() fuses probabilityOne + collapse + renormalize into one
-// probability pass and one scaling pass with identical arithmetic
-// order, so composing the unfused library calls must reproduce its
-// bytes exactly -- EXPECT_EQ, no tolerance.
-
-TEST(StatevectorKernels, MeasureEqualsProbabilityPlusCollapse)
-{
-    Rng master(76);
-    for (int round = 0; round < 12; ++round) {
-        Rng setup = master.derive(std::uint64_t(round));
-        Statevector fused = randomState(4, setup);
-        Statevector composed(4);
-        composed.copyFrom(fused);
-        const std::uint32_t q = round % 4;
-
-        // Identical draw for both paths.
-        Rng draw_a = setup.derive(9000);
-        Rng draw_b = setup.derive(9000);
-        const int outcome = fused.measure(q, draw_a);
-        const int expected =
-            draw_b.uniform() < composed.probabilityOne(q) ? 1 : 0;
-        composed.collapse(q, expected);
-
-        EXPECT_EQ(outcome, expected) << "round " << round;
-        for (std::size_t i = 0; i < fused.size(); ++i)
-            EXPECT_EQ(fused.amplitudes()[i],
-                      composed.amplitudes()[i])
-                << "round " << round << " amp " << i;
-    }
-}
-
 TEST(StatevectorKernels, AmplitudeDampGroundStateIsExact)
 {
     // The fused no-jump branch must leave an exact ground state
@@ -499,7 +453,8 @@ TEST(StatevectorKernels, AmplitudeDampBranchesMatchAnalytic)
                                  Complex(beta * k / nrm)),
                         0.0, 1e-15);
         }
-        EXPECT_NEAR(sv.norm(), 1.0, 1e-12);
+        EXPECT_NEAR(sv.probability(0, 0) + sv.probability(0, 1),
+                    1.0, 1e-12);
     }
     // p1 ~ 0.29: both branches must actually have been exercised.
     EXPECT_GT(jumps, 0);

@@ -19,8 +19,9 @@
  * a `casq_shard run` subprocess instead, which is what makes a
  * worker death a survivable event (the scheduler re-queues the
  * shard; bit-determinism makes the re-execution merge-hazard-free).
- * --kill-nth-spawn N SIGKILLs the Nth spawned subprocess after
- * --kill-delay-ms, so CI can rehearse exactly that failure.
+ * --kill-nth-spawn N SIGKILLs the Nth spawned subprocess before it
+ * execs casq_shard, so CI can rehearse exactly that failure however
+ * fast the shards run.
  */
 
 #include <atomic>
@@ -72,9 +73,7 @@ usage(std::ostream &os, int code)
           "  --work-dir DIR       spool directory for --spawn\n"
           "                       payloads (default: mkdtemp)\n"
           "  --kill-nth-spawn N   chaos: SIGKILL the Nth spawned\n"
-          "                       subprocess (0 = never)\n"
-          "  --kill-delay-ms M    delay before the chaos kill\n"
-          "                       (default 200)\n";
+          "                       subprocess (0 = never)\n";
     return code;
 }
 
@@ -96,7 +95,6 @@ class SubprocessShardRunner : public ShardRunner
         std::string workDir;
         int threads = 1;
         long killNthSpawn = 0; //!< 0 = chaos disabled
-        long killDelayMs = 200;
     };
 
     explicit SubprocessShardRunner(Options options)
@@ -117,6 +115,12 @@ class SubprocessShardRunner : public ShardRunner
 
         const std::string threads =
             std::to_string(_options.threads);
+        // The chaos kill is decided before the fork and the chosen
+        // child kills itself before it execs, so the kill lands
+        // however fast the shard would run and targets no pid.
+        const long spawn = ++_spawned;
+        const bool chaos = _options.killNthSpawn > 0 &&
+                           spawn == _options.killNthSpawn;
         const pid_t pid = ::fork();
         if (pid < 0) {
             ::unlink(spec_path.c_str());
@@ -125,6 +129,8 @@ class SubprocessShardRunner : public ShardRunner
                 std::strerror(errno));
         }
         if (pid == 0) {
+            if (chaos)
+                ::raise(SIGKILL);
             ::execl(_options.shardTool.c_str(), "casq_shard",
                     "run", "--spec", spec_path.c_str(), "--out",
                     result_path.c_str(), "--threads",
@@ -133,18 +139,9 @@ class SubprocessShardRunner : public ShardRunner
             _exit(127);
         }
 
-        const long spawn = ++_spawned;
-        if (_options.killNthSpawn > 0 &&
-            spawn == _options.killNthSpawn) {
-            const long delay = _options.killDelayMs;
-            std::thread([pid, delay] {
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(delay));
-                ::kill(pid, SIGKILL);
-            }).detach();
-            std::cerr << "chaos: will SIGKILL spawn #" << spawn
-                      << " (pid " << pid << ") after " << delay
-                      << " ms\n";
+        if (chaos) {
+            std::cerr << "chaos: SIGKILL spawn #" << spawn << " (pid "
+                      << pid << ") before exec\n";
         }
 
         int status = 0;
@@ -333,7 +330,6 @@ main(int argc, char **argv)
     JobServiceOptions options;
     bool spawn = false;
     long kill_nth = 0;
-    long kill_delay_ms = 200;
 
     constexpr long long kMaxInt = std::numeric_limits<int>::max();
     for (int i = 1; i < argc; ++i) {
@@ -379,10 +375,6 @@ main(int argc, char **argv)
                        value(argc, argv, i, "--kill-nth-spawn")) {
             kill_nth = long(bench::checkedInt("--kill-nth-spawn",
                                               v, 0, kMaxInt));
-        } else if (const char *v =
-                       value(argc, argv, i, "--kill-delay-ms")) {
-            kill_delay_ms = long(bench::checkedInt(
-                "--kill-delay-ms", v, 0, kMaxInt));
         } else if (std::strcmp(argv[i], "--help") == 0) {
             return usage(std::cout, 0);
         } else {
@@ -426,7 +418,6 @@ main(int argc, char **argv)
             sub.workDir = spool;
             sub.threads = std::max(1, options.threadsPerShard);
             sub.killNthSpawn = kill_nth;
-            sub.killDelayMs = kill_delay_ms;
             runner = std::make_unique<SubprocessShardRunner>(
                 std::move(sub));
         }
