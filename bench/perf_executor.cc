@@ -33,7 +33,9 @@
  * reported -- a wrong parallel or cached result fails the bench, so
  * CI timing runs double as a correctness gate on the engine's
  * thread-count-invariance contract.  Use --json FILE to append the
- * numbers to the BENCH_*.json trajectory.
+ * numbers to the BENCH_*.json trajectory; engine samples also carry
+ * their exact full-state sweep count (RunResult::denseSweeps) as
+ * dense_sweeps, which scripts/bench_compare.py gates for equality.
  *
  *   $ ./perf_executor --traj 2000 --threads-list 1,2,4,8
  *   $ ./perf_executor --json BENCH_perf_executor.json
@@ -48,6 +50,7 @@
 #include <iomanip>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -82,6 +85,8 @@ struct Sample
     bool cached = false;
     double wallMillis = 0.0;
     int trajectories = 0;
+    /** RunResult::denseSweeps of an engine run. */
+    std::optional<std::uint64_t> denseSweeps;
 
     double
     trajectoriesPerSecond() const
@@ -323,12 +328,15 @@ writeJson(const std::string &path,
         .add("instances", options.instances)
         .add("trajectories", options.trajectories);
     for (const Sample &s : samples) {
-        json.newSample()
-            .add("config", s.config)
-            .add("threads", s.threads)
-            .add("cached", s.cached)
-            .add("wall_ms", s.wallMillis, 3)
-            .add("trajectories_per_s", s.trajectoriesPerSecond(), 1);
+        auto &fields =
+            json.newSample()
+                .add("config", s.config)
+                .add("threads", s.threads)
+                .add("cached", s.cached)
+                .add("wall_ms", s.wallMillis, 3)
+                .add("trajectories_per_s", s.trajectoriesPerSecond(), 1);
+        if (s.denseSweeps)
+            fields.add("dense_sweeps", *s.denseSweeps);
     }
     json.write(path);
 }
@@ -376,6 +384,7 @@ main(int argc, char **argv)
     serial.config = "serial";
     serial.wallMillis = wallMillisSince(begin);
     serial.trajectories = reference.trajectories;
+    serial.denseSweeps = reference.denseSweeps;
     all.push_back(serial);
 
     // ---------------------------------------------------- pooled
@@ -394,6 +403,7 @@ main(int argc, char **argv)
         s.threads = threads;
         s.wallMillis = wallMillisSince(begin);
         s.trajectories = result.trajectories;
+        s.denseSweeps = result.denseSweeps;
         requireByteIdentical(result, reference, s.config, threads);
         all.push_back(s);
     }
@@ -418,6 +428,7 @@ main(int argc, char **argv)
         s.cached = true;
         s.wallMillis = wallMillisSince(begin);
         s.trajectories = result.trajectories;
+        s.denseSweeps = result.denseSweeps;
         requireByteIdentical(result, reference, s.config, threads);
         if (engine.variantCacheHits() <
             std::size_t(options.instances)) {
@@ -459,6 +470,7 @@ main(int argc, char **argv)
         s_off.cached = true;
         s_off.wallMillis = wallMillisSince(begin);
         s_off.trajectories = off.trajectories;
+        s_off.denseSweeps = off.denseSweeps;
 
         SimulationEngine on_engine(backend, coherent);
         pexec.prefixState = PrefixStateMode::Auto;
@@ -472,6 +484,7 @@ main(int argc, char **argv)
         s_on.cached = true;
         s_on.wallMillis = wallMillisSince(begin);
         s_on.trajectories = on.trajectories;
+        s_on.denseSweeps = on.denseSweeps;
 
         requireByteIdentical(on, off, s_on.config, threads);
         if (off.prefixStateHits != 0 ||

@@ -23,6 +23,13 @@ peers -- and the script exits 1.
 
 Samples faster than --min-wall-ms in the baseline are matched but not
 gated: sub-millisecond timings are dominated by noise.
+
+Integer fields other than the identity keys are deterministic work
+counters (``dense_sweeps``: full passes over the dense state).  They
+do not depend on the machine, so every matched sample must carry the
+same counters as its baseline, with the same values; any difference
+exits 1 naming the row, whatever its wall time.  Changing a counter
+takes a deliberate ``--collect``.
 """
 
 import argparse
@@ -48,6 +55,12 @@ def identity(bench, sample):
         if key in sample:
             parts.append(f"{key}={sample[key]}")
     return " ".join(parts)
+
+
+def counters(sample):
+    """The sample's work counters: integer, non-identity fields."""
+    return {key: value for key, value in sample.items()
+            if type(value) is int and key not in IDENTITY_KEYS}
 
 
 def load_bench(path):
@@ -100,11 +113,13 @@ def compare(baseline_path, fresh_paths, tolerance, min_wall_ms):
 
     base_samples = {}
     base_wall = {}
+    base_counters = {}
     for bench, doc in baseline["benches"].items():
         for sample in doc["samples"]:
             key = identity(bench, sample)
             base_samples[key] = throughput(sample)
             base_wall[key] = float(sample.get("wall_ms", 0.0))
+            base_counters[key] = counters(sample)
 
     fresh_best = {}
     for path in fresh_paths:
@@ -113,10 +128,17 @@ def compare(baseline_path, fresh_paths, tolerance, min_wall_ms):
 
     matched = []  # (key, ratio, gated)
     missing = []
+    mismatched = []  # (key, counter, baseline value, fresh value)
     for key, sample in fresh_best.items():
         if key not in base_samples:
             missing.append(key)
             continue
+        fresh = counters(sample)
+        for name in sorted(set(fresh) | set(base_counters[key])):
+            if fresh.get(name) != base_counters[key].get(name):
+                mismatched.append((key, name,
+                                   base_counters[key].get(name),
+                                   fresh.get(name)))
         ratio = throughput(sample) / base_samples[key]
         gated = base_wall[key] >= min_wall_ms
         matched.append((key, ratio, gated))
@@ -145,14 +167,21 @@ def compare(baseline_path, fresh_paths, tolerance, min_wall_ms):
     for key in missing:
         print(f"  fresh sample not in baseline (ignored): {key}")
 
+    if mismatched:
+        print(f"\n{len(mismatched)} work counter(s) differ from the "
+              f"baseline:", file=sys.stderr)
+        for key, name, base, fresh in mismatched:
+            print(f"  {key}: {name} baseline {base} fresh {fresh}",
+                  file=sys.stderr)
     if failures:
         print(f"\n{len(failures)} normalized throughput regression(s) "
               f"worse than {tolerance:.0%}:", file=sys.stderr)
         for key in failures:
             print(f"  {key}", file=sys.stderr)
+    if mismatched or failures:
         return 1
     print(f"\nOK: no normalized regression worse than {tolerance:.0%} "
-          f"across {len(matched)} samples")
+          f"and every work counter equal across {len(matched)} samples")
     return 0
 
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.hh"
 #include "sim/stabilizer.hh"
@@ -45,7 +46,7 @@ bit(std::uint32_t q)
 } // namespace
 
 void
-DenseBackend::Frame::clear()
+DenseBackend::Frame::clearOperators()
 {
     std::fill(z.begin(), z.end(), 0.0);
     std::fill(zz.begin(), zz.end(), 0.0);
@@ -58,13 +59,17 @@ DenseBackend::DenseBackend(std::size_t num_qubits)
 {
     _frame.z.assign(num_qubits, 0.0);
     _frame.zz.assign(num_qubits * num_qubits, 0.0);
+    _frame.w.assign(2 * num_qubits, 1.0);
 }
 
 void
 DenseBackend::reset()
 {
     _state.reset();
-    _frame.clear();
+    _frame.clearOperators();
+    std::fill(_frame.w.begin(), _frame.w.end(), 1.0);
+    _frame.weighted = false;
+    _frame.norm2 = _frame.floor2 = 1.0;
 }
 
 void
@@ -134,6 +139,7 @@ DenseBackend::clearQubits(std::uint64_t mask)
         for (std::uint32_t p = 0; p < _state.numQubits(); ++p)
             if (p != q)
                 pair(q, p) = 0.0;
+        _frame.w[2 * q] = _frame.w[2 * q + 1] = 1.0;
     }
     _frame.x &= ~mask;
     _frame.zBits &= ~mask;
@@ -155,9 +161,43 @@ DenseBackend::settle(std::uint32_t q, int value)
     _frame.zBits &= ~bit(q);
 }
 
+std::array<double, 2>
+DenseBackend::flushWeights(std::uint32_t q) const
+{
+    std::vector<QubitWeight> weights;
+    for (std::uint32_t p = 0; p < _state.numQubits(); ++p) {
+        const double w0 = _frame.w[2 * p], w1 = _frame.w[2 * p + 1];
+        if (w0 != 1.0 || w1 != 1.0)
+            weights.push_back(QubitWeight{p, w0, w1});
+    }
+    const std::array<double, 2> pop = _state.applyWeights(weights, q);
+    std::fill(_frame.w.begin(), _frame.w.end(), 1.0);
+    _frame.weighted = false;
+    _frame.norm2 = _frame.floor2 = pop[0] + pop[1];
+    return pop;
+}
+
+void
+DenseBackend::normalize() const
+{
+    const double s = 1.0 / std::sqrt(_frame.norm2);
+    _state.applyWeights({QubitWeight{0, s, s}}, 0);
+    _frame.norm2 = _frame.floor2 = 1.0;
+}
+
+double
+DenseBackend::storedProbability(std::uint32_t q, int s) const
+{
+    const double p = _frame.weighted ? flushWeights(q)[s]
+                                     : _state.probability(q, s);
+    return p / _frame.norm2;
+}
+
 void
 DenseBackend::flush() const
 {
+    if (_frame.weighted)
+        flushWeights(0);
     const std::size_t n = _state.numQubits();
     if (_frame.x | _frame.zBits) {
         PauliString frame(n);
@@ -179,20 +219,21 @@ DenseBackend::flush() const
                 zz_angles.push_back(PairAngle{q, p, pair(q, p)});
     }
     _state.applyPhases(z_angles, zz_angles);
-    _frame.clear();
+    _frame.clearOperators();
 }
 
 Statevector &
 DenseBackend::state()
 {
-    flush();
-    return _state;
+    return const_cast<Statevector &>(std::as_const(*this).state());
 }
 
 const Statevector &
 DenseBackend::state() const
 {
     flush();
+    if (_frame.norm2 != 1.0)
+        normalize();
     return _state;
 }
 
@@ -214,8 +255,8 @@ DenseBackend::applyGate1q(const CMat &u, std::uint32_t q,
         applyPauliOp(b == c ? PauliOp::X : PauliOp::Y, q);
         return;
     }
-    // Fold: the true state after u is u D P |phi>, so u meets the
-    // frame's part on q as u . Rz(theta) . X^x Z^z.
+    // Fold: the true state after u is u D P W |phi>, so u meets the
+    // frame's part on q as u . Rz(theta) . X^x Z^z . diag(w0, w1).
     flushCoupling(bit(q));
     const double theta = _frame.z[q];
     const Complex e0 = std::polar(1.0, -0.5 * theta);
@@ -225,9 +266,9 @@ DenseBackend::applyGate1q(const CMat &u, std::uint32_t q,
     const Complex col[2][2] = {{a * e0, c * e0}, {b * e1, d * e1}};
     CMat fold(2, 2);
     for (std::size_t j = 0; j < 2; ++j) {
-        const Complex sign = z && j == 1 ? -1.0 : 1.0;
-        fold(0, j) = col[j ^ x][0] * sign;
-        fold(1, j) = col[j ^ x][1] * sign;
+        const double f = (z && j == 1 ? -1.0 : 1.0) * _frame.w[2 * q + j];
+        fold(0, j) = col[j ^ x][0] * f;
+        fold(1, j) = col[j ^ x][1] * f;
     }
     _state.applyGate1q(fold, q);
     clearQubits(bit(q));
@@ -253,8 +294,9 @@ DenseBackend::applyGate2q(const CMat &u, std::uint32_t q0,
         pair(q0, q1) += 0.5 * (al[1] + al[2] - al[0] - al[3]);
         return;
     }
-    // Fold, as in applyGate1q: M = u . D_A . P_A, where D_A holds the
-    // pending Rz/Rzz terms within (q0, q1) and P_A their frame bits.
+    // Fold, as in applyGate1q: M = u . D_A . P_A . W_A, where D_A
+    // holds the pending Rz/Rzz terms within (q0, q1), P_A their frame
+    // bits and W_A their weights.
     const std::uint64_t mask = bit(q0) | bit(q1);
     flushCoupling(mask);
     const double t0 = _frame.z[q0], t1 = _frame.z[q1];
@@ -273,7 +315,9 @@ DenseBackend::applyGate2q(const CMat &u, std::uint32_t q0,
     for (std::size_t j = 0; j < 4; ++j) {
         const std::size_t k = j ^ xl;
         const Complex f =
-            phase[k] * (__builtin_popcountll(j & zl) & 1 ? -1.0 : 1.0);
+            phase[k] * ((__builtin_popcountll(j & zl) & 1 ? -1.0 : 1.0) *
+                        _frame.w[2 * q0 + (j & 1)] *
+                        _frame.w[2 * q1 + (j >> 1)]);
         for (std::size_t r = 0; r < 4; ++r)
             fold(r, j) = u(r, k) * f;
     }
@@ -309,42 +353,94 @@ DenseBackend::applyPauliOp(PauliOp op, std::uint32_t q)
 double
 DenseBackend::probabilityOne(std::uint32_t q) const
 {
-    return _state.probability(q, xBit(q) ? 0 : 1);
+    return storedProbability(q, xBit(q) ? 0 : 1);
 }
 
 void
 DenseBackend::collapse(std::uint32_t q, int outcome)
 {
+    if (_frame.weighted)
+        flushWeights(q);
     _state.collapse(q, outcome ^ int(xBit(q)));
+    _frame.norm2 = _frame.floor2 = 1.0;
     settle(q, outcome);
+}
+
+void
+DenseBackend::noJump(std::uint32_t q, double decay)
+{
+    // The no-jump Kraus operator diag(1, sqrt(decay)) is diagonal, so
+    // it commutes with D and joins W; through an X bit it scales the
+    // stored |0>.  It keeps at least `decay` of |W phi|^2, so floor2
+    // stays a lower bound.  Renormalizing when that bound passes
+    // 2^-500 keeps every amplitude clear of underflow; the rule reads
+    // only the draws and the norms already computed, so every thread
+    // and shard takes it at the same point.
+    _frame.w[2 * q + (xBit(q) ? 0 : 1)] *= std::sqrt(decay);
+    _frame.weighted = true;
+    _frame.floor2 *= decay;
+    if (_frame.floor2 < 0x1p-500) {
+        flushWeights(0);
+        normalize();
+    }
 }
 
 void
 DenseBackend::amplitudeDamp(std::uint32_t q, double tau, double t1,
                             Rng &rng)
 {
-    // The no-jump Kraus operator is diagonal, so it commutes with D
-    // and leaves the jump probability unchanged; through an X bit it
-    // damps toward the stored |1>.  A jump reads q as 1 first.
-    if (_state.amplitudeDamp(q, tau, t1, rng, xBit(q)))
+    if (tau <= 0.0 || t1 <= 0.0)
+        return;
+    const double decay = std::exp(-tau / t1);
+    const double jump = 1.0 - decay;
+    const double u = rng.uniform();
+    // The draw jumps iff u < p * jump, with p the probability that q
+    // reads 1.  The eager kernel summed p over a state it had
+    // normalized at the last damping draw or collapse, so its p
+    // exceeds 1 by at most the summation error plus the norm drift
+    // since: recursively summing 2^(n-1) <= 2^23 rounded non-negative
+    // terms is off by about 2^23 * 2^-53 = 2^-30 relative at most
+    // (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd
+    // ed., section 4.2), and each unitary kernel moves the squared
+    // norm by a few units of 2^-53, so the excess stays below 2^-21
+    // unless some 2^29 kernels run in between.  A draw 2^-20 clear of
+    // `jump` therefore jumps on neither path, and needs no read.
+    if (u >= jump + jump * 0x1p-20) {
+        noJump(q, decay);
+        return;
+    }
+    const int excited = xBit(q) ? 0 : 1;
+    const double p = storedProbability(q, excited);
+    if (u < p * jump) {
+        // Jump: the stored excited half decays into the other one,
+        // normalized by its own norm.  A jump reads q as 1 first.
+        CMat lower(2, 2);
+        lower(1 - excited, excited) = 1.0 / std::sqrt(p * _frame.norm2);
+        _state.applyGate1q(lower, q);
+        _frame.norm2 = _frame.floor2 = 1.0;
         settle(q, 1);
+        return;
+    }
+    noJump(q, decay);
 }
 
 double
 DenseBackend::expectation(const PauliString &p) const
 {
+    if (_frame.weighted)
+        flushWeights(0);
     std::uint64_t zmask = 0;
     for (std::uint32_t q = 0; q < _state.numQubits(); ++q) {
         const PauliOp op = p.op(q);
         if (op == PauliOp::X || op == PauliOp::Y) {
             flush();
-            return _state.expectation(p);
+            return _state.expectation(p) / _frame.norm2;
         }
         if (op == PauliOp::Z)
             zmask |= bit(q);
     }
     // D commutes with a Z-type string, and P only adds its sign.
-    const double value = _state.expectation(p);
+    const double value = _state.expectation(p) / _frame.norm2;
     return __builtin_popcountll(_frame.x & zmask) & 1 ? -value
                                                        : value;
 }

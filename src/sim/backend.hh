@@ -19,6 +19,7 @@
 #ifndef CASQ_SIM_BACKEND_HH
 #define CASQ_SIM_BACKEND_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -133,20 +134,24 @@ class StateBackend
  * The exact dense statevector behind the StateBackend interface,
  * with a lazy operator frame (docs/simulator.md, "Lazy frame").
  *
- * The true state is D P |phi>: |phi> is the stored statevector, P a
- * Pauli frame (an X and a Z bit per qubit) and D a diagonal frame
- * of pending Rz angles per qubit and Rzz angles per pair, all up to
- * a global phase.  Diagonal operators (applyPhases and diagonal
- * gates) only add angles to D; Pauli operators
- * (applyPauliOp and Pauli gates) only flip frame bits and the signs
- * of the pending terms they anticommute with.  Any other gate folds
- * the frame's part on its own qubits into its matrix, after one
- * applyPhases sweep for the pending Rzz terms that couple its
- * qubits to the rest.  Reads see through the frame: the X bit
- * swaps which stored half a qubit's |1> is in, and Z-type
- * expectations only pick up the frame's sign.  Gates are classified
- * by exact matrix pattern, so a gate that is not recognised takes
- * the folding path, which is always exact.
+ * The true state is D P W |phi> / |W phi|: |phi> is the stored
+ * statevector, W a real diagonal of pending no-jump weights (one
+ * pair per qubit, on the stored levels), P a Pauli frame (an X and
+ * a Z bit per qubit) and D a diagonal frame of pending Rz angles per
+ * qubit and Rzz angles per pair, all up to a global phase.
+ * Diagonal operators (applyPhases and diagonal gates) only add
+ * angles to D; Pauli operators (applyPauliOp and Pauli gates) only
+ * flip frame bits and the signs of the pending terms they
+ * anticommute with; a damping draw that cannot jump only scales a
+ * weight.  Any other gate folds the frame's part on its own qubits
+ * into its matrix, after one applyPhases sweep for the pending Rzz
+ * terms that couple its qubits to the rest.  Reads see through the
+ * frame: the first read after a weight changed applies W in one
+ * pass that also yields the norm, the X bit swaps which stored half
+ * a qubit's |1> is in, and Z-type expectations only pick up the
+ * frame's sign.  Gates are classified by exact matrix pattern, so a
+ * gate that is not recognised takes the folding path, which is
+ * always exact.
  */
 class DenseBackend final : public StateBackend
 {
@@ -196,15 +201,20 @@ class DenseBackend final : public StateBackend
     const Statevector &state() const;
 
   private:
-    /** D and P of the class comment. */
+    /** D, P and W of the class comment, and the norm of W |phi>. */
     struct Frame
     {
         std::vector<double> z;  //!< pending Rz angle per qubit
         std::vector<double> zz; //!< pending Rzz angle, n x n, q0 < q1
         std::uint64_t x = 0;    //!< Pauli frame X bits
         std::uint64_t zBits = 0; //!< Pauli frame Z bits
+        std::vector<double> w;  //!< weight of stored level s of q at 2q+s
+        bool weighted = false;  //!< a weight moved since W was applied
+        double norm2 = 1.0;     //!< |phi|^2, valid when !weighted
+        double floor2 = 1.0;    //!< lower bound on |W phi|^2
 
-        void clear();
+        /** Clear D and P. */
+        void clearOperators();
     };
 
     // Flushing is logically const: the true state does not change.
@@ -224,7 +234,7 @@ class DenseBackend final : public StateBackend
      */
     void flushCoupling(std::uint64_t mask);
 
-    /** Drop the frame's part on the qubits in `mask`. */
+    /** Drop the frame's part (D, P and W) on the qubits in `mask`. */
     void clearQubits(std::uint64_t mask);
 
     /**
@@ -234,7 +244,25 @@ class DenseBackend final : public StateBackend
      */
     void settle(std::uint32_t q, int value);
 
-    /** Apply P then D to the stored state and clear the frame. */
+    /**
+     * Apply W to the stored state in one pass and return the squared
+     * norms of qubit q's stored halves; Frame::norm2 is their sum.
+     */
+    std::array<double, 2> flushWeights(std::uint32_t q) const;
+
+    /** Scale the stored state to unit norm (one pass). */
+    void normalize() const;
+
+    /**
+     * Probability that qubit q's stored level is `s`: applies W first
+     * when a weight moved since it was last applied.
+     */
+    double storedProbability(std::uint32_t q, int s) const;
+
+    /** The no-jump branch of a damping draw: scale q's weight. */
+    void noJump(std::uint32_t q, double decay);
+
+    /** Apply W, P and D to the stored state and clear the frame. */
     void flush() const;
 };
 

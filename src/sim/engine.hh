@@ -88,8 +88,11 @@ prefixStateModeFromName(const std::string &name);
  *  2 -- DenseBackend's lazy Pauli + diagonal frame and the two-pass
  *       amplitude-damping kernel (docs/simulator.md, "Lazy frame");
  *       within 1e-12 of version 1 on every mean.
+ *  3 -- pending no-jump weights in that frame: a damping draw clear
+ *       of 1 - e reads no state, and reads normalize through the
+ *       weights; within 1e-12 of version 1 on every mean.
  */
-inline constexpr std::uint32_t kEngineNumerics = 2;
+inline constexpr std::uint32_t kEngineNumerics = 3;
 
 /** Trajectory-count, seeding and threading options. */
 struct ExecutionOptions

@@ -395,7 +395,7 @@ void
 StabilizerBackend::amplitudeDamp(std::uint32_t q, double tau,
                                  double t1, Rng &rng)
 {
-    // Matches Statevector::amplitudeDamp's no-op guard (and its RNG
+    // Matches DenseBackend::amplitudeDamp's no-op guard (and its RNG
     // silence) so backends stay stream-identical; a real damping
     // channel is non-Clifford and must never route here.
     (void)q;

@@ -341,13 +341,13 @@ Statevector::probability(std::uint32_t q, int outcome) const
 void
 Statevector::collapse(std::uint32_t q, int outcome)
 {
-    // Fused: zero the dropped branch while accumulating the kept
-    // norm (adding the exact zeros changes nothing), then rescale.
+    // Fused: zero the dropped branch while accumulating both norms
+    // (the dropped one only feeds the guard), then rescale.
     _sweeps += 2;
     const std::size_t half = std::size_t(1) << q;
     const std::size_t n = _amps.size();
     Complex *amps = _amps.data();
-    double kept = 0.0;
+    double kept = 0.0, dropped = 0.0;
     for (std::size_t base = 0; base < n; base += 2 * half) {
         Complex *lo = amps + base;
         Complex *hi = lo + half;
@@ -355,12 +355,14 @@ Statevector::collapse(std::uint32_t q, int outcome)
         Complex *drop = outcome ? lo : hi;
         for (std::size_t off = 0; off < half; ++off)
             kept += std::norm(keep[off]);
-        for (std::size_t off = 0; off < half; ++off)
+        for (std::size_t off = 0; off < half; ++off) {
+            dropped += std::norm(drop[off]);
             drop[off] = 0.0;
+        }
     }
-    const double nrm = std::sqrt(kept);
-    casq_assert(nrm > 1e-12, "state collapsed to zero norm");
-    const double inv = 1.0 / nrm;
+    casq_assert(kept > 1e-24 * (kept + dropped),
+                "state collapsed to zero norm");
+    const double inv = 1.0 / std::sqrt(kept);
     for (std::size_t base = 0; base < n; base += 2 * half) {
         Complex *keep = amps + base + (outcome ? half : 0);
         for (std::size_t off = 0; off < half; ++off)
@@ -368,64 +370,56 @@ Statevector::collapse(std::uint32_t q, int outcome)
     }
 }
 
-bool
-Statevector::amplitudeDamp(std::uint32_t q, double tau, double t1,
-                           Rng &rng, bool mirrored)
+std::array<double, 2>
+Statevector::applyWeights(const std::vector<QubitWeight> &weights,
+                          std::uint32_t q)
 {
-    if (tau <= 0.0 || t1 <= 0.0)
-        return false;
-    const double decay = std::exp(-tau / t1);
+    ++_sweeps;
     const std::size_t half = std::size_t(1) << q;
     const std::size_t n = _amps.size();
     Complex *amps = _amps.data();
-    // Read pass: both branch populations, each in ascending index
-    // order.  `ground` and `excited` name the halves as the channel
-    // sees them (swapped when mirrored).
-    double p0 = 0.0, p1 = 0.0;
-    for (std::size_t base = 0; base < n; base += 2 * half) {
-        const Complex *lo = amps + base;
-        const Complex *hi = lo + half;
-        for (std::size_t off = 0; off < half; ++off)
-            p0 += std::norm(lo[off]);
-        for (std::size_t off = 0; off < half; ++off)
-            p1 += std::norm(hi[off]);
-    }
-    const double p_ground = mirrored ? p1 : p0;
-    const double p_excited = mirrored ? p0 : p1;
-    const std::size_t ground = mirrored ? half : 0;
-    const std::size_t excited = mirrored ? 0 : half;
-    _sweeps += 2;
-    if (rng.uniform() < p_excited * (1.0 - decay)) {
-        // Jump: the excited half decays into the ground half, and
-        // its population is the post-jump norm.
-        const double nrm = std::sqrt(p_excited);
-        casq_assert(nrm > 1e-12, "state collapsed to zero norm");
-        const double inv = 1.0 / nrm;
+    std::array<double, 2> pop{0.0, 0.0};
+    if (weights.empty()) {
         for (std::size_t base = 0; base < n; base += 2 * half) {
-            Complex *to = amps + base + ground;
-            Complex *from = amps + base + excited;
-            for (std::size_t off = 0; off < half; ++off) {
-                to[off] = from[off] * inv;
-                from[off] = 0.0;
+            for (std::size_t off = 0; off < half; ++off)
+                pop[0] += std::norm(amps[base + off]);
+            for (std::size_t off = 0; off < half; ++off)
+                pop[1] += std::norm(amps[base + half + off]);
+        }
+        return pop;
+    }
+    // Per-index factor table by doubling over qubits, as in
+    // applyPhases.  The real factors live in the phase table's
+    // storage: an array of std::complex<double> may be accessed as
+    // twice as many doubles.
+    _phaseScratch.resize(n);
+    double *table = reinterpret_cast<double *>(_phaseScratch.data());
+    table[0] = 1.0;
+    for (std::uint32_t k = 0; k < _numQubits; ++k) {
+        double w0 = 1.0, w1 = 1.0;
+        for (const QubitWeight &w : weights) {
+            if (w.qubit == k) {
+                w0 = w.w0;
+                w1 = w.w1;
             }
         }
-        return true;
+        const std::size_t len = std::size_t(1) << k;
+        for (std::size_t j = 0; j < len; ++j) {
+            table[j + len] = table[j] * w1;
+            table[j] *= w0;
+        }
     }
-    // No-jump back-action diag(1, sqrt(decay)), renormalized in the
-    // same write: the kept norm is p_ground + decay * p_excited.
-    const double nrm = std::sqrt(p_ground + decay * p_excited);
-    casq_assert(nrm > 1e-12, "state collapsed to zero norm");
-    const double keep = 1.0 / nrm;
-    const double damp = std::sqrt(decay) * keep;
     for (std::size_t base = 0; base < n; base += 2 * half) {
-        Complex *g = amps + base + ground;
-        Complex *e = amps + base + excited;
-        for (std::size_t off = 0; off < half; ++off)
-            g[off] *= keep;
-        for (std::size_t off = 0; off < half; ++off)
-            e[off] *= damp;
+        for (std::size_t i = base; i < base + half; ++i) {
+            amps[i] *= table[i];
+            pop[0] += std::norm(amps[i]);
+        }
+        for (std::size_t i = base + half; i < base + 2 * half; ++i) {
+            amps[i] *= table[i];
+            pop[1] += std::norm(amps[i]);
+        }
     }
-    return false;
+    return pop;
 }
 
 double

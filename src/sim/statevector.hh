@@ -3,19 +3,20 @@
  * Dense statevector with the specialized kernels needed by the
  * trajectory simulator: generic 1q/2q gate application, a fused
  * diagonal-phase kernel for the per-segment Z/ZZ crosstalk errors,
- * Pauli strings, single-qubit probabilities and collapse, amplitude
- * damping, and exact Pauli expectation values.
+ * a real product-diagonal kernel for pending amplitude-damping
+ * weights, Pauli strings, single-qubit probabilities and collapse,
+ * and exact Pauli expectation values.
  */
 
 #ifndef CASQ_SIM_STATEVECTOR_HH
 #define CASQ_SIM_STATEVECTOR_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "common/matrix.hh"
-#include "common/rng.hh"
 #include "pauli/pauli.hh"
 
 namespace casq {
@@ -40,6 +41,17 @@ struct PairAngle
     std::uint32_t q0;
     std::uint32_t q1;
     double theta; //!< Rzz(theta) = exp(-i theta ZZ / 2)
+};
+
+/**
+ * Real per-qubit factors of a product diagonal: amplitudes whose bit
+ * `qubit` is 0 are multiplied by w0, the others by w1.
+ */
+struct QubitWeight
+{
+    std::uint32_t qubit;
+    double w0;
+    double w1;
 };
 
 /** Dense complex statevector over n qubits (qubit 0 = LSB). */
@@ -81,29 +93,29 @@ class Statevector
     /** Apply a Pauli string (its phase included). */
     void applyPauli(const PauliString &p);
 
-    /** Probability that qubit q reads `outcome` (0 or 1). */
+    /**
+     * Squared norm of the half where qubit q reads `outcome` (0 or
+     * 1): the probability of that outcome when the state is
+     * normalized.
+     */
     double probability(std::uint32_t q, int outcome) const;
 
-    /** Probability that qubit q reads 1. */
-    double probabilityOne(std::uint32_t q) const
-    {
-        return probability(q, 1);
-    }
-
-    /** Project qubit q onto `outcome` and renormalize. */
+    /**
+     * Project qubit q onto `outcome` and normalize.  The state need
+     * not be normalized before: the kept half must hold more than
+     * 1e-24 of the squared norm.
+     */
     void collapse(std::uint32_t q, int outcome);
 
     /**
-     * Amplitude-damping channel for idling time tau with relaxation
-     * time t1, unravelled as a quantum jump (one of the two Kraus
-     * branches is sampled and the state renormalized).  Two passes:
-     * one reads both branch populations, one writes the branch.
-     * `mirrored` swaps the roles of the halves (the stored |0> half
-     * decays into the |1> half), which is the channel seen through
-     * an X on qubit q.  Returns whether the jump branch was taken.
+     * Multiply by the real product diagonal of `weights` (at most one
+     * entry per qubit) and return the squared norms of qubit q's two
+     * halves afterwards, in one pass.  With no weights the pass only
+     * reads.
      */
-    bool amplitudeDamp(std::uint32_t q, double tau, double t1,
-                       Rng &rng, bool mirrored = false);
+    std::array<double, 2>
+    applyWeights(const std::vector<QubitWeight> &weights,
+                 std::uint32_t q);
 
     /** Exact expectation <psi| P |psi> (real part). */
     double expectation(const PauliString &p) const;
@@ -112,7 +124,7 @@ class Statevector
      * Full passes over the amplitude array since construction: every
      * kernel counts each walk it makes over the array, so a kernel
      * that reads the state and then writes it counts 2.  A pass that
-     * touches only one half (probabilityOne) still counts 1.  Const
+     * touches only one half (probability) still counts 1.  Const
      * kernels count as well, so concurrent reads of one shared
      * statevector race on the counter; copyFrom only reads its
      * source.

@@ -77,9 +77,32 @@ TEST(DenseSweeps, KernelsCountTheirPasses)
     EXPECT_EQ(delta([&] { backend.measure(1, rng); }), 3u);
     DenseBackend other(3);
     EXPECT_EQ(delta([&] { backend.assign(other); }), 1u);
-    // One read pass and one write pass, jump or not.
-    EXPECT_EQ(delta([&] { backend.amplitudeDamp(0, 50.0, 1e4, rng); }),
+    // The assign left |000>; the frame flips qubit 0 to |1>.  A draw
+    // clear of 1 - e = 1e-7 cannot jump: it only scales a pending
+    // weight.
+    backend.applyPauliOp(PauliOp::X, 0);
+    EXPECT_EQ(delta([&] { backend.amplitudeDamp(1, 1e-3, 1e4, rng); }),
+              0u);
+    // The next read applies the weights in one extra pass.
+    EXPECT_EQ(delta([&] {
+                  backend.expectation(PauliString::fromLabel("ZZZ"));
+              }),
               2u);
+    // With e = 2e-9 no draw is clear of 1 - e, so each one reads the
+    // state: the ground state stays (one read pass), the excited
+    // state jumps (the read pass, here applying a pending weight, and
+    // the jump).
+    EXPECT_EQ(delta([&] { backend.amplitudeDamp(2, 20.0, 1.0, rng); }),
+              1u);
+    EXPECT_EQ(delta([&] { backend.amplitudeDamp(0, 20.0, 1.0, rng); }),
+              2u);
+    EXPECT_NEAR(backend.probabilityOne(0), 0.0, 1e-12);
+    // An idle 400 T1 long on the ground state stays, and its weight
+    // e^-200 takes the norm bound below 2^-500: the read pass, then
+    // the weight pass and the rescale of the renormalization.
+    EXPECT_EQ(delta([&] { backend.amplitudeDamp(2, 400.0, 1.0, rng); }),
+              3u);
+    EXPECT_NEAR(backend.probabilityOne(2), 0.0, 1e-12);
 }
 
 TEST(DenseSweeps, FrameDefersPaulisAndDiagonals)
@@ -158,10 +181,11 @@ class EstimateDenseShape : public ::testing::Test
 
 TEST_F(EstimateDenseShape, SweepCountIsPinned)
 {
-    // 16 trajectories, 979.25 sweeps each.  Engine numerics 1 (the
+    // 16 trajectories, 93.375 sweeps each.  Engine numerics 1 (the
     // eager kernels, every operator swept at once) made 37208 here,
-    // 2325.5 per trajectory.
-    constexpr std::uint64_t kPinned = 15668;
+    // 2325.5 per trajectory; numerics 2 (the lazy Pauli + diagonal
+    // frame, two passes per damping draw) made 15668, 979.25 each.
+    constexpr std::uint64_t kPinned = 1494;
     PassManager pipeline = buildPipeline(Strategy::Combined);
     SimulationEngine engine(backend, noise);
     const RunResult serial =
@@ -210,6 +234,38 @@ distanceUpToPhase(const Statevector &a, const Statevector &b)
 }
 
 /**
+ * The eager amplitude-damping kernel the pending weights replaced:
+ * read both halves, draw, then write the sampled branch normalized.
+ * Returns whether it jumped.
+ */
+bool
+eagerAmplitudeDamp(Statevector &sv, std::uint32_t q, double tau,
+                   double t1, Rng &rng)
+{
+    if (tau <= 0.0 || t1 <= 0.0)
+        return false;
+    const double decay = std::exp(-tau / t1);
+    const double p0 = sv.probability(q, 0);
+    const double p1 = sv.probability(q, 1);
+    const std::size_t half = std::size_t(1) << q;
+    if (rng.uniform() < p1 * (1.0 - decay)) {
+        const double inv = 1.0 / std::sqrt(p1);
+        for (std::size_t i = 0; i < sv.size(); ++i) {
+            if (i & half) {
+                sv.amp(i ^ half) = sv.amp(i) * inv;
+                sv.amp(i) = 0.0;
+            }
+        }
+        return true;
+    }
+    const double keep = 1.0 / std::sqrt(p0 + decay * p1);
+    const double damp = std::sqrt(decay) * keep;
+    for (std::size_t i = 0; i < sv.size(); ++i)
+        sv.amp(i) *= (i & half) ? damp : keep;
+    return false;
+}
+
+/**
  * Random call sequences through DenseBackend and through a bare
  * Statevector with the eager kernels, in lockstep on twin RNG
  * streams: every measurement and damping branch must agree, every
@@ -217,16 +273,27 @@ distanceUpToPhase(const Statevector &a, const Statevector &b)
  * phase.  A mid-sequence assign() moves the run to a fork.  On the
  * eager side a Pauli is its matrix and a measurement is
  * probability, one uniform, collapse (StateBackend::measure).
+ *
+ * Seeds 0-39 draw idles of 10-400 ns against T1 = 300 ns; seeds
+ * 40-59 keep tau / T1 near 0.5, so 1 - e is near 0.39 and many draws
+ * land on each side of the no-read threshold.  Long damped idles
+ * (50 or more draws on one qubit, X bits coming and going, a general
+ * gate folding the pending weight midway, an idle 400 T1 long that
+ * trips the renormalization, then a measurement) pile up weights
+ * between reads.
  */
 TEST(DenseFrame, RandomSequencesMatchEagerKernels)
 {
     constexpr std::size_t n = 4;
+    constexpr double t1 = 300.0;
     const std::vector<Op> paulis{Op::X, Op::Y, Op::Z};
     const std::vector<Op> diagonal1q{Op::S, Op::Sdg, Op::T, Op::Tdg};
     const std::vector<Op> general1q{Op::H, Op::SX, Op::SXdg};
     const std::vector<Op> general2q{Op::ECR, Op::CX, Op::Swap};
-    int jumps = 0, stays = 0, forks = 0;
-    for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    int jumps = 0, stays = 0, forks = 0, idles = 0;
+    int below = 0, above = 0; // tau / T1 near 0.5 only
+    for (std::uint64_t seed = 0; seed < 60; ++seed) {
+        const bool half_t1 = seed >= 40;
         Rng script(1000 + seed);
         Rng lazy_rng(seed), eager_rng(seed);
         DenseBackend first(n), fork(n);
@@ -236,6 +303,10 @@ TEST(DenseFrame, RandomSequencesMatchEagerKernels)
             return std::uint32_t(script.uniformInt(n));
         };
         const auto angle = [&] { return script.uniform(-3.2, 3.2); };
+        const auto tau = [&] {
+            return half_t1 ? script.uniform(140.0, 160.0)
+                           : script.uniform(10.0, 400.0);
+        };
         const auto gate1q = [&](const CMat &u, std::uint32_t q) {
             lazy->applyGate1q(u, q, nullptr);
             eager.applyGate1q(u, q);
@@ -250,10 +321,32 @@ TEST(DenseFrame, RandomSequencesMatchEagerKernels)
         const auto pick = [&](const std::vector<Op> &ops) {
             return ops[script.uniformInt(ops.size())];
         };
+        const auto pauliX = [&](std::uint32_t q) {
+            lazy->applyPauliOp(PauliOp::X, q);
+            eager.applyGate1q(pauliMatrix(PauliOp::X), q);
+        };
+        const auto damp = [&](std::uint32_t q, double t) {
+            Rng peek = lazy_rng;
+            const bool clear = peek.uniform() >= 1.0 - std::exp(-t / t1);
+            if (half_t1)
+                (clear ? above : below) += 1;
+            lazy->amplitudeDamp(q, t, t1, lazy_rng);
+            (eagerAmplitudeDamp(eager, q, t, t1, eager_rng) ? jumps
+                                                            : stays) += 1;
+        };
+        const auto measure = [&](std::uint32_t q,
+                                 const std::string &label) {
+            const int got = lazy->measure(q, lazy_rng);
+            const double p1 = eager.probability(q, 1);
+            const int want = eager_rng.uniform() < p1 ? 1 : 0;
+            eager.collapse(q, want);
+            EXPECT_EQ(got, want) << label;
+            return want;
+        };
         for (int step = 0; step < 300; ++step) {
             const std::string label = "seed " + std::to_string(seed) +
                                       " step " + std::to_string(step);
-            switch (script.uniformInt(13)) {
+            switch (script.uniformInt(14)) {
               case 0:
                 gate1q(gateUnitary(pick(paulis)), qubit());
                 break;
@@ -303,29 +396,14 @@ TEST(DenseFrame, RandomSequencesMatchEagerKernels)
                            : gateUnitary(Op::Can,
                                          {angle(), angle(), angle()}));
                 break;
-              case 8: {
-                const std::uint32_t q = qubit();
-                const double tau = script.uniform(10.0, 400.0);
-                const double before = eager.probabilityOne(q);
-                lazy->amplitudeDamp(q, tau, 300.0, lazy_rng);
-                eager.amplitudeDamp(q, tau, 300.0, eager_rng);
-                const bool jumped =
-                    before > 1e-9 && eager.probabilityOne(q) < 1e-12;
-                (jumped ? jumps : stays) += 1;
+              case 8:
+                damp(qubit(), tau());
                 break;
-              }
               case 9: {
                 // Measurement, and a reset when `reset` says so.
                 const std::uint32_t q = qubit();
-                const int got = lazy->measure(q, lazy_rng);
-                const double p1 = eager.probability(q, 1);
-                const int want = eager_rng.uniform() < p1 ? 1 : 0;
-                eager.collapse(q, want);
-                ASSERT_EQ(got, want) << label;
-                if (script.uniformInt(2) && want == 1) {
-                    lazy->applyPauliOp(PauliOp::X, q);
-                    eager.applyGate1q(pauliMatrix(PauliOp::X), q);
-                }
+                if (measure(q, label) == 1 && script.uniformInt(2))
+                    pauliX(q);
                 break;
               }
               case 10: {
@@ -340,7 +418,7 @@ TEST(DenseFrame, RandomSequencesMatchEagerKernels)
               case 11: {
                 const std::uint32_t q = qubit();
                 EXPECT_NEAR(lazy->probabilityOne(q),
-                            eager.probabilityOne(q), 1e-12)
+                            eager.probability(q, 1), 1e-12)
                     << label;
                 break;
               }
@@ -351,6 +429,20 @@ TEST(DenseFrame, RandomSequencesMatchEagerKernels)
                     ++forks;
                 }
                 break;
+              case 13: {
+                const std::uint32_t q = qubit();
+                const int length = 50 + int(script.uniformInt(30));
+                for (int k = 0; k < length; ++k) {
+                    if (script.uniformInt(8) == 0)
+                        pauliX(q);
+                    if (k == length / 2)
+                        gate1q(gateUnitary(pick(general1q)), q);
+                    damp(q, k == length - 1 ? 400.0 * t1 : tau());
+                }
+                measure((q + 1) % n, label);
+                ++idles;
+                break;
+              }
             }
             if (step % 50 == 49) {
                 // Flush a copy so the run itself keeps its frame.
@@ -363,9 +455,13 @@ TEST(DenseFrame, RandomSequencesMatchEagerKernels)
         EXPECT_LE(distanceUpToPhase(lazy->state(), eager), 1e-12)
             << "seed " << seed;
     }
-    // Both damping branches and the fork were exercised.
+    // Both damping branches, both sides of the no-read threshold, the
+    // long idles and the fork were exercised.
     EXPECT_GT(jumps, 10);
     EXPECT_GT(stays, 10);
+    EXPECT_GT(below, 200);
+    EXPECT_GT(above, 200);
+    EXPECT_GT(idles, 20);
     EXPECT_GT(forks, 10);
 }
 

@@ -24,7 +24,7 @@ TEST(Statevector, HadamardCreatesSuperposition)
     sv.applyGate1q(gateUnitary(Op::H), 0);
     EXPECT_NEAR(std::abs(sv.amplitudes()[0]),
                 1.0 / std::sqrt(2.0), 1e-12);
-    EXPECT_NEAR(sv.probabilityOne(0), 0.5, 1e-12);
+    EXPECT_NEAR(sv.probability(0, 1), 0.5, 1e-12);
 }
 
 TEST(Statevector, BellStateViaCx)
@@ -152,7 +152,20 @@ TEST(Statevector, CollapseDeterministic)
     Statevector sv(1);
     sv.applyGate1q(gateUnitary(Op::H), 0);
     sv.collapse(0, 1);
-    EXPECT_NEAR(sv.probabilityOne(0), 1.0, 1e-12);
+    EXPECT_NEAR(sv.probability(0, 1), 1.0, 1e-12);
+}
+
+TEST(Statevector, CollapseNormalizesAScaledState)
+{
+    // The guard is relative to the state's own norm: a state scaled
+    // to a squared norm of 1e-26 still collapses onto a half that
+    // holds half of it.
+    Statevector sv(1);
+    sv.applyGate1q(gateUnitary(Op::H), 0);
+    for (std::size_t i = 0; i < sv.size(); ++i)
+        sv.amp(i) *= 1e-13;
+    sv.collapse(0, 1);
+    EXPECT_NEAR(sv.probability(0, 1), 1.0, 1e-12);
 }
 
 TEST(Statevector, AmplitudeDampDecaysExcitedState)
@@ -163,10 +176,10 @@ TEST(Statevector, AmplitudeDampDecaysExcitedState)
     const int shots = 4000;
     double p1 = 0.0;
     for (int s = 0; s < shots; ++s) {
-        Statevector sv(1);
-        sv.applyGate1q(gateUnitary(Op::X), 0);
-        sv.amplitudeDamp(0, tau, t1, rng);
-        p1 += sv.probabilityOne(0);
+        DenseBackend backend(1);
+        backend.applyGate1q(gateUnitary(Op::X), 0, nullptr);
+        backend.amplitudeDamp(0, tau, t1, rng);
+        p1 += backend.probabilityOne(0);
     }
     EXPECT_NEAR(p1 / shots, std::exp(-tau / t1), 0.03);
 }
@@ -174,9 +187,10 @@ TEST(Statevector, AmplitudeDampDecaysExcitedState)
 TEST(Statevector, AmplitudeDampPreservesGroundState)
 {
     Rng rng(19);
-    Statevector sv(1);
-    sv.amplitudeDamp(0, 1000.0, 100.0, rng);
-    EXPECT_NEAR(sv.probabilityOne(0), 0.0, 1e-12);
+    DenseBackend backend(1);
+    backend.amplitudeDamp(0, 1000.0, 100.0, rng);
+    EXPECT_NEAR(backend.probabilityOne(0), 0.0, 1e-12);
+    const Statevector &sv = backend.state();
     EXPECT_NEAR(sv.probability(0, 0) + sv.probability(0, 1), 1.0,
                 1e-12);
 }
@@ -404,13 +418,15 @@ TEST(StatevectorKernels, RandomizedPauliMatchesMatrixKernel)
 
 TEST(StatevectorKernels, AmplitudeDampGroundStateIsExact)
 {
-    // The fused no-jump branch must leave an exact ground state
-    // bit-untouched: p1 == 0.0, the kept sum is exactly 1.0, and
-    // the rescale multiplies by exactly 1.0.
+    // The no-jump branch must leave an exact ground state
+    // bit-untouched: the pending weight scales only the empty |1>
+    // halves, the weight pass multiplies |00> by exactly 1.0, and the
+    // norm it measures is exactly 1.0, so nothing rescales.
     Rng rng(77);
-    Statevector sv(2);
-    sv.amplitudeDamp(0, 250.0, 80.0, rng);
-    sv.amplitudeDamp(1, 250.0, 80.0, rng);
+    DenseBackend backend(2);
+    backend.amplitudeDamp(0, 250.0, 80.0, rng);
+    backend.amplitudeDamp(1, 250.0, 80.0, rng);
+    const Statevector &sv = backend.state();
     EXPECT_EQ(sv.amplitudes()[0], Complex(1));
     for (std::size_t i = 1; i < sv.size(); ++i)
         EXPECT_EQ(sv.amplitudes()[i], Complex(0));
@@ -419,7 +435,7 @@ TEST(StatevectorKernels, AmplitudeDampGroundStateIsExact)
 TEST(StatevectorKernels, AmplitudeDampBranchesMatchAnalytic)
 {
     // alpha|00> + beta|01> (qubit 0 excited): both Kraus branches
-    // have closed forms the fused kernel must hit to 1e-15.
+    // have closed forms the dense backend must hit to 1e-15.
     const double tau = 120.0, t1 = 200.0;
     const double decay = std::exp(-tau / t1);
     const double alpha = 0.6, beta = 0.8;
@@ -431,10 +447,11 @@ TEST(StatevectorKernels, AmplitudeDampBranchesMatchAnalytic)
         Rng rng = master.derive(std::uint64_t(round));
         Rng probe = master.derive(std::uint64_t(round));
         const bool jump = probe.uniform() < p1;
-        Statevector sv(2);
-        sv.amp(0) = Complex(alpha);
-        sv.amp(1) = Complex(beta);
-        sv.amplitudeDamp(0, tau, t1, rng);
+        DenseBackend backend(2);
+        backend.state().amp(0) = Complex(alpha);
+        backend.state().amp(1) = Complex(beta);
+        backend.amplitudeDamp(0, tau, t1, rng);
+        const Statevector &sv = backend.state();
         if (jump) {
             ++jumps;
             // |1> decayed to |0>: the state is exactly |00>.
