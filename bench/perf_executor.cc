@@ -34,8 +34,10 @@
  * CI timing runs double as a correctness gate on the engine's
  * thread-count-invariance contract.  Use --json FILE to append the
  * numbers to the BENCH_*.json trajectory; engine samples also carry
- * their exact full-state sweep count (RunResult::denseSweeps) as
- * dense_sweeps, which scripts/bench_compare.py gates for equality.
+ * their exact work counters (RunResult::denseSweeps,
+ * prefixStateHits and stabilizerTrajectories) as dense_sweeps,
+ * prefix_state_hits and stabilizer_trajectories, which
+ * scripts/bench_compare.py gates for equality.
  *
  *   $ ./perf_executor --traj 2000 --threads-list 1,2,4,8
  *   $ ./perf_executor --json BENCH_perf_executor.json
@@ -85,8 +87,23 @@ struct Sample
     bool cached = false;
     double wallMillis = 0.0;
     int trajectories = 0;
-    /** RunResult::denseSweeps of an engine run. */
+    /**
+     * Exact work counters of an engine run: RunResult::denseSweeps,
+     * prefixStateHits and stabilizerTrajectories.
+     */
     std::optional<std::uint64_t> denseSweeps;
+    std::optional<std::uint64_t> prefixStateHits;
+    std::optional<std::uint64_t> stabilizerTrajectories;
+
+    /** Copy the counters of an engine run. */
+    void
+    countersOf(const RunResult &result)
+    {
+        denseSweeps = result.denseSweeps;
+        prefixStateHits = result.prefixStateHits;
+        stabilizerTrajectories =
+            std::uint64_t(result.stabilizerTrajectories);
+    }
 
     double
     trajectoriesPerSecond() const
@@ -293,6 +310,22 @@ requireKernelAgreement(const Statevector &actual,
     }
 }
 
+/** The same gate for kernels that read: outputs within 1e-12. */
+void
+requireReadAgreement(const std::vector<double> &actual,
+                     const std::vector<double> &expected,
+                     const char *kernel)
+{
+    for (std::size_t k = 0; k < actual.size(); ++k) {
+        if (std::abs(actual[k] - expected[k]) > 1e-12) {
+            std::cerr << "FAIL: kernel '" << kernel
+                      << "' diverged from its reference at output "
+                      << k << "\n";
+            std::exit(1);
+        }
+    }
+}
+
 void
 report(const std::vector<Sample> &samples, double serial_ms)
 {
@@ -337,6 +370,11 @@ writeJson(const std::string &path,
                 .add("trajectories_per_s", s.trajectoriesPerSecond(), 1);
         if (s.denseSweeps)
             fields.add("dense_sweeps", *s.denseSweeps);
+        if (s.prefixStateHits)
+            fields.add("prefix_state_hits", *s.prefixStateHits);
+        if (s.stabilizerTrajectories)
+            fields.add("stabilizer_trajectories",
+                       *s.stabilizerTrajectories);
     }
     json.write(path);
 }
@@ -384,7 +422,7 @@ main(int argc, char **argv)
     serial.config = "serial";
     serial.wallMillis = wallMillisSince(begin);
     serial.trajectories = reference.trajectories;
-    serial.denseSweeps = reference.denseSweeps;
+    serial.countersOf(reference);
     all.push_back(serial);
 
     // ---------------------------------------------------- pooled
@@ -403,7 +441,7 @@ main(int argc, char **argv)
         s.threads = threads;
         s.wallMillis = wallMillisSince(begin);
         s.trajectories = result.trajectories;
-        s.denseSweeps = result.denseSweeps;
+        s.countersOf(result);
         requireByteIdentical(result, reference, s.config, threads);
         all.push_back(s);
     }
@@ -428,7 +466,7 @@ main(int argc, char **argv)
         s.cached = true;
         s.wallMillis = wallMillisSince(begin);
         s.trajectories = result.trajectories;
-        s.denseSweeps = result.denseSweeps;
+        s.countersOf(result);
         requireByteIdentical(result, reference, s.config, threads);
         if (engine.variantCacheHits() <
             std::size_t(options.instances)) {
@@ -470,7 +508,7 @@ main(int argc, char **argv)
         s_off.cached = true;
         s_off.wallMillis = wallMillisSince(begin);
         s_off.trajectories = off.trajectories;
-        s_off.denseSweeps = off.denseSweeps;
+        s_off.countersOf(off);
 
         SimulationEngine on_engine(backend, coherent);
         pexec.prefixState = PrefixStateMode::Auto;
@@ -484,7 +522,7 @@ main(int argc, char **argv)
         s_on.cached = true;
         s_on.wallMillis = wallMillisSince(begin);
         s_on.trajectories = on.trajectories;
-        s_on.denseSweeps = on.denseSweeps;
+        s_on.countersOf(on);
 
         requireByteIdentical(on, off, s_on.config, threads);
         if (off.prefixStateHits != 0 ||
@@ -518,9 +556,12 @@ main(int argc, char **argv)
 
     // ------------------------------------------ kernel microbench
     // The specialized dense kernels vs. the per-amplitude reference
-    // loops they replaced, on a random 12-qubit state.  Agreement
-    // is gated elementwise before any timing; reps rotate the
-    // target qubits so no single stride pattern dominates.
+    // loops they replaced, on a random 12-qubit state: kern-2q-coupled
+    // is a fold with its coupling terms against the phase pass and
+    // the gate, kern-zreads the batched Z read against one read per
+    // string.  Agreement is gated elementwise before any timing;
+    // reps rotate the target qubits so no single stride pattern
+    // dominates.
     {
         constexpr std::size_t kq = 12;
         constexpr int reps = 256;
@@ -533,11 +574,38 @@ main(int argc, char **argv)
         for (std::uint32_t q = 0; q + 1 < kq; ++q)
             zzs.push_back({q, q + 1, 0.005 * double(q + 1)});
 
+        // The coupling terms a fold on (q0, q0 + 1) carries: its
+        // qubits' Rzz terms to both outside neighbours.
+        std::vector<std::vector<PairAngle>> coupling(kq);
+        for (std::uint32_t q0 = 0; q0 < kq; ++q0) {
+            const std::uint32_t q1 = (q0 + 1) % kq;
+            coupling[q0] = {
+                {q0, std::uint32_t((q0 + kq - 1) % kq), 0.0125},
+                {q1, std::uint32_t((q1 + 1) % kq), -0.0175}};
+        }
+        // Every Z_q and neighbour Z_q Z_q+1, read in one batch
+        // against one expectation() per string; reads leave the
+        // state alone, so their outputs are compared as well.
+        std::vector<std::uint64_t> zmasks;
+        std::vector<PauliString> zstrings;
+        for (std::uint32_t q = 0; q < kq; ++q) {
+            zmasks.push_back(std::uint64_t(1) << q);
+            zstrings.push_back(PauliString::single(kq, q, PauliOp::Z));
+        }
+        for (std::uint32_t q = 0; q + 1 < kq; ++q) {
+            zmasks.push_back(std::uint64_t(3) << q);
+            zstrings.push_back(PauliString::two(kq, q, PauliOp::Z,
+                                                q + 1, PauliOp::Z));
+        }
+        std::vector<double> zfast(zmasks.size()), zref(zmasks.size());
+
         struct Kernel
         {
             const char *name;
             std::function<void(Statevector &, int)> fast;
             std::function<void(Statevector &, int)> ref;
+            const std::vector<double> *fastOut = nullptr;
+            const std::vector<double> *refOut = nullptr;
         };
         const std::vector<Kernel> kernels = {
             {"kern-1q",
@@ -556,6 +624,23 @@ main(int argc, char **argv)
                  const std::uint32_t q0 = std::uint32_t(r) % kq;
                  refGate2q(sv, u2, q0, (q0 + 1) % kq);
              }},
+            {"kern-2q-coupled",
+             [&](Statevector &sv, int r) {
+                 const std::uint32_t q0 = std::uint32_t(r) % kq;
+                 sv.applyGate2q(u2, q0, (q0 + 1) % kq, coupling[q0]);
+             },
+             [&](Statevector &sv, int r) {
+                 const std::uint32_t q0 = std::uint32_t(r) % kq;
+                 refPhases(sv, {}, coupling[q0]);
+                 refGate2q(sv, u2, q0, (q0 + 1) % kq);
+             }},
+            {"kern-zreads",
+             [&](Statevector &sv, int) { sv.zExpectations(zmasks, zfast); },
+             [&](Statevector &sv, int) {
+                 for (std::size_t k = 0; k < zstrings.size(); ++k)
+                     zref[k] = sv.expectation(zstrings[k]);
+             },
+             &zfast, &zref},
             {"kern-phases",
              [&](Statevector &sv, int) { sv.applyPhases(zs, zzs); },
              [&](Statevector &sv, int) { refPhases(sv, zs, zzs); }},
@@ -587,6 +672,8 @@ main(int argc, char **argv)
                 k.ref(ref_sv, r);
             }
             requireKernelAgreement(fast_sv, ref_sv, k.name);
+            if (k.fastOut)
+                requireReadAgreement(*k.fastOut, *k.refOut, k.name);
 
             begin = std::chrono::steady_clock::now();
             for (int r = 0; r < reps; ++r)
@@ -608,7 +695,7 @@ main(int argc, char **argv)
             extra.push_back(fast_sample);
             extra.push_back(ref_sample);
 
-            std::cout << "  " << std::left << std::setw(12)
+            std::cout << "  " << std::left << std::setw(16)
                       << k.name << std::right << std::fixed
                       << std::setprecision(3) << std::setw(10)
                       << fast_ms << " ms   ref " << std::setw(10)

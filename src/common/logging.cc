@@ -33,14 +33,6 @@ emit(const char *prefix, const std::string &msg)
 }
 
 void
-fatalImpl(const char *file, int line, const std::string &msg)
-{
-    std::cerr << "fatal: " << msg << "\n  at " << file << ":" << line
-              << std::endl;
-    std::exit(1);
-}
-
-void
 panicImpl(const char *file, int line, const std::string &msg)
 {
     std::cerr << "panic: " << msg << "\n  at " << file << ":" << line

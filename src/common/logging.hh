@@ -1,7 +1,7 @@
 /**
  * @file
  * Status and error reporting helpers, in the spirit of gem5's
- * logging.hh: fatal() for user errors, panic() for internal bugs,
+ * logging.hh: UserError for user errors, panic() for internal bugs,
  * warn()/inform() for status messages.
  */
 
@@ -9,9 +9,24 @@
 #define CASQ_COMMON_LOGGING_HH
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 namespace casq {
+
+/**
+ * A request the library cannot run, through no fault of its own: an
+ * invalid Pauli letter, a circuit the forced substrate cannot
+ * simulate, a register too wide for the dense state.  Library code
+ * throws it and never ends the process; the CLIs print the message
+ * and exit 1, and the job service fails the job without a retry,
+ * since a rerun would fail the same way.
+ */
+class UserError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
 
 /** Verbosity levels for status messages. */
 enum class LogLevel { Silent = 0, Warn = 1, Info = 2, Debug = 3 };
@@ -26,13 +41,6 @@ namespace detail {
 
 /** Emit a message to stderr with a severity prefix. */
 void emit(const char *prefix, const std::string &msg);
-
-/**
- * Terminate with exit(1).  Used for conditions that are the user's
- * fault (bad configuration, invalid arguments).
- */
-[[noreturn]] void fatalImpl(const char *file, int line,
-                            const std::string &msg);
 
 /**
  * Terminate with abort().  Used for conditions that indicate a bug in
@@ -81,11 +89,6 @@ debug(Args &&...args)
 }
 
 } // namespace casq
-
-/** Abort the program because of a user-level error. */
-#define casq_fatal(...)                                                     \
-    ::casq::detail::fatalImpl(__FILE__, __LINE__,                           \
-                              ::casq::detail::format(__VA_ARGS__))
 
 /** Abort the program because of an internal casq bug. */
 #define casq_panic(...)                                                     \

@@ -43,7 +43,8 @@ pauliFromChar(char c)
       case 'Z':
         return PauliOp::Z;
       default:
-        casq_fatal("invalid Pauli character '", c, "'");
+        throw UserError(
+            detail::format("invalid Pauli character '", c, "'"));
     }
 }
 

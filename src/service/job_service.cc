@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/logging.hh"
+
 namespace casq {
 
 namespace {
@@ -275,11 +277,14 @@ JobService::slotLoop(unsigned self)
         lock.unlock();
         ShardResult result;
         std::string error;
-        bool ok = false;
+        Outcome outcome = Outcome::Failed;
         const auto begin = Clock::now();
         try {
             result = _runner->run(spec, ctx);
-            ok = true;
+            outcome = Outcome::Done;
+        } catch (const UserError &err) {
+            error = err.what();
+            outcome = Outcome::Rejected;
         } catch (const std::exception &err) {
             error = err.what();
         } catch (...) {
@@ -287,7 +292,7 @@ JobService::slotLoop(unsigned self)
         }
         const double wall_millis = millisBetween(begin, Clock::now());
         lock.lock();
-        onOutcome(task, self, ok, std::move(result), error,
+        onOutcome(task, self, outcome, std::move(result), error,
                   wall_millis, lock);
     }
 }
@@ -372,7 +377,7 @@ JobService::stealCandidate()
 }
 
 void
-JobService::onOutcome(Task task, unsigned self, bool ok,
+JobService::onOutcome(Task task, unsigned self, Outcome outcome,
                       ShardResult &&result, const std::string &error,
                       double wallMillis,
                       std::unique_lock<std::mutex> &lock)
@@ -389,7 +394,7 @@ JobService::onOutcome(Task task, unsigned self, bool ok,
     if (jobStateTerminal(job.progress.state))
         return;
 
-    if (ok) {
+    if (outcome == Outcome::Done) {
         if (view.state == ShardState::Done)
             return; // a stolen twin already delivered these bits
         const std::uint64_t owned =
@@ -413,6 +418,13 @@ JobService::onOutcome(Task task, unsigned self, bool ok,
     _totals.shardFailures += 1;
     if (view.state == ShardState::Done)
         return; // the shard already completed via another copy
+    if (outcome == Outcome::Rejected) {
+        // Every attempt would fail the same way: fail the job now.
+        view.state = ShardState::Failed;
+        finish(job, JobState::Failed,
+               "shard " + std::to_string(task.shard) + ": " + error);
+        return;
+    }
     if (run.runningCopies > 0)
         return; // a speculative copy is still running; let it decide
     if (view.attempts >= _options.scheduler.maxAttempts) {

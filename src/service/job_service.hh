@@ -37,7 +37,9 @@
  *
  *  - retry: a failed execution (runner threw: in-process error,
  *    subprocess death, corrupt result payload) re-queues the shard
- *    until its attempt budget is exhausted, which fails the job;
+ *    until its attempt budget is exhausted, which fails the job; a
+ *    UserError (a spec no attempt can run) fails the job at once,
+ *    with its message;
  *  - work-stealing: an idle slot re-executes the longest-running
  *    shard once it has run for stragglerFactor x the job's median
  *    completed-shard wall time (at least stragglerMinMillis; a
@@ -97,8 +99,10 @@ struct ShardRunContext
 /**
  * Executes one shard spec to a ShardResult.  Implementations throw
  * (any exception; ShardExecutionError by convention) to signal a
- * retryable failure.  run() is called concurrently from different
- * worker slots and must be thread-safe.
+ * retryable failure, and UserError (common/logging.hh) for a spec
+ * that can never run, which fails the job on its first attempt.
+ * run() is called concurrently from different worker slots and must
+ * be thread-safe.
  */
 class ShardRunner
 {
@@ -281,8 +285,16 @@ class JobService
     /** Straggler eligible for speculation, or job == nullptr. */
     Task stealCandidate();
 
+    /** How one shard execution ended. */
+    enum class Outcome
+    {
+        Done,     //!< a result
+        Failed,   //!< any exception but UserError: retried
+        Rejected, //!< UserError: fails the job at once
+    };
+
     /** Record one execution outcome.  Lock held. */
-    void onOutcome(Task task, unsigned self, bool ok,
+    void onOutcome(Task task, unsigned self, Outcome outcome,
                    ShardResult &&result, const std::string &error,
                    double wallMillis,
                    std::unique_lock<std::mutex> &lock);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "common/logging.hh"
@@ -105,13 +106,13 @@ DenseBackend::flipSigns(std::uint32_t q)
     }
 }
 
-void
-DenseBackend::flushCoupling(std::uint64_t mask)
+const std::vector<PairAngle> &
+DenseBackend::takeCoupling(std::uint64_t mask)
 {
     // D P = P (P D P): pulled through the Pauli frame, a pending
     // Rzz term flips sign when exactly one of its qubits carries an
     // X bit.
-    std::vector<PairAngle> coupling;
+    _coupling.clear();
     const std::uint32_t n = std::uint32_t(_state.numQubits());
     for (std::uint32_t q = 0; q < n; ++q) {
         if (!(mask & bit(q)))
@@ -120,13 +121,12 @@ DenseBackend::flushCoupling(std::uint64_t mask)
             double &theta = pair(q, p);
             if ((mask & bit(p)) || theta == 0.0)
                 continue;
-            coupling.push_back(PairAngle{
+            _coupling.push_back(PairAngle{
                 q, p, xBit(q) != xBit(p) ? -theta : theta});
             theta = 0.0;
         }
     }
-    if (!coupling.empty())
-        _state.applyPhases({}, coupling);
+    return _coupling;
 }
 
 void
@@ -256,8 +256,9 @@ DenseBackend::applyGate1q(const CMat &u, std::uint32_t q,
         return;
     }
     // Fold: the true state after u is u D P W |phi>, so u meets the
-    // frame's part on q as u . Rz(theta) . X^x Z^z . diag(w0, w1).
-    flushCoupling(bit(q));
+    // frame's part on q as u . Rz(theta) . X^x Z^z . diag(w0, w1);
+    // the Rzz terms from q to the rest ride along in the same pass.
+    const std::vector<PairAngle> &coupling = takeCoupling(bit(q));
     const double theta = _frame.z[q];
     const Complex e0 = std::polar(1.0, -0.5 * theta);
     const Complex e1 = std::polar(1.0, 0.5 * theta);
@@ -270,7 +271,7 @@ DenseBackend::applyGate1q(const CMat &u, std::uint32_t q,
         fold(0, j) = col[j ^ x][0] * f;
         fold(1, j) = col[j ^ x][1] * f;
     }
-    _state.applyGate1q(fold, q);
+    _state.applyGate1q(fold, q, coupling);
     clearQubits(bit(q));
 }
 
@@ -298,7 +299,7 @@ DenseBackend::applyGate2q(const CMat &u, std::uint32_t q0,
     // holds the pending Rz/Rzz terms within (q0, q1), P_A their frame
     // bits and W_A their weights.
     const std::uint64_t mask = bit(q0) | bit(q1);
-    flushCoupling(mask);
+    const std::vector<PairAngle> &coupling = takeCoupling(mask);
     const double t0 = _frame.z[q0], t1 = _frame.z[q1];
     const double phi = pair(q0, q1);
     Complex phase[4];
@@ -315,13 +316,13 @@ DenseBackend::applyGate2q(const CMat &u, std::uint32_t q0,
     for (std::size_t j = 0; j < 4; ++j) {
         const std::size_t k = j ^ xl;
         const Complex f =
-            phase[k] * ((__builtin_popcountll(j & zl) & 1 ? -1.0 : 1.0) *
+            phase[k] * ((__builtin_parityll(j & zl) ? -1.0 : 1.0) *
                         _frame.w[2 * q0 + (j & 1)] *
                         _frame.w[2 * q1 + (j >> 1)]);
         for (std::size_t r = 0; r < 4; ++r)
             fold(r, j) = u(r, k) * f;
     }
-    _state.applyGate2q(fold, q0, q1);
+    _state.applyGate2q(fold, q0, q1, coupling);
     clearQubits(mask);
 }
 
@@ -424,25 +425,62 @@ DenseBackend::amplitudeDamp(std::uint32_t q, double tau, double t1,
     noJump(q, decay);
 }
 
-double
-DenseBackend::expectation(const PauliString &p) const
+void
+DenseBackend::expectations(std::span<const PauliString> observables,
+                           std::span<double> out) const
 {
+    casq_assert(out.size() == observables.size(),
+                "one output per observable");
     if (_frame.weighted)
         flushWeights(0);
-    std::uint64_t zmask = 0;
-    for (std::uint32_t q = 0; q < _state.numQubits(); ++q) {
-        const PauliOp op = p.op(q);
-        if (op == PauliOp::X || op == PauliOp::Y) {
-            flush();
-            return _state.expectation(p) / _frame.norm2;
+    const auto zMask = [&](const PauliString &p) {
+        std::uint64_t zmask = 0;
+        for (std::uint32_t q = 0; q < _state.numQubits(); ++q) {
+            const PauliOp op = p.op(q);
+            if (op == PauliOp::X || op == PauliOp::Y)
+                return std::optional<std::uint64_t>();
+            if (op == PauliOp::Z)
+                zmask |= bit(q);
         }
-        if (op == PauliOp::Z)
-            zmask |= bit(q);
+        return std::optional<std::uint64_t>(zmask);
+    };
+    std::size_t k = 0;
+    while (k < observables.size()) {
+        // A run of Z-type strings with a real phase: D commutes with
+        // them, and P only adds its sign.
+        _zMasks.clear();
+        std::size_t end = k;
+        for (; end < observables.size(); ++end) {
+            const auto zmask = zMask(observables[end]);
+            if (!zmask || observables[end].phasePower() % 2)
+                break;
+            _zMasks.push_back(*zmask);
+        }
+        if (end == k) {
+            // Any other string reads the flushed state.
+            flush();
+            out[k] = _state.expectation(observables[k]) / _frame.norm2;
+            ++k;
+            continue;
+        }
+        const std::span<double> run = out.subspan(k, end - k);
+        _state.zExpectations(_zMasks, run);
+        for (std::size_t j = 0; j < run.size(); ++j) {
+            const double value = run[j] / _frame.norm2;
+            const bool flip = __builtin_parityll(_frame.x & _zMasks[j]) !=
+                              (observables[k + j].phasePower() == 2);
+            run[j] = flip ? -value : value;
+        }
+        k = end;
     }
-    // D commutes with a Z-type string, and P only adds its sign.
-    const double value = _state.expectation(p) / _frame.norm2;
-    return __builtin_popcountll(_frame.x & zmask) & 1 ? -value
-                                                       : value;
+}
+
+double
+StateBackend::expectation(const PauliString &p) const
+{
+    double value = 0.0;
+    expectations({&p, 1}, {&value, 1});
+    return value;
 }
 
 int

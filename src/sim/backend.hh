@@ -23,7 +23,9 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "common/matrix.hh"
 #include "common/rng.hh"
@@ -63,6 +65,8 @@ simBackendKindFromName(const std::string &name);
  * probabilityOne -> uniform -> collapse sequence, which is what
  * keeps dense and stabilizer trajectories of the same seed on the
  * same random branch (see docs/backends.md, "Determinism").
+ * expectation() is the one-string wrapper of the batched read
+ * expectations().
  */
 class StateBackend
 {
@@ -119,8 +123,17 @@ class StateBackend
     virtual void amplitudeDamp(std::uint32_t q, double tau,
                                double t1, Rng &rng) = 0;
 
-    /** Expectation <psi| P |psi> (real part). */
-    virtual double expectation(const PauliString &p) const = 0;
+    /**
+     * Expectations <psi| P |psi> (real parts) of every string of
+     * `observables`, into out (one slot each): the read at the end of
+     * every trajectory, batched so a backend can answer the strings
+     * together.
+     */
+    virtual void expectations(std::span<const PauliString> observables,
+                              std::span<double> out) const = 0;
+
+    /** One observable's expectation: a batch of one. */
+    double expectation(const PauliString &p) const;
 
     /**
      * Projective measurement with collapse; returns the outcome.
@@ -144,12 +157,13 @@ class StateBackend
  * flip frame bits and the signs of the pending terms they
  * anticommute with; a damping draw that cannot jump only scales a
  * weight.  Any other gate folds the frame's part on its own qubits
- * into its matrix, after one applyPhases sweep for the pending Rzz
- * terms that couple its qubits to the rest.  Reads see through the
- * frame: the first read after a weight changed applies W in one
- * pass that also yields the norm, the X bit swaps which stored half
- * a qubit's |1> is in, and Z-type expectations only pick up the
- * frame's sign.  Gates are classified by exact matrix pattern, so a
+ * into its matrix and multiplies the pending Rzz terms that couple
+ * its qubits to the rest in within the same pass.  Reads see
+ * through the frame: the first read after a weight changed applies
+ * W in one pass that also yields the norm, the X bit swaps which
+ * stored half a qubit's |1> is in, and a batch of Z-type
+ * expectations is one pass that only picks up the frame's signs.
+ * Gates are classified by exact matrix pattern, so a
  * gate that is not recognised takes the folding path, which is
  * always exact.
  */
@@ -187,8 +201,12 @@ class DenseBackend final : public StateBackend
     void amplitudeDamp(std::uint32_t q, double tau, double t1,
                        Rng &rng) override;
 
-    /** Z-type strings read through the frame; X/Y strings flush. */
-    double expectation(const PauliString &p) const override;
+    /**
+     * Each run of consecutive Z-type strings is read through the
+     * frame in one pass; an X/Y string flushes, then reads alone.
+     */
+    void expectations(std::span<const PauliString> observables,
+                      std::span<double> out) const override;
 
     /** Full passes over the amplitude array (Statevector::sweeps). */
     std::uint64_t sweeps() const { return _state.sweeps(); }
@@ -220,6 +238,8 @@ class DenseBackend final : public StateBackend
     // Flushing is logically const: the true state does not change.
     mutable Statevector _state;
     mutable Frame _frame;
+    std::vector<PairAngle> _coupling; //!< takeCoupling's terms
+    mutable std::vector<std::uint64_t> _zMasks; //!< a Z read batch
 
     /** The pending Rzz angle of the pair (a, b), either order. */
     double &pair(std::uint32_t a, std::uint32_t b) const;
@@ -229,10 +249,11 @@ class DenseBackend final : public StateBackend
     void flipSigns(std::uint32_t q);
 
     /**
-     * Sweep the pending Rzz terms between qubits in `mask` and
-     * qubits outside it into the stored state (pulled through P).
+     * Take the pending Rzz terms between qubits in `mask` and qubits
+     * outside it out of D, pulled through P: the terms a fold on
+     * `mask` multiplies in within its own pass.
      */
-    void flushCoupling(std::uint64_t mask);
+    const std::vector<PairAngle> &takeCoupling(std::uint64_t mask);
 
     /** Drop the frame's part (D, P and W) on the qubits in `mask`. */
     void clearQubits(std::uint64_t mask);

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <exception>
 #include <mutex>
 #include <utility>
 
@@ -464,31 +465,42 @@ sameSchedule(const ScheduledCircuit &a, const ScheduledCircuit &b)
 /**
  * The substrate every trajectory of `variant` runs on.  Auto
  * prefers the tableau exactly when the variant's whole execution is
- * Clifford; forcing Stabilizer on an ineligible variant is a user
- * error and exits with the blocker diagnostic.
+ * Clifford.  Forcing Stabilizer on an ineligible variant, or landing
+ * dense past the statevector limit, is a user error: UserError with
+ * the diagnostic.
  */
 SimBackendKind
 resolveTrajectoryBackend(SimBackendKind requested,
-                         const CompiledVariant &variant)
+                         const CompiledVariant &variant,
+                         std::size_t num_qubits)
 {
+    SimBackendKind kind = SimBackendKind::Dense;
     switch (requested) {
       case SimBackendKind::Auto:
-        return variant.stabilizerEligible
-                   ? SimBackendKind::Stabilizer
-                   : SimBackendKind::Dense;
+        if (variant.stabilizerEligible)
+            kind = SimBackendKind::Stabilizer;
+        break;
       case SimBackendKind::Stabilizer:
         if (!variant.stabilizerEligible) {
-            casq_fatal(
+            throw UserError(detail::format(
                 "circuit is not Clifford, so --backend stabilizer "
                 "cannot simulate it (",
                 variant.stabilizerBlocker,
-                "); use --backend auto or dense");
+                "); use --backend auto or dense"));
         }
-        return SimBackendKind::Stabilizer;
+        kind = SimBackendKind::Stabilizer;
+        break;
       case SimBackendKind::Dense:
         break;
     }
-    return SimBackendKind::Dense;
+    if (kind == SimBackendKind::Dense && num_qubits > kMaxDenseQubits) {
+        throw UserError(detail::format(
+            num_qubits, " qubits exceed the dense statevector limit (",
+            kMaxDenseQubits,
+            "); a Clifford workload can run at this size with "
+            "--backend auto or stabilizer"));
+    }
+    return kind;
 }
 
 // ------------------------------------------------ trajectory state
@@ -575,8 +587,7 @@ class TrajectoryRunner
             }
         }
         flushAllT1(rng);
-        for (std::size_t k = 0; k < observables.size(); ++k)
-            out[k] = _state->expectation(observables[k]);
+        _state->expectations(observables, {out, observables.size()});
     }
 
     /** Full passes over the dense state by this runner so far. */
@@ -624,17 +635,8 @@ class TrajectoryRunner
                 _tableau = makeStateBackend(kind, _numQubits);
             return *_tableau;
         }
-        if (!_dense) {
-            if (_numQubits > kMaxDenseQubits) {
-                casq_fatal(
-                    _numQubits,
-                    " qubits exceed the dense statevector limit (",
-                    kMaxDenseQubits,
-                    "); a Clifford workload can run at this "
-                    "size with --backend auto or stabilizer");
-            }
+        if (!_dense)
             _dense = std::make_unique<DenseBackend>(_numQubits);
-        }
         return *_dense;
     }
 
@@ -993,7 +995,8 @@ SimulationEngine::dispatch(std::size_t instances,
     const auto resolveInstance = [&](std::size_t n) {
         auto variant = resolve(out.instances[n]);
         out.fingerprints[n] = variant->fingerprint;
-        kinds[n] = resolveTrajectoryBackend(opts.backend, *variant);
+        kinds[n] = resolveTrajectoryBackend(opts.backend, *variant,
+                                            _backend.numQubits());
         prefixed[n] = opts.prefixState == PrefixStateMode::Auto &&
                       variant->prefixEvents > 0;
         return variant;
@@ -1031,22 +1034,35 @@ SimulationEngine::dispatch(std::size_t instances,
         // variant into simulation sub-tasks on the same pool
         // (submitting from a worker is safe -- the pending count can
         // only reach zero after every nested submit).
+        // Pool tasks may not throw: the error an instance raises (a
+        // UserError from resolveTrajectoryBackend, say) is kept in
+        // its own slot, and after the join the lowest instance's is
+        // rethrown, as the serial loop would have thrown it.
         ThreadPool &workers = pool(threads);
+        std::vector<std::exception_ptr> failures(N);
         const int subtasks =
             std::max(1, int(threads) * 2 / std::max(1, int(N)));
         for (std::size_t n = 0; n < N; ++n) {
             workers.submit([&, n] {
-                const auto variant = resolveInstance(n);
-                for (const auto &[o0, o1] :
-                     splitRange(int(ordinalsOf(n).size()), subtasks)) {
-                    workers.submit([&, variant, n, o0 = o0, o1 = o1] {
-                        simulate(*variant, n, std::size_t(o0),
-                                 std::size_t(o1));
-                    });
+                try {
+                    const auto variant = resolveInstance(n);
+                    for (const auto &[o0, o1] : splitRange(
+                             int(ordinalsOf(n).size()), subtasks)) {
+                        workers.submit(
+                            [&, variant, n, o0 = o0, o1 = o1] {
+                                simulate(*variant, n, std::size_t(o0),
+                                         std::size_t(o1));
+                            });
+                    }
+                } catch (...) {
+                    failures[n] = std::current_exception();
                 }
             });
         }
         workers.wait();
+        for (const std::exception_ptr &failure : failures)
+            if (failure)
+                std::rethrow_exception(failure);
     }
 
     for (std::size_t n = 0; n < N; ++n) {

@@ -407,8 +407,18 @@ StabilizerBackend::amplitudeDamp(std::uint32_t q, double tau,
                "variant dense");
 }
 
+void
+StabilizerBackend::expectations(std::span<const PauliString> observables,
+                                std::span<double> out) const
+{
+    casq_assert(out.size() == observables.size(),
+                "one output per observable");
+    for (std::size_t k = 0; k < observables.size(); ++k)
+        out[k] = expectationOf(observables[k]);
+}
+
 double
-StabilizerBackend::expectation(const PauliString &p) const
+StabilizerBackend::expectationOf(const PauliString &p) const
 {
     casq_assert(p.numQubits() == _n, "Pauli width mismatch");
     // Rewrite P = i^k * letters as a literal-product row.

@@ -69,7 +69,8 @@ class StabilizerBackend final : public StateBackend
     void collapse(std::uint32_t q, int outcome) override;
     void amplitudeDamp(std::uint32_t q, double tau, double t1,
                        Rng &rng) override;
-    double expectation(const PauliString &p) const override;
+    void expectations(std::span<const PauliString> observables,
+                      std::span<double> out) const override;
 
     /** True when <Z_q> is +-1 (q is not in superposition). */
     bool isDeterministicZ(std::uint32_t q) const;
@@ -125,6 +126,9 @@ class StabilizerBackend final : public StateBackend
      * element into _scratch and return its phase (0 or 2).
      */
     std::uint8_t deterministicZPhase(std::uint32_t q) const;
+
+    /** <P> of one string: 0 or +-1. */
+    double expectationOf(const PauliString &p) const;
 };
 
 } // namespace casq

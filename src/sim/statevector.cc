@@ -1,6 +1,10 @@
 #include "sim/statevector.hh"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <type_traits>
 
 #include "common/logging.hh"
 
@@ -9,14 +13,73 @@ namespace casq {
 namespace {
 
 /**
- * Per-term factor pair for the fused phase kernel: `f0` multiplies
- * amplitudes where the term's parity bit is 0, `f1` where it is 1.
+ * Two doubles in one vector register: an amplitude (re, im) in the
+ * gate kernels, two strings' sums in zExpectations.
  */
-struct PhaseFactor
+typedef double Lanes __attribute__((vector_size(16)));
+
+Lanes
+loadPair(const double *p)
 {
-    Complex f0;
-    Complex f1;
+    Lanes v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+}
+
+Lanes
+load(const Complex &z)
+{
+    return loadPair(reinterpret_cast<const double *>(&z));
+}
+
+void
+store(Complex &z, Lanes v)
+{
+    std::memcpy(reinterpret_cast<double *>(&z), &v, sizeof v);
+}
+
+/** (im, re) of v. */
+Lanes
+swapped(Lanes v)
+{
+    return __builtin_shufflevector(v, v, 1, 0);
+}
+
+/**
+ * A factor m laid out for products m * v = (re m, re m) v +
+ * (-im m, im m) swapped(v).  Lane by lane that is re m re v -
+ * im m im v and re m im v + im m re v, rounded as std::complex's
+ * product rounds them (the negation is exact), so a kernel in this
+ * form is bit-identical to one in std::complex, with half the
+ * arithmetic instructions and none of std::complex's recovery of
+ * infinite parts from NaN results (the amplitudes are finite).
+ */
+struct Factor
+{
+    Lanes re = {};
+    Lanes im = {};
+
+    Factor() = default;
+
+    explicit Factor(const Complex &m)
+        : re{m.real(), m.real()}, im{-m.imag(), m.imag()}
+    {
+    }
+
+    /** m * v, given v and swapped(v). */
+    Lanes
+    times(Lanes v, Lanes vs) const
+    {
+        return re * v + im * vs;
+    }
 };
+
+/** v * f, as std::complex rounds it. */
+Lanes
+times(Lanes v, const Complex &f)
+{
+    return Factor(f).times(v, swapped(v));
+}
 
 } // namespace
 
@@ -46,63 +109,209 @@ Statevector::copyFrom(const Statevector &other)
     _amps.assign(other._amps.begin(), other._amps.end());
 }
 
+const Complex *
+Statevector::phaseTable(const std::vector<QubitAngle> &z_angles,
+                        const std::vector<PairAngle> &zz_angles,
+                        std::uint64_t touched)
+{
+    // Build the factor table by doubling over the touched qubits, so
+    // trig calls scale with the term count instead of the table
+    // size.  The factor for index j is the product over terms of
+    // e^{+-i theta/2}, resolved at the term's highest qubit (for ZZ
+    // terms the sign depends on the lower bit of the already-built
+    // table index).
+    const std::size_t len = std::size_t(1) << std::popcount(touched);
+    if (_phaseScratch.size() < len)
+        _phaseScratch.resize(len);
+    Complex *table = _phaseScratch.data();
+    table[0] = 1.0;
+    std::size_t halfLen = 1;
+    for (std::uint32_t k = 0; k < _numQubits; ++k) {
+        if (!((touched >> k) & 1))
+            continue;
+        // Constant (bit-k-only) factors from Z terms at k, plus
+        // degenerate ZZ pairs (q0 == q1 always has even parity).
+        Complex g(1.0); // factor when bit k = 0
+        Complex hc(1.0); // factor when bit k = 1
+        bool any = false;
+        for (const auto &za : z_angles) {
+            if (za.qubit != k)
+                continue;
+            const Complex f1(std::cos(za.theta * 0.5),
+                             std::sin(za.theta * 0.5));
+            g *= std::conj(f1);
+            hc *= f1;
+            any = true;
+        }
+        _pairTerms.clear();
+        for (const auto &pa : zz_angles) {
+            const std::uint32_t qhi = pa.q0 > pa.q1 ? pa.q0
+                                                    : pa.q1;
+            if (qhi != k)
+                continue;
+            const Complex f1(std::cos(pa.theta * 0.5),
+                             std::sin(pa.theta * 0.5));
+            const Complex f0 = std::conj(f1);
+            if (pa.q0 == pa.q1) {
+                g *= f0;
+                hc *= f0;
+            } else {
+                const std::uint32_t qlo = pa.q0 < pa.q1 ? pa.q0 : pa.q1;
+                const std::uint64_t below = (std::uint64_t(1) << qlo) - 1;
+                _pairTerms.push_back(PairTerm{
+                    std::uint32_t(std::popcount(touched & below)), f0,
+                    f1});
+            }
+            any = true;
+        }
+        if (!any) {
+            for (std::size_t j = 0; j < halfLen; ++j)
+                table[j + halfLen] = table[j];
+        } else if (_pairTerms.empty()) {
+            for (std::size_t j = 0; j < halfLen; ++j) {
+                table[j + halfLen] = table[j] * hc;
+                table[j] *= g;
+            }
+        } else {
+            for (std::size_t j = 0; j < halfLen; ++j) {
+                Complex g2 = g, h2 = hc;
+                for (const PairTerm &t : _pairTerms) {
+                    const bool b = (j >> t.lo) & 1;
+                    g2 *= b ? t.e1 : t.e0;
+                    h2 *= b ? t.e0 : t.e1;
+                }
+                table[j + halfLen] = table[j] * h2;
+                table[j] *= g2;
+            }
+        }
+        halfLen *= 2;
+    }
+    return table;
+}
+
+Statevector::CouplingTable
+Statevector::couplingTable(const std::vector<PairAngle> &coupling,
+                           std::span<const std::uint32_t> gate)
+{
+    CouplingTable table;
+    if (coupling.empty())
+        return table;
+    std::uint64_t touched = 0;
+    for (std::uint32_t q : gate)
+        touched |= std::uint64_t(1) << q;
+    for (const PairAngle &pa : coupling) {
+        casq_assert(pa.q0 != pa.q1, "a coupling term needs two qubits");
+        touched |= (std::uint64_t(1) << pa.q0) |
+                   (std::uint64_t(1) << pa.q1);
+    }
+    const auto rank = [&](std::uint32_t q) {
+        return std::uint32_t(
+            std::popcount(touched & ((std::uint64_t(1) << q) - 1)));
+    };
+    for (std::uint32_t q = 0; q < _numQubits; ++q) {
+        if (((touched >> q) & 1) && q != gate.front() &&
+            q != gate.back()) {
+            table.partner[table.partners] = q;
+            table.rank[table.partners++] = rank(q);
+        }
+    }
+    for (std::size_t g = 0; g < gate.size(); ++g)
+        table.gateBit[g] = std::size_t(1) << rank(gate[g]);
+    table.factor = phaseTable({}, coupling, touched);
+    return table;
+}
+
 void
-Statevector::applyGate1q(const CMat &u, std::uint32_t q)
+Statevector::applyGate1q(const CMat &u, std::uint32_t q,
+                         const std::vector<PairAngle> &coupling)
 {
     ++_sweeps;
     const std::size_t half = std::size_t(1) << q;
-    const Complex u00 = u(0, 0), u01 = u(0, 1);
-    const Complex u10 = u(1, 0), u11 = u(1, 1);
     const std::size_t n = _amps.size();
     Complex *amps = _amps.data();
-    for (std::size_t base = 0; base < n; base += 2 * half) {
-        Complex *lo = amps + base;
-        Complex *hi = lo + half;
-        for (std::size_t off = 0; off < half; ++off) {
-            const Complex a = lo[off];
-            const Complex b = hi[off];
-            lo[off] = u00 * a + u01 * b;
-            hi[off] = u10 * a + u11 * b;
+    const std::uint32_t gate[1] = {q};
+    const CouplingTable table = couplingTable(coupling, gate);
+    const Factor u00(u(0, 0)), u01(u(0, 1));
+    const Factor u10(u(1, 0)), u11(u(1, 1));
+    const auto pass = [&](auto coupled) {
+        for (std::size_t base = 0; base < n; base += 2 * half) {
+            Complex *lo = amps + base;
+            Complex *hi = lo + half;
+            for (std::size_t off = 0; off < half; ++off) {
+                Lanes a = load(lo[off]);
+                Lanes b = load(hi[off]);
+                if constexpr (decltype(coupled)::value) {
+                    const Complex *f =
+                        table.factor + table.key(base + off);
+                    a = times(a, f[0]);
+                    b = times(b, f[table.gateBit[0]]);
+                }
+                const Lanes as = swapped(a), bs = swapped(b);
+                store(lo[off], u00.times(a, as) + u01.times(b, bs));
+                store(hi[off], u10.times(a, as) + u11.times(b, bs));
+            }
         }
-    }
+    };
+    if (table.factor)
+        pass(std::true_type{});
+    else
+        pass(std::false_type{});
 }
 
 void
 Statevector::applyGate2q(const CMat &u, std::uint32_t q0,
-                         std::uint32_t q1)
+                         std::uint32_t q1,
+                         const std::vector<PairAngle> &coupling)
 {
     ++_sweeps;
     const std::size_t m0 = std::size_t(1) << q0;
     const std::size_t m1 = std::size_t(1) << q1;
-    Complex m[4][4];
+    Factor m[4][4];
     for (int r = 0; r < 4; ++r)
         for (int c = 0; c < 4; ++c)
-            m[r][c] = u(r, c);
+            m[r][c] = Factor(u(r, c));
     const std::size_t mlo = m0 < m1 ? m0 : m1;
     const std::size_t mhi = m0 < m1 ? m1 : m0;
     const std::size_t n = _amps.size();
     Complex *amps = _amps.data();
-    for (std::size_t h = 0; h < n; h += 2 * mhi) {
-        for (std::size_t l = 0; l < mhi; l += 2 * mlo) {
-            const std::size_t block = h + l;
-            for (std::size_t i = block; i < block + mlo; ++i) {
-                // Bits q0 and q1 of i are both clear here.
-                const std::size_t i1 = i | m0;
-                const std::size_t i2 = i | m1;
-                const std::size_t i3 = i | m0 | m1;
-                const Complex v0 = amps[i], v1 = amps[i1];
-                const Complex v2 = amps[i2], v3 = amps[i3];
-                amps[i] = m[0][0] * v0 + m[0][1] * v1 +
-                          m[0][2] * v2 + m[0][3] * v3;
-                amps[i1] = m[1][0] * v0 + m[1][1] * v1 +
-                           m[1][2] * v2 + m[1][3] * v3;
-                amps[i2] = m[2][0] * v0 + m[2][1] * v1 +
-                           m[2][2] * v2 + m[2][3] * v3;
-                amps[i3] = m[3][0] * v0 + m[3][1] * v1 +
-                           m[3][2] * v2 + m[3][3] * v3;
+    const std::uint32_t gate[2] = {q0, q1};
+    const CouplingTable table = couplingTable(coupling, gate);
+    const std::size_t f1 = table.gateBit[0], f2 = table.gateBit[1];
+    const auto pass = [&](auto coupled) {
+        for (std::size_t h = 0; h < n; h += 2 * mhi) {
+            for (std::size_t l = 0; l < mhi; l += 2 * mlo) {
+                const std::size_t block = h + l;
+                for (std::size_t i = block; i < block + mlo; ++i) {
+                    // Bits q0 and q1 of i are both clear here.
+                    const std::size_t i1 = i | m0;
+                    const std::size_t i2 = i | m1;
+                    const std::size_t i3 = i | m0 | m1;
+                    const std::size_t at[4] = {i, i1, i2, i3};
+                    Lanes v[4], vs[4];
+                    for (int c = 0; c < 4; ++c)
+                        v[c] = load(amps[at[c]]);
+                    if constexpr (decltype(coupled)::value) {
+                        const Complex *f = table.factor + table.key(i);
+                        v[0] = times(v[0], f[0]);
+                        v[1] = times(v[1], f[f1]);
+                        v[2] = times(v[2], f[f2]);
+                        v[3] = times(v[3], f[f1 | f2]);
+                    }
+                    for (int c = 0; c < 4; ++c)
+                        vs[c] = swapped(v[c]);
+                    for (int r = 0; r < 4; ++r)
+                        store(amps[at[r]], m[r][0].times(v[0], vs[0]) +
+                                               m[r][1].times(v[1], vs[1]) +
+                                               m[r][2].times(v[2], vs[2]) +
+                                               m[r][3].times(v[3], vs[3]));
+                }
             }
         }
-    }
+    };
+    if (table.factor)
+        pass(std::true_type{});
+    else
+        pass(std::false_type{});
 }
 
 void
@@ -173,83 +382,10 @@ Statevector::applyPhases(const std::vector<QubitAngle> &z_angles,
         return;
     }
 
-    // Build a per-index Complex factor table by doubling over
-    // qubits, so trig calls scale with the term count instead of
-    // the state size.  The factor for index i is the product over
-    // terms of e^{+-i theta/2}, resolved at the term's highest
-    // qubit (for ZZ terms the sign depends on the lower bit of the
-    // already-built table index).
-    const std::size_t n = _amps.size();
-    _phaseScratch.resize(n);
-    Complex *table = _phaseScratch.data();
-    table[0] = 1.0;
-
-    struct ZzAt
-    {
-        std::uint32_t qlo;
-        Complex e0; //!< even parity: e^{-i theta/2}
-        Complex e1; //!< odd parity: e^{+i theta/2}
-    };
-    std::vector<ZzAt> zzHere;
-    for (std::uint32_t k = 0; k < _numQubits; ++k) {
-        // Constant (bit-k-only) factors from Z terms at k, plus
-        // degenerate ZZ pairs (q0 == q1 always has even parity).
-        Complex g(1.0); // factor when bit k = 0
-        Complex hc(1.0); // factor when bit k = 1
-        bool any = false;
-        for (const auto &za : z_angles) {
-            if (za.qubit != k)
-                continue;
-            const Complex f1(std::cos(za.theta * 0.5),
-                             std::sin(za.theta * 0.5));
-            g *= std::conj(f1);
-            hc *= f1;
-            any = true;
-        }
-        zzHere.clear();
-        for (const auto &pa : zz_angles) {
-            const std::uint32_t qhi = pa.q0 > pa.q1 ? pa.q0
-                                                    : pa.q1;
-            if (qhi != k)
-                continue;
-            const Complex f1(std::cos(pa.theta * 0.5),
-                             std::sin(pa.theta * 0.5));
-            const Complex f0 = std::conj(f1);
-            if (pa.q0 == pa.q1) {
-                g *= f0;
-                hc *= f0;
-            } else {
-                zzHere.push_back(
-                    ZzAt{pa.q0 < pa.q1 ? pa.q0 : pa.q1, f0, f1});
-            }
-            any = true;
-        }
-        const std::size_t halfLen = std::size_t(1) << k;
-        if (!any) {
-            for (std::size_t j = 0; j < halfLen; ++j)
-                table[j + halfLen] = table[j];
-            continue;
-        }
-        if (zzHere.empty()) {
-            for (std::size_t j = 0; j < halfLen; ++j) {
-                table[j + halfLen] = table[j] * hc;
-                table[j] *= g;
-            }
-            continue;
-        }
-        for (std::size_t j = 0; j < halfLen; ++j) {
-            Complex g2 = g, h2 = hc;
-            for (const auto &t : zzHere) {
-                const bool b = (j >> t.qlo) & 1;
-                g2 *= b ? t.e1 : t.e0;
-                h2 *= b ? t.e0 : t.e1;
-            }
-            table[j + halfLen] = table[j] * h2;
-            table[j] *= g2;
-        }
-    }
-
+    const Complex *table = phaseTable(
+        z_angles, zz_angles, (std::uint64_t(1) << _numQubits) - 1);
     ++_sweeps;
+    const std::size_t n = _amps.size();
     Complex *amps = _amps.data();
     for (std::size_t i = 0; i < n; ++i)
         amps[i] *= table[i];
@@ -294,8 +430,7 @@ Statevector::applyPauli(const PauliString &p)
     if (xmask == 0) {
         for (std::size_t i = 0; i < n; ++i) {
             const Complex c =
-                (__builtin_popcountll(i & smask) & 1) ? -base
-                                                      : base;
+                __builtin_parityll(i & smask) ? -base : base;
             amps[i] *= c;
         }
         return;
@@ -309,11 +444,9 @@ Statevector::applyPauli(const PauliString &p)
             const std::size_t i = blockBase + off;
             const std::size_t j = i ^ xmask;
             const Complex ci =
-                (__builtin_popcountll(i & smask) & 1) ? -base
-                                                      : base;
+                __builtin_parityll(i & smask) ? -base : base;
             const Complex cj =
-                (__builtin_popcountll(j & smask) & 1) ? -base
-                                                      : base;
+                __builtin_parityll(j & smask) ? -base : base;
             const Complex a = amps[i];
             const Complex b = amps[j];
             amps[j] = ci * a;
@@ -455,11 +588,60 @@ Statevector::expectation(const PauliString &p) const
     const Complex *amps = _amps.data();
     for (std::size_t i = 0; i < n; ++i) {
         const std::size_t j = i ^ xmask;
-        const Complex c =
-            (__builtin_popcountll(i & smask) & 1) ? -base : base;
+        const Complex c = __builtin_parityll(i & smask) ? -base : base;
         acc += std::conj(amps[j]) * c * amps[i];
     }
     return acc.real();
+}
+
+void
+Statevector::zExpectations(std::span<const std::uint64_t> zmasks,
+                           std::span<double> out) const
+{
+    casq_assert(out.size() == zmasks.size(),
+                "one output per Z mask");
+    ++_sweeps;
+    // Index i = block + lo with lo its low `low` bits: the sign of
+    // |a_i|^2 in sum k is the product of a sign from lo and one from
+    // the block, both from tables of +-1.0 built once (a parity per
+    // amplitude and string costs more than the whole sum).  Each
+    // product is exact, so every sum adds the same terms in the same
+    // order as expectation(): conj(a) * (+-1) * a has real part
+    // +-(re^2 + im^2), rounded as std::norm rounds it.  The sums go
+    // two to a vector register; an odd count pads with the mask 0.
+    const std::size_t width = (zmasks.size() + 1) / 2 * 2;
+    const std::uint32_t low =
+        std::uint32_t(std::min<std::size_t>(_numQubits, 6));
+    const std::size_t span = std::size_t(1) << low;
+    _signScratch.assign((span + 2) * width, 0.0);
+    double *lowSign = _signScratch.data();
+    double *blockSign = lowSign + span * width;
+    double *acc = blockSign + width;
+    const auto sign = [&](std::size_t index, std::size_t k) {
+        const std::uint64_t zmask = k < zmasks.size() ? zmasks[k] : 0;
+        return __builtin_parityll(index & zmask) ? -1.0 : 1.0;
+    };
+    for (std::size_t lo = 0; lo < span; ++lo)
+        for (std::size_t k = 0; k < width; ++k)
+            lowSign[lo * width + k] = sign(lo, k);
+    const std::size_t n = _amps.size();
+    const Complex *amps = _amps.data();
+    for (std::size_t block = 0; block < n; block += span) {
+        for (std::size_t k = 0; k < width; ++k)
+            blockSign[k] = sign(block, k);
+        for (std::size_t lo = 0; lo < span; ++lo) {
+            const double x = std::norm(amps[block + lo]);
+            const Lanes xx = {x, x};
+            const double *row = lowSign + lo * width;
+            for (std::size_t k = 0; k < width; k += 2) {
+                const Lanes sum = loadPair(acc + k) +
+                                  loadPair(row + k) *
+                                      loadPair(blockSign + k) * xx;
+                std::memcpy(acc + k, &sum, sizeof sum);
+            }
+        }
+    }
+    std::copy(acc, acc + out.size(), out.begin());
 }
 
 } // namespace casq

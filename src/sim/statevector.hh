@@ -1,11 +1,13 @@
 /**
  * @file
  * Dense statevector with the specialized kernels needed by the
- * trajectory simulator: generic 1q/2q gate application, a fused
- * diagonal-phase kernel for the per-segment Z/ZZ crosstalk errors,
- * a real product-diagonal kernel for pending amplitude-damping
- * weights, Pauli strings, single-qubit probabilities and collapse,
- * and exact Pauli expectation values.
+ * trajectory simulator: generic 1q/2q gate application (with the
+ * pending ZZ coupling to the rest of the register multiplied in on
+ * the way), a fused diagonal-phase kernel for the per-segment Z/ZZ
+ * crosstalk errors, a real product-diagonal kernel for pending
+ * amplitude-damping weights, Pauli strings, single-qubit
+ * probabilities and collapse, and exact Pauli expectation values
+ * (all Z-type strings of a batch in one pass).
  */
 
 #ifndef CASQ_SIM_STATEVECTOR_HH
@@ -14,6 +16,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/matrix.hh"
@@ -72,12 +75,25 @@ class Statevector
     const std::vector<Complex> &amplitudes() const { return _amps; }
     Complex &amp(std::size_t i) { return _amps[i]; }
 
-    /** Apply a 2x2 unitary to qubit q. */
-    void applyGate1q(const CMat &u, std::uint32_t q);
+    /**
+     * Apply the Rzz terms of `coupling`, then a 2x2 unitary to qubit
+     * q, in one pass.  Each term pairs two distinct qubits; the
+     * result is bit-identical to applyPhases({}, coupling) followed
+     * by the gate.  Conditioned on the bits of the other qubits the
+     * terms touch, they are a diagonal on q, so the pass multiplies
+     * each amplitude by its entry of a factor table over just the
+     * qubits the terms touch.  With no terms this is the plain gate.
+     */
+    void applyGate1q(const CMat &u, std::uint32_t q,
+                     const std::vector<PairAngle> &coupling = {});
 
-    /** Apply a 4x4 unitary to (q0 = less significant, q1). */
+    /**
+     * Apply the Rzz terms of `coupling`, then a 4x4 unitary to
+     * (q0 = less significant, q1), in one pass (as applyGate1q).
+     */
     void applyGate2q(const CMat &u, std::uint32_t q0,
-                     std::uint32_t q1);
+                     std::uint32_t q1,
+                     const std::vector<PairAngle> &coupling = {});
 
     /** Rzz(theta) on (q0, q1) (diagonal fast path). */
     void applyRzz(std::uint32_t q0, std::uint32_t q1, double theta);
@@ -121,6 +137,15 @@ class Statevector
     double expectation(const PauliString &p) const;
 
     /**
+     * Expectations of the Z-type strings Z^zmasks[k] (phase +1) in
+     * one pass: out[k] = sum_i (-1)^parity(i & zmasks[k]) |a_i|^2,
+     * each summed in index order, so every value is bit-identical to
+     * expectation() of that string.
+     */
+    void zExpectations(std::span<const std::uint64_t> zmasks,
+                       std::span<double> out) const;
+
+    /**
      * Full passes over the amplitude array since construction: every
      * kernel counts each walk it makes over the array, so a kernel
      * that reads the state and then writes it counts 2.  A pass that
@@ -135,7 +160,58 @@ class Statevector
     std::size_t _numQubits;
     std::vector<Complex> _amps;
     std::vector<Complex> _phaseScratch; //!< lazily sized factor table
+    mutable std::vector<double> _signScratch; //!< zExpectations' signs
     mutable std::uint64_t _sweeps = 0;
+
+    /** A ZZ term of a factor table, at its higher qubit's level. */
+    struct PairTerm
+    {
+        std::uint32_t lo; //!< table index bit of the lower qubit
+        Complex e0;       //!< even-parity factor e^{-i theta/2}
+        Complex e1;       //!< odd-parity factor e^{+i theta/2}
+    };
+    std::vector<PairTerm> _pairTerms; //!< phaseTable's scratch
+
+    /**
+     * Build in _phaseScratch the per-index factor table of the Rz
+     * terms `z_angles` and Rzz terms `zz_angles` over the qubits of
+     * `touched`, which holds every qubit a term names: bit r of a
+     * table index is the bit of the r-th lowest touched qubit.  Over
+     * all qubits this is applyPhases' table; the products are the
+     * same over any subset, so a table over fewer qubits gives every
+     * amplitude the factor applyPhases would.
+     */
+    const Complex *phaseTable(const std::vector<QubitAngle> &z_angles,
+                              const std::vector<PairAngle> &zz_angles,
+                              std::uint64_t touched);
+
+    /**
+     * Where an amplitude's coupling factor sits: bit r of the table
+     * index is the bit of the r-th lowest qubit the terms or the
+     * gate touch.
+     */
+    struct CouplingTable
+    {
+        const Complex *factor = nullptr; //!< null: no terms
+        std::size_t gateBit[2] = {0, 0}; //!< index bit of gate qubit
+        std::uint32_t partners = 0;      //!< touched non-gate qubits
+        std::uint32_t partner[kMaxDenseQubits] = {};
+        std::uint32_t rank[kMaxDenseQubits] = {};
+
+        /** Table index of amplitude i with the gate bits clear. */
+        std::size_t
+        key(std::size_t i) const
+        {
+            std::size_t k = 0;
+            for (std::uint32_t j = 0; j < partners; ++j)
+                k |= ((i >> partner[j]) & 1) << rank[j];
+            return k;
+        }
+    };
+
+    /** The factor table of `coupling` for a gate on `gate`. */
+    CouplingTable couplingTable(const std::vector<PairAngle> &coupling,
+                                std::span<const std::uint32_t> gate);
 
     /** Rz(theta) on q: the one-term fast path of applyPhases. */
     void applyRz(std::uint32_t q, double theta);

@@ -128,13 +128,14 @@ TEST(DenseSweeps, FrameDefersPaulisAndDiagonals)
                                       {{0, 1, 0.05}, {2, 3, 0.07}});
               }),
               0u);
-    // A general gate folds its own qubits' frame into its matrix;
-    // the pending Rzz terms from (1, 2) to 0 and 3 cost one sweep.
+    // A general gate folds its own qubits' frame into its matrix
+    // and the pending Rzz terms from (1, 2) to 0 and 3 into the same
+    // pass.
     EXPECT_EQ(delta([&] {
                   backend.applyGate2q(gateUnitary(Op::ECR), 1, 2,
                                       nullptr);
               }),
-              2u);
+              1u);
     // Nothing couples qubit 1 to the rest any more.
     EXPECT_EQ(delta([&] {
                   backend.applyGate1q(gateUnitary(Op::SX), 1, nullptr);
@@ -150,6 +151,39 @@ TEST(DenseSweeps, FrameDefersPaulisAndDiagonals)
                   backend.expectation(PauliString::fromLabel("XIII"));
               }),
               3u);
+}
+
+TEST(DenseSweeps, ZReadBatchesTakeOnePass)
+{
+    DenseBackend backend(4);
+    const auto delta = [&](const auto &kernel) {
+        const std::uint64_t before = backend.sweeps();
+        kernel();
+        return backend.sweeps() - before;
+    };
+    backend.applyGate1q(gateUnitary(Op::H), 0, nullptr);
+    backend.applyGate2q(gateUnitary(Op::ECR), 0, 1, nullptr);
+    backend.applyPauliOp(PauliOp::X, 2);
+    backend.applyPhases({{3, 0.4}}, {{1, 3, 0.2}});
+    const std::vector<PauliString> zs = {
+        PauliString::fromLabel("ZIII"), PauliString::fromLabel("IZZI"),
+        PauliString::fromLabel("-ZIIZ"), PauliString::fromLabel("ZZZZ"),
+        PauliString::fromLabel("IIII")};
+    std::vector<double> out(zs.size());
+    // K Z-type strings, read through the frame: one pass.
+    EXPECT_EQ(delta([&] { backend.expectations(zs, out); }), 1u);
+    // A pending weight costs one more, however many strings.
+    Rng rng(3);
+    backend.amplitudeDamp(2, 1e-3, 1e4, rng);
+    EXPECT_EQ(delta([&] { backend.expectations(zs, out); }), 2u);
+    EXPECT_EQ(delta([&] { backend.expectations(zs, out); }), 1u);
+    // An X/Y string splits the batch: the Z run before it (one
+    // pass), the flush of P and D (two) and its own read (one), then
+    // the Z run after it (one).
+    const std::vector<PauliString> mixed = {
+        zs[0], zs[1], PauliString::fromLabel("XIYI"), zs[2], zs[3]};
+    out.resize(mixed.size());
+    EXPECT_EQ(delta([&] { backend.expectations(mixed, out); }), 5u);
 }
 
 /**
@@ -181,11 +215,16 @@ class EstimateDenseShape : public ::testing::Test
 
 TEST_F(EstimateDenseShape, SweepCountIsPinned)
 {
-    // 16 trajectories, 93.375 sweeps each.  Engine numerics 1 (the
+    // 16 trajectories, 39.375 sweeps each: 36 folds, each with its
+    // coupling terms in its own pass, one batched Z read and the
+    // weight passes, jump reads and forks.  Engine numerics 1 (the
     // eager kernels, every operator swept at once) made 37208 here,
     // 2325.5 per trajectory; numerics 2 (the lazy Pauli + diagonal
-    // frame, two passes per damping draw) made 15668, 979.25 each.
-    constexpr std::uint64_t kPinned = 1494;
+    // frame, two passes per damping draw) made 15668, 979.25 each;
+    // numerics 3 (pending damping weights) made 1494, 93.375 each,
+    // until the coupling flushes joined the folds and the 19
+    // observable reads became one pass, which moved no estimate.
+    constexpr std::uint64_t kPinned = 630;
     PassManager pipeline = buildPipeline(Strategy::Combined);
     SimulationEngine engine(backend, noise);
     const RunResult serial =
@@ -280,7 +319,8 @@ eagerAmplitudeDamp(Statevector &sv, std::uint32_t q, double tau,
  * (50 or more draws on one qubit, X bits coming and going, a general
  * gate folding the pending weight midway, an idle 400 T1 long that
  * trips the renormalization, then a measurement) pile up weights
- * between reads.
+ * between reads.  Observables are read in batches of one to five
+ * strings, Z-type runs and X/Y strings mixed.
  */
 TEST(DenseFrame, RandomSequencesMatchEagerKernels)
 {
@@ -290,7 +330,7 @@ TEST(DenseFrame, RandomSequencesMatchEagerKernels)
     const std::vector<Op> diagonal1q{Op::S, Op::Sdg, Op::T, Op::Tdg};
     const std::vector<Op> general1q{Op::H, Op::SX, Op::SXdg};
     const std::vector<Op> general2q{Op::ECR, Op::CX, Op::Swap};
-    int jumps = 0, stays = 0, forks = 0, idles = 0;
+    int jumps = 0, stays = 0, forks = 0, idles = 0, mixed = 0;
     int below = 0, above = 0; // tau / T1 near 0.5 only
     for (std::uint64_t seed = 0; seed < 60; ++seed) {
         const bool half_t1 = seed >= 40;
@@ -407,12 +447,30 @@ TEST(DenseFrame, RandomSequencesMatchEagerKernels)
                 break;
               }
               case 10: {
-                PauliString p(n);
-                for (std::uint32_t q = 0; q < n; ++q)
-                    p.setOp(q, PauliOp(script.uniformInt(4)));
-                EXPECT_NEAR(lazy->expectation(p), eager.expectation(p),
-                            1e-12)
-                    << label << " <" << p.toString() << ">";
+                // A batch of one to five strings, two in three
+                // Z-type (some with the phase -1), read at once.
+                std::vector<PauliString> batch;
+                bool z_type = false, other = false;
+                for (int k = 1 + int(script.uniformInt(5)); k > 0; --k) {
+                    PauliString p(n);
+                    const bool z = script.uniformInt(3) != 0;
+                    for (std::uint32_t q = 0; q < n; ++q)
+                        p.setOp(q, z ? (script.uniformInt(2)
+                                            ? PauliOp::Z
+                                            : PauliOp::I)
+                                     : PauliOp(script.uniformInt(4)));
+                    if (z && script.uniformInt(4) == 0)
+                        p.mulPhase(2);
+                    (z ? z_type : other) = true;
+                    batch.push_back(p);
+                }
+                std::vector<double> got(batch.size());
+                lazy->expectations(batch, got);
+                for (std::size_t k = 0; k < batch.size(); ++k)
+                    EXPECT_NEAR(got[k], eager.expectation(batch[k]),
+                                1e-12)
+                        << label << " <" << batch[k].toString() << ">";
+                mixed += z_type && other;
                 break;
               }
               case 11: {
@@ -456,13 +514,15 @@ TEST(DenseFrame, RandomSequencesMatchEagerKernels)
             << "seed " << seed;
     }
     // Both damping branches, both sides of the no-read threshold, the
-    // long idles and the fork were exercised.
+    // long idles, the fork and batches mixing Z-type and X/Y strings
+    // were exercised.
     EXPECT_GT(jumps, 10);
     EXPECT_GT(stays, 10);
     EXPECT_GT(below, 200);
     EXPECT_GT(above, 200);
     EXPECT_GT(idles, 20);
     EXPECT_GT(forks, 10);
+    EXPECT_GT(mixed, 50);
 }
 
 } // namespace

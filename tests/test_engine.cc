@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "experiments/ramsey.hh"
 #include "passes/pipeline.hh"
@@ -303,7 +304,7 @@ TEST(EngineDeath, AnyVariantWidthMismatchRejected)
     EXPECT_DEATH(engine.run(variants, observables(), {}), "width");
 }
 
-TEST(EngineDeath, RamseyHonoursForcedStabilizerBackend)
+TEST(Engine, RamseyHonoursForcedStabilizerBackend)
 {
     // Every ExecutionOptions field reaches the fused ensemble run:
     // forcing the tableau on the (non-Clifford) standard model must
@@ -317,9 +318,9 @@ TEST(EngineDeath, RamseyHonoursForcedStabilizerBackend)
     const ContextBuilder idle = [](int d) {
         return buildCaseIdleIdle(4, 0, 1, d, 500.0);
     };
-    EXPECT_DEATH(runRamsey(idle, {0, 1}, backend,
+    EXPECT_THROW(runRamsey(idle, {0, 1}, backend,
                            NoiseModel::standard(), compile, {1}, exec),
-                 "not Clifford");
+                 UserError);
 }
 
 TEST(Engine, ResolveThreadsConvention)

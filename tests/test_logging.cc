@@ -29,10 +29,13 @@ TEST(LoggingDeath, AssertAbortsOnFalse)
     EXPECT_DEATH(casq_assert(false, "must fail"), "must fail");
 }
 
-TEST(LoggingDeath, FatalExits)
+TEST(Logging, UserErrorCarriesItsMessage)
 {
-    EXPECT_EXIT(casq_fatal("bad config"),
-                ::testing::ExitedWithCode(1), "bad config");
+    try {
+        throw UserError(detail::format("bad config ", 7));
+    } catch (const std::runtime_error &err) {
+        EXPECT_STREQ(err.what(), "bad config 7");
+    }
 }
 
 } // namespace

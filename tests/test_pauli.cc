@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/logging.hh"
 #include "pauli/pauli.hh"
 
 namespace casq {
@@ -56,6 +57,12 @@ TEST(PauliString, PhaseParsing)
     EXPECT_EQ(PauliString::fromLabel("iXY").phasePower(), 1);
     EXPECT_EQ(PauliString::fromLabel("-iZ").phasePower(), 3);
     EXPECT_EQ(PauliString::fromLabel("+XX").phasePower(), 0);
+}
+
+TEST(PauliString, InvalidLetterThrowsUserError)
+{
+    EXPECT_THROW(PauliString::fromLabel("XQZ"), UserError);
+    EXPECT_THROW(pauliFromChar('w'), UserError);
 }
 
 TEST(PauliString, WeightAndIdentity)

@@ -516,6 +516,35 @@ TEST(ServiceScheduler, ExhaustedAttemptsFailTheJob)
     EXPECT_THROW(service.result("doomed"), ServiceError);
 }
 
+TEST(ServiceScheduler, UnrunnableJobFailsOnItsFirstAttempt)
+{
+    // Pauli noise passes admission for a forced tableau run, but
+    // CA-EC compensates with non-Clifford rotations: the engine
+    // rejects the compiled variant.  The job fails with that message, no
+    // shard is retried, and the service keeps serving.
+    JobSpec job = testJob("caec");
+    job.work.logical = bench::syntheticChainWorkload(
+        4, 4, /*idle_layers=*/true);
+    job.work.strategy = "ca-ec";
+    job.work.noise = NoiseModel::pauliOnly();
+    job.work.simBackend = SimBackendKind::Stabilizer;
+    job.work.instances = 2;
+    job.work.trajectories = 8;
+    ASSERT_NO_THROW(validateJobSpec(job));
+    JobService service(serviceOptions(1));
+    service.submit(job);
+    const JobProgress failed = service.waitTerminal("caec");
+    EXPECT_EQ(failed.state, JobState::Failed);
+    EXPECT_NE(failed.error.find("circuit is not Clifford"),
+              std::string::npos)
+        << failed.error;
+    EXPECT_EQ(failed.retries, 0u);
+    EXPECT_EQ(service.totals().shardRetries, 0u);
+
+    service.submit(testJob("after"));
+    EXPECT_EQ(service.waitTerminal("after").state, JobState::Done);
+}
+
 TEST(ServiceScheduler, StealsStragglerAndStaysBitIdentical)
 {
     const RunResult expect = reference();

@@ -19,6 +19,7 @@
 
 #include "bench_common.hh"
 #include "circuit/unitary.hh"
+#include "common/logging.hh"
 #include "common/serialize.hh"
 #include "passes/pipeline.hh"
 #include "sim/backend.hh"
@@ -343,6 +344,19 @@ expectBitIdentical(const RunResult &a, const RunResult &b,
     }
 }
 
+/** The UserError message `run` throws, or "" when it returns. */
+template <class Run>
+std::string
+userErrorOf(Run &&run)
+{
+    try {
+        run();
+    } catch (const UserError &err) {
+        return err.what();
+    }
+    return "";
+}
+
 EnsembleRunOptions
 ensembleOptions(SimBackendKind backend, int threads = 1)
 {
@@ -354,6 +368,21 @@ ensembleOptions(SimBackendKind backend, int threads = 1)
     opts.threads = threads;
     opts.backend = backend;
     return opts;
+}
+
+TEST(BackendRouting, DenseBeyondTheStatevectorLimitThrows)
+{
+    // The check runs before any statevector is allocated.
+    const std::size_t n = kMaxDenseQubits + 2;
+    const Backend backend = makeFakeLinear(n, 1);
+    SimulationEngine engine(backend, NoiseModel::standard());
+    PassManager pipeline = buildPipeline(Strategy::None);
+    EXPECT_NE(userErrorOf([&] {
+                  engine.runEnsemble(chainWorkload(n, 1), pipeline,
+                                     zObservables(n),
+                                     ensembleOptions(SimBackendKind::Auto, 2));
+              }).find("26 qubits exceed the dense statevector limit (24)"),
+              std::string::npos);
 }
 
 TEST(BackendRouting, DefaultsStayOnTheDensePath)
@@ -470,7 +499,7 @@ TEST(BackendRouting, NonCliffordGateForcesDenseFallback)
     expectBitIdentical(routed, dense, "t-gate fallback");
 }
 
-TEST(BackendRoutingDeath, ForcedStabilizerOnNonCliffordIsFatal)
+TEST(BackendRouting, ForcedStabilizerOnNonCliffordThrows)
 {
     LayeredCircuit circuit = chainWorkload(4, 1);
     Layer tail{LayerKind::OneQubit, {}};
@@ -480,23 +509,35 @@ TEST(BackendRoutingDeath, ForcedStabilizerOnNonCliffordIsFatal)
     const Backend backend = makeFakeLinear(4, 1);
     SimulationEngine engine(backend, NoiseModel::pauliOnly());
     PassManager pipeline = buildPipeline(Strategy::CaDd);
-    const auto opts = ensembleOptions(SimBackendKind::Stabilizer);
-    EXPECT_EXIT(engine.runEnsemble(circuit, pipeline,
-                                   zObservables(4), opts),
-                testing::ExitedWithCode(1), "not Clifford");
     // The diagnostic names the first offending gate and where it
-    // sits in the scheduled stream.
-    EXPECT_EXIT(engine.runEnsemble(circuit, pipeline,
-                                   zObservables(4), opts),
-                testing::ExitedWithCode(1),
-                "non-Clifford gate t at instruction 19\\)");
+    // sits in the scheduled stream, from the serial loop and from
+    // the pool alike, and the engine keeps serving afterwards.
+    for (int threads : {1, 3}) {
+        const std::string what = userErrorOf([&] {
+            engine.runEnsemble(
+                circuit, pipeline, zObservables(4),
+                ensembleOptions(SimBackendKind::Stabilizer, threads));
+        });
+        EXPECT_NE(what.find("not Clifford"), std::string::npos)
+            << threads;
+        EXPECT_NE(what.find("non-Clifford gate t at instruction 19)"),
+                  std::string::npos)
+            << what;
+    }
+    EXPECT_EQ(engine.runEnsemble(circuit, pipeline, zObservables(4),
+                                 ensembleOptions(SimBackendKind::Auto))
+                  .trajectories,
+              ensembleOptions(SimBackendKind::Auto).trajectories);
 
     // Standard noise blocks before any instruction is inspected.
     SimulationEngine noisy(backend, NoiseModel::standard());
     PassManager pipeline2 = buildPipeline(Strategy::CaDd);
-    EXPECT_EXIT(noisy.runEnsemble(chainWorkload(4, 1), pipeline2,
-                                  zObservables(4), opts),
-                testing::ExitedWithCode(1), "not Clifford");
+    EXPECT_NE(userErrorOf([&] {
+                  noisy.runEnsemble(
+                      chainWorkload(4, 1), pipeline2, zObservables(4),
+                      ensembleOptions(SimBackendKind::Stabilizer));
+              }).find("not Clifford"),
+              std::string::npos);
 }
 
 TEST(BackendRouting, ShardedStabilizerMergeMatchesSingleProcess)

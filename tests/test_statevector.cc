@@ -347,6 +347,59 @@ TEST(StatevectorKernels, RandomizedGate2qMatchesMaskSkipReference)
     }
 }
 
+TEST(StatevectorKernels, CoupledFoldEqualsPhasesThenGate)
+{
+    // The fold multiplies its coupling terms in within its own pass;
+    // it must reproduce applyPhases followed by the gate bit for bit,
+    // whatever qubits the partners are, with one term or two per
+    // partner and one to three partners.
+    Rng rng(74);
+    const auto sameBits = [](const Statevector &a, const Statevector &b) {
+        for (std::size_t i = 0; i < a.size(); ++i)
+            if (a.amplitudes()[i] != b.amplitudes()[i])
+                return false;
+        return true;
+    };
+    for (int round = 0; round < 60; ++round) {
+        const std::size_t n = 5 + round % 4;
+        const bool two = round % 2;
+        std::vector<std::uint32_t> order(n);
+        for (std::uint32_t q = 0; q < n; ++q)
+            order[q] = q;
+        for (std::size_t k = n - 1; k > 0; --k)
+            std::swap(order[k], order[rng.uniformInt(k + 1)]);
+        const std::uint32_t q0 = order[0], q1 = order[1];
+        const std::size_t partners = 1 + round % 3;
+        std::vector<PairAngle> coupling;
+        for (std::size_t k = 0; k < partners; ++k) {
+            const std::uint32_t p = order[2 + k];
+            coupling.push_back({q0, p, rng.uniform(-3.2, 3.2)});
+            if (two && rng.uniformInt(2))
+                coupling.push_back({p, q1, rng.uniform(-3.2, 3.2)});
+        }
+        const CMat u = two ? gateUnitary(Op::Can, {rng.uniform(-1.0, 1.0),
+                                                   rng.uniform(-1.0, 1.0),
+                                                   rng.uniform(-1.0, 1.0)})
+                           : gateUnitary(Op::U, {rng.uniform(-3.0, 3.0),
+                                                 rng.uniform(-3.0, 3.0),
+                                                 rng.uniform(-3.0, 3.0)});
+        Statevector fused = randomState(n, rng);
+        Statevector ref(n);
+        ref.copyFrom(fused);
+        ref.applyPhases({}, coupling);
+        if (two) {
+            fused.applyGate2q(u, q0, q1, coupling);
+            ref.applyGate2q(u, q0, q1);
+        } else {
+            fused.applyGate1q(u, q0, coupling);
+            ref.applyGate1q(u, q0);
+        }
+        EXPECT_TRUE(sameBits(fused, ref))
+            << "round " << round << ": " << coupling.size()
+            << " terms";
+    }
+}
+
 TEST(StatevectorKernels, RandomizedRzzMatchesPerAmplitudeTrig)
 {
     Rng rng(73);

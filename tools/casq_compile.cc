@@ -133,10 +133,8 @@ syntheticWorkload(std::size_t n, int depth)
                                          /*idle_layers=*/true);
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+compileMain(int argc, char **argv)
 {
     CliOptions cli;
     for (int i = 1; i < argc; ++i) {
@@ -413,4 +411,19 @@ main(int argc, char **argv)
     if (cli.dump)
         std::cout << "\n" << sched.toString();
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // A request the library cannot run (a forced tableau on a
+    // non-Clifford circuit, say) is a diagnostic, not a crash.
+    try {
+        return compileMain(argc, argv);
+    } catch (const UserError &err) {
+        std::cerr << "casq_compile: " << err.what() << "\n";
+        return 1;
+    }
 }
