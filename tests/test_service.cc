@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <functional>
 #include <future>
 #include <mutex>
@@ -769,6 +770,188 @@ TEST(ServiceProtocol, RejectsForeignAndCorruptFrames)
     // Wrong message type for the decoder.
     EXPECT_THROW(StatusRequest::decode(PingRequest{}.encode()),
                  SerializeError);
+}
+
+/** The message and byte offset `decode` fails with. */
+template <typename Decode>
+std::pair<std::string, std::size_t>
+frameError(Decode &&decode)
+{
+    try {
+        decode();
+    } catch (const SerializeError &err) {
+        return {err.what(), err.offset()};
+    }
+    ADD_FAILURE() << "frame decoded";
+    return {};
+}
+
+TEST(ServiceProtocol, HeaderErrorsNameTheirByte)
+{
+    std::vector<std::uint8_t> frame = PingRequest{}.encode();
+    frame[0] ^= 0xff;
+    EXPECT_EQ(frameError([&] { peekMessageType(frame); }),
+              std::make_pair(std::string("not a casq service frame "
+                                         "(bad magic)"),
+                             std::size_t(0)));
+
+    frame = PingRequest{}.encode();
+    frame[4] = 9;
+    EXPECT_EQ(frameError([&] { PingRequest::decode(frame); }),
+              std::make_pair(std::string("unsupported protocol "
+                                         "version 9 (expected 3)"),
+                             std::size_t(4)));
+
+    frame = PingRequest{}.encode();
+    frame[5] = 200;
+    EXPECT_EQ(frameError([&] { peekMessageType(frame); }),
+              std::make_pair(std::string("unknown message type 200"),
+                             std::size_t(5)));
+
+    EXPECT_EQ(frameError([&] {
+                  StatusRequest::decode(PingRequest{}.encode());
+              }),
+              std::make_pair(std::string("unexpected message type 8 "
+                                         "(expected 2)"),
+                             std::size_t(5)));
+}
+
+// ------------------------------------------------- frame golden
+
+/** A JobProgress with every field set, for the canonical frames. */
+JobProgress
+canonicalProgress()
+{
+    JobProgress job;
+    job.id = "job-7";
+    job.state = JobState::Running;
+    job.error = "shard 1: worker lost";
+    job.shards.resize(2);
+    job.shards[0].state = ShardState::Done;
+    job.shards[0].attempts = 1;
+    job.shards[0].worker = 0;
+    job.shards[0].wallMillis = 12.5;
+    job.shards[1].state = ShardState::Running;
+    job.shards[1].attempts = 2;
+    job.shards[1].worker = 1;
+    job.shards[1].stolen = true;
+    job.shardsDone = 1;
+    job.retries = 1;
+    job.trajectories = 61;
+    job.observables = 5;
+    job.trajectoriesDone = 30;
+    job.prefixStateHits = 12;
+    job.sinceSubmitMillis = 250.0;
+    job.activeMillis = 125.0;
+    job.trajectoriesPerSecond = 240.0;
+    return job;
+}
+
+/** One canonical frame of every message type, named by its type. */
+std::vector<std::pair<std::string, std::vector<std::uint8_t>>>
+canonicalFrames()
+{
+    SubmitRequest submit;
+    submit.job = testJob("job-7", 2);
+    ResultRequest result_request;
+    result_request.id = "job-7";
+    result_request.wait = true;
+
+    ServiceTotals totals;
+    totals.jobsAdmitted = 9;
+    totals.jobsDone = 5;
+    totals.jobsFailed = 1;
+    totals.jobsCancelled = 2;
+    totals.shardsExecuted = 21;
+    totals.shardFailures = 3;
+    totals.shardRetries = 2;
+    totals.shardsStolen = 1;
+    totals.trajectoriesDone = 1200;
+    totals.prefixStateHits = 480;
+    totals.upMillis = 5000.0;
+    totals.trajectoriesPerSecond = 240.0;
+
+    JobProgress done = canonicalProgress();
+    done.state = JobState::Done;
+    done.error.clear();
+    ResultReply result;
+    result.job = done;
+    result.result.means = {0.5, -0.25};
+    result.result.stderrs = {0.0625, 0.125};
+    result.result.trajectories = 61;
+
+    ErrorReply error;
+    error.kind = ErrorReply::Kind::Admission;
+    error.message = "job 'job-7' already exists";
+
+    return {
+        {"SubmitRequest", submit.encode()},
+        {"StatusRequest", StatusRequest{"job-7"}.encode()},
+        {"ListRequest", ListRequest{}.encode()},
+        {"StatsRequest", StatsRequest{}.encode()},
+        {"ResultRequest", result_request.encode()},
+        {"CancelRequest", CancelRequest{"job-7"}.encode()},
+        {"ShutdownRequest", ShutdownRequest{}.encode()},
+        {"PingRequest", PingRequest{}.encode()},
+        {"SubmitReply", SubmitReply{}.encode()},
+        {"StatusReply", StatusReply{canonicalProgress()}.encode()},
+        {"ListReply", ListReply{{canonicalProgress(), done}}.encode()},
+        {"StatsReply", StatsReply{totals}.encode()},
+        {"ResultReply", result.encode()},
+        {"CancelReply",
+         CancelReply{JobService::CancelOutcome::AlreadyTerminal}
+             .encode()},
+        {"ShutdownReply", ShutdownReply{}.encode()},
+        {"PingReply", PingReply{}.encode()},
+        {"ErrorReply", error.encode()},
+    };
+}
+
+std::string
+hex(const std::vector<std::uint8_t> &bytes)
+{
+    static const char digits[] = "0123456789abcdef";
+    std::string out;
+    for (std::uint8_t b : bytes) {
+        out += digits[b >> 4];
+        out += digits[b & 15];
+    }
+    return out;
+}
+
+/** Non-comment lines of tests/golden/protocol_frames.txt. */
+std::vector<std::string>
+goldenFrameLines()
+{
+    std::ifstream in(std::string(CASQ_GOLDEN_DIR) +
+                     "/protocol_frames.txt");
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);)
+        if (!line.empty() && line[0] != '#')
+            lines.push_back(line);
+    return lines;
+}
+
+/**
+ * The wire bytes of every message type are pinned: "<type> <hex>"
+ * per line.  On a mismatch the fresh capture is written to
+ * protocol_frames.actual.txt in the working directory.
+ */
+TEST(ServiceProtocol, FramesMatchTheGolden)
+{
+    std::vector<std::string> fresh;
+    for (const auto &[name, frame] : canonicalFrames())
+        fresh.push_back(name + " " + hex(frame));
+    const std::vector<std::string> golden = goldenFrameLines();
+    if (fresh != golden) {
+        std::ofstream out("protocol_frames.actual.txt");
+        for (const std::string &line : fresh)
+            out << line << "\n";
+    }
+    ASSERT_EQ(fresh.size(), golden.size())
+        << "missing or stale tests/golden/protocol_frames.txt";
+    for (std::size_t i = 0; i < fresh.size(); ++i)
+        EXPECT_EQ(fresh[i], golden[i]) << "line " << i + 1;
 }
 
 // ------------------------------------- corrupt-payload rendering
