@@ -24,7 +24,10 @@
  *
  * Use --json FILE to append the numbers to the BENCH_*.json
  * trajectory; every sample carries a per-pass "pass_ms" breakdown
- * (PassMetric wall time over the whole ensemble).
+ * (PassMetric wall time over the whole ensemble) and the exact work
+ * counters "prefix_hits", "instructions" and "dd_pulses" (the
+ * latter two summed over the ensemble's instances), which
+ * scripts/bench_compare.py gates for equality.
  *
  *   $ ./perf_ensemble --instances 100 --threads-list 1,2,4,8
  *   $ ./perf_ensemble --json BENCH_perf_ensemble.json
@@ -129,6 +132,8 @@ struct Sample
     std::size_t prefixLength = 0;
     std::size_t prefixHits = 0;
     int instances = 0;
+    std::size_t instructions = 0; //!< summed over the instances
+    std::size_t ddPulses = 0;     //!< summed over the instances
     std::vector<PassMetric> passes; //!< ms over the whole ensemble
 
     double
@@ -233,6 +238,10 @@ sampleOf(const std::string &workload, unsigned threads,
     sample.prefixLength = result.prefixLength;
     sample.prefixHits = result.prefixHits;
     sample.instances = int(result.instances.size());
+    for (const CompilationResult &instance : result.instances) {
+        sample.instructions += instance.scheduled.instructions().size();
+        sample.ddPulses += instance.artifacts.ddPulses.value_or(0);
+    }
     sample.passes = passMillis(result);
     return sample;
 }
@@ -306,6 +315,9 @@ writeJson(const std::string &path,
             .add("threads", s.threads)
             .add("cached", s.cached)
             .add("prefix_length", s.prefixLength)
+            .add("prefix_hits", s.prefixHits)
+            .add("instructions", s.instructions)
+            .add("dd_pulses", s.ddPulses)
             .add("wall_ms", s.wallMillis, 3)
             .add("instances_per_s", s.instancesPerSecond(), 1);
         bench::JsonFields passes;

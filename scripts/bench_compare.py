@@ -25,9 +25,12 @@ Samples faster than --min-wall-ms in the baseline are matched but not
 gated: sub-millisecond timings are dominated by noise.
 
 Integer fields other than the identity keys are deterministic work
-counters (``dense_sweeps``: full passes over the dense state;
-``prefix_state_hits``: trajectories forked from a prefix checkpoint;
-``stabilizer_trajectories``: trajectories routed to the tableau).  They
+counters (perf_executor's ``dense_sweeps``: full passes over the dense
+state; ``prefix_state_hits``: trajectories forked from a prefix
+checkpoint; ``stabilizer_trajectories``: trajectories routed to the
+tableau; perf_ensemble's ``prefix_hits``: instances served from the
+cached pass prefix; ``instructions`` and ``dd_pulses``: scheduled
+instructions and DD pulses summed over the ensemble).  They
 do not depend on the machine, so every matched sample must carry the
 same counters as its baseline, with the same values; any difference
 exits 1 naming the row, whatever its wall time.  Changing a counter

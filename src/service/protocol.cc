@@ -4,19 +4,21 @@ namespace casq {
 
 namespace {
 
-void
-writeHeader(ByteWriter &w, MessageType type)
+/** Request types are 1..8, reply types 65..72, plus ErrorReply. */
+bool
+knownMessageType(std::uint8_t type)
 {
-    w.u32(kProtocolMagic);
-    w.u8(kProtocolVersion);
-    w.u8(std::uint8_t(type));
+    return (type >= std::uint8_t(MessageType::SubmitRequest) &&
+            type <= std::uint8_t(MessageType::PingRequest)) ||
+           (type >= std::uint8_t(MessageType::SubmitReply) &&
+            type <= std::uint8_t(MessageType::PingReply)) ||
+           type == std::uint8_t(MessageType::ErrorReply);
 }
 
-/** Validate the header and require the expected message type. */
-ByteReader
-openFrame(const std::vector<std::uint8_t> &frame, MessageType want)
+/** Read and check magic, version and type: the one header check. */
+MessageType
+readHeader(ByteReader &r)
 {
-    ByteReader r(frame);
     if (r.u32() != kProtocolMagic)
         throw SerializeError("not a casq service frame "
                              "(bad magic)",
@@ -30,129 +32,12 @@ openFrame(const std::vector<std::uint8_t> &frame, MessageType want)
             4);
     }
     const std::uint8_t type = r.u8();
-    if (type != std::uint8_t(want)) {
-        throw SerializeError(
-            "unexpected message type " + std::to_string(type) +
-                " (expected " +
-                std::to_string(std::uint8_t(want)) + ")",
-            5);
+    if (!knownMessageType(type)) {
+        throw SerializeError("unknown message type " +
+                                 std::to_string(type),
+                             5);
     }
-    return r;
-}
-
-void
-writeBlob(ByteWriter &w, const std::vector<std::uint8_t> &bytes)
-{
-    w.str(std::string(bytes.begin(), bytes.end()));
-}
-
-std::vector<std::uint8_t>
-readBlob(ByteReader &r)
-{
-    const std::string raw = r.str();
-    return std::vector<std::uint8_t>(raw.begin(), raw.end());
-}
-
-void
-writeJobProgress(ByteWriter &w, const JobProgress &job)
-{
-    w.str(job.id);
-    w.u8(std::uint8_t(job.state));
-    w.str(job.error);
-    w.u32(std::uint32_t(job.shards.size()));
-    for (const ShardProgress &shard : job.shards) {
-        w.u8(std::uint8_t(shard.state));
-        w.u32(shard.attempts);
-        w.i32(shard.worker);
-        w.boolean(shard.stolen);
-        w.f64(shard.wallMillis);
-    }
-    w.u32(job.shardsDone);
-    w.u32(job.retries);
-    w.i32(job.trajectories);
-    w.u32(job.observables);
-    w.u64(job.trajectoriesDone);
-    w.u64(job.prefixStateHits);
-    w.f64(job.sinceSubmitMillis);
-    w.f64(job.activeMillis);
-    w.f64(job.trajectoriesPerSecond);
-}
-
-JobProgress
-readJobProgress(ByteReader &r)
-{
-    JobProgress job;
-    job.id = r.str();
-    const std::uint8_t state = r.u8();
-    if (state > std::uint8_t(JobState::Cancelled)) {
-        throw SerializeError("job state " + std::to_string(state) +
-                                 " out of range",
-                             r.offset());
-    }
-    job.state = JobState(state);
-    job.error = r.str();
-    const std::size_t shards = r.count(11);
-    job.shards.resize(shards);
-    for (ShardProgress &shard : job.shards) {
-        const std::uint8_t shard_state = r.u8();
-        if (shard_state > std::uint8_t(ShardState::Failed)) {
-            throw SerializeError("shard state " +
-                                     std::to_string(shard_state) +
-                                     " out of range",
-                                 r.offset());
-        }
-        shard.state = ShardState(shard_state);
-        shard.attempts = r.u32();
-        shard.worker = r.i32();
-        shard.stolen = r.boolean();
-        shard.wallMillis = r.f64();
-    }
-    job.shardsDone = r.u32();
-    job.retries = r.u32();
-    job.trajectories = r.i32();
-    job.observables = r.u32();
-    job.trajectoriesDone = r.u64();
-    job.prefixStateHits = r.u64();
-    job.sinceSubmitMillis = r.f64();
-    job.activeMillis = r.f64();
-    job.trajectoriesPerSecond = r.f64();
-    return job;
-}
-
-void
-writeTotals(ByteWriter &w, const ServiceTotals &totals)
-{
-    w.u64(totals.jobsAdmitted);
-    w.u64(totals.jobsDone);
-    w.u64(totals.jobsFailed);
-    w.u64(totals.jobsCancelled);
-    w.u64(totals.shardsExecuted);
-    w.u64(totals.shardFailures);
-    w.u64(totals.shardRetries);
-    w.u64(totals.shardsStolen);
-    w.u64(totals.trajectoriesDone);
-    w.u64(totals.prefixStateHits);
-    w.f64(totals.upMillis);
-    w.f64(totals.trajectoriesPerSecond);
-}
-
-ServiceTotals
-readTotals(ByteReader &r)
-{
-    ServiceTotals totals;
-    totals.jobsAdmitted = r.u64();
-    totals.jobsDone = r.u64();
-    totals.jobsFailed = r.u64();
-    totals.jobsCancelled = r.u64();
-    totals.shardsExecuted = r.u64();
-    totals.shardFailures = r.u64();
-    totals.shardRetries = r.u64();
-    totals.shardsStolen = r.u64();
-    totals.trajectoriesDone = r.u64();
-    totals.prefixStateHits = r.u64();
-    totals.upMillis = r.f64();
-    totals.trajectoriesPerSecond = r.f64();
-    return totals;
+    return MessageType(type);
 }
 
 void
@@ -187,368 +72,257 @@ MessageType
 peekMessageType(const std::vector<std::uint8_t> &frame)
 {
     ByteReader r(frame);
-    if (r.u32() != kProtocolMagic)
-        throw SerializeError("not a casq service frame "
-                             "(bad magic)",
-                             0);
-    const std::uint8_t version = r.u8();
-    if (version != kProtocolVersion) {
+    return readHeader(r);
+}
+
+ByteWriter
+frameWriter(MessageType type)
+{
+    ByteWriter w;
+    w.u32(kProtocolMagic);
+    w.u8(kProtocolVersion);
+    w.u8(std::uint8_t(type));
+    return w;
+}
+
+ByteReader
+frameReader(const std::vector<std::uint8_t> &frame, MessageType want)
+{
+    ByteReader r(frame);
+    const MessageType type = readHeader(r);
+    if (type != want) {
         throw SerializeError(
-            "unsupported protocol version " +
-                std::to_string(version) + " (expected " +
-                std::to_string(kProtocolVersion) + ")",
-            4);
+            "unexpected message type " +
+                std::to_string(std::uint8_t(type)) + " (expected " +
+                std::to_string(std::uint8_t(want)) + ")",
+            5);
     }
-    const std::uint8_t type = r.u8();
-    switch (MessageType(type)) {
-      case MessageType::SubmitRequest:
-      case MessageType::StatusRequest:
-      case MessageType::ListRequest:
-      case MessageType::StatsRequest:
-      case MessageType::ResultRequest:
-      case MessageType::CancelRequest:
-      case MessageType::ShutdownRequest:
-      case MessageType::PingRequest:
-      case MessageType::SubmitReply:
-      case MessageType::StatusReply:
-      case MessageType::ListReply:
-      case MessageType::StatsReply:
-      case MessageType::ResultReply:
-      case MessageType::CancelReply:
-      case MessageType::ShutdownReply:
-      case MessageType::PingReply:
-      case MessageType::ErrorReply: return MessageType(type);
-    }
-    throw SerializeError("unknown message type " +
-                             std::to_string(type),
-                         5);
+    return r;
 }
 
-// -------------------------------------------------------- requests
-
 std::vector<std::uint8_t>
-SubmitRequest::encode() const
+encodeMessage(MessageType type)
 {
-    ByteWriter w;
-    writeHeader(w, MessageType::SubmitRequest);
+    return frameWriter(type).take();
+}
+
+void
+decodeMessage(const std::vector<std::uint8_t> &frame, MessageType type)
+{
+    frameReader(frame, type).requireEnd();
+}
+
+// ---------------------------------------------------------- bodies
+
+void
+writeBody(ByteWriter &w, const std::string &jobId)
+{
+    w.str(jobId);
+}
+
+void
+readBody(ByteReader &r, std::string &jobId)
+{
+    jobId = r.str();
+}
+
+void
+writeBody(ByteWriter &w, const JobSpec &job)
+{
+    const std::vector<std::uint8_t> spec = job.work.encode();
     w.str(job.id);
-    writeBlob(w, job.work.encode());
-    return w.take();
+    w.str(std::string(spec.begin(), spec.end()));
 }
 
-SubmitRequest
-SubmitRequest::decode(const std::vector<std::uint8_t> &frame)
+void
+readBody(ByteReader &r, JobSpec &job)
 {
-    ByteReader r = openFrame(frame, MessageType::SubmitRequest);
-    SubmitRequest request;
-    request.job.id = r.str();
-    const std::vector<std::uint8_t> spec = readBlob(r);
-    r.requireEnd();
-    request.job.work = ShardSpec::decode(spec);
-    return request;
+    job.id = r.str();
+    const std::string spec = r.str();
+    job.work = ShardSpec::decode(
+        std::vector<std::uint8_t>(spec.begin(), spec.end()));
 }
 
-std::vector<std::uint8_t>
-StatusRequest::encode() const
+void
+writeBody(ByteWriter &w, const ResultRequest &request)
 {
-    ByteWriter w;
-    writeHeader(w, MessageType::StatusRequest);
-    w.str(id);
-    return w.take();
+    w.str(request.id);
+    w.boolean(request.wait);
 }
 
-StatusRequest
-StatusRequest::decode(const std::vector<std::uint8_t> &frame)
+void
+readBody(ByteReader &r, ResultRequest &request)
 {
-    ByteReader r = openFrame(frame, MessageType::StatusRequest);
-    StatusRequest request;
-    request.id = r.str();
-    r.requireEnd();
-    return request;
-}
-
-std::vector<std::uint8_t>
-ListRequest::encode() const
-{
-    ByteWriter w;
-    writeHeader(w, MessageType::ListRequest);
-    return w.take();
-}
-
-ListRequest
-ListRequest::decode(const std::vector<std::uint8_t> &frame)
-{
-    openFrame(frame, MessageType::ListRequest).requireEnd();
-    return ListRequest{};
-}
-
-std::vector<std::uint8_t>
-StatsRequest::encode() const
-{
-    ByteWriter w;
-    writeHeader(w, MessageType::StatsRequest);
-    return w.take();
-}
-
-StatsRequest
-StatsRequest::decode(const std::vector<std::uint8_t> &frame)
-{
-    openFrame(frame, MessageType::StatsRequest).requireEnd();
-    return StatsRequest{};
-}
-
-std::vector<std::uint8_t>
-ResultRequest::encode() const
-{
-    ByteWriter w;
-    writeHeader(w, MessageType::ResultRequest);
-    w.str(id);
-    w.boolean(wait);
-    return w.take();
-}
-
-ResultRequest
-ResultRequest::decode(const std::vector<std::uint8_t> &frame)
-{
-    ByteReader r = openFrame(frame, MessageType::ResultRequest);
-    ResultRequest request;
     request.id = r.str();
     request.wait = r.boolean();
-    r.requireEnd();
-    return request;
 }
 
-std::vector<std::uint8_t>
-CancelRequest::encode() const
+void
+writeBody(ByteWriter &w, const JobProgress &job)
 {
-    ByteWriter w;
-    writeHeader(w, MessageType::CancelRequest);
-    w.str(id);
-    return w.take();
+    w.str(job.id);
+    w.u8(std::uint8_t(job.state));
+    w.str(job.error);
+    w.u32(std::uint32_t(job.shards.size()));
+    for (const ShardProgress &shard : job.shards) {
+        w.u8(std::uint8_t(shard.state));
+        w.u32(shard.attempts);
+        w.i32(shard.worker);
+        w.boolean(shard.stolen);
+        w.f64(shard.wallMillis);
+    }
+    w.u32(job.shardsDone);
+    w.u32(job.retries);
+    w.i32(job.trajectories);
+    w.u32(job.observables);
+    w.u64(job.trajectoriesDone);
+    w.u64(job.prefixStateHits);
+    w.f64(job.sinceSubmitMillis);
+    w.f64(job.activeMillis);
+    w.f64(job.trajectoriesPerSecond);
 }
 
-CancelRequest
-CancelRequest::decode(const std::vector<std::uint8_t> &frame)
+void
+readBody(ByteReader &r, JobProgress &job)
 {
-    ByteReader r = openFrame(frame, MessageType::CancelRequest);
-    CancelRequest request;
-    request.id = r.str();
-    r.requireEnd();
-    return request;
-}
-
-std::vector<std::uint8_t>
-ShutdownRequest::encode() const
-{
-    ByteWriter w;
-    writeHeader(w, MessageType::ShutdownRequest);
-    return w.take();
-}
-
-ShutdownRequest
-ShutdownRequest::decode(const std::vector<std::uint8_t> &frame)
-{
-    openFrame(frame, MessageType::ShutdownRequest).requireEnd();
-    return ShutdownRequest{};
-}
-
-std::vector<std::uint8_t>
-PingRequest::encode() const
-{
-    ByteWriter w;
-    writeHeader(w, MessageType::PingRequest);
-    return w.take();
-}
-
-PingRequest
-PingRequest::decode(const std::vector<std::uint8_t> &frame)
-{
-    openFrame(frame, MessageType::PingRequest).requireEnd();
-    return PingRequest{};
-}
-
-// --------------------------------------------------------- replies
-
-std::vector<std::uint8_t>
-SubmitReply::encode() const
-{
-    ByteWriter w;
-    writeHeader(w, MessageType::SubmitReply);
-    return w.take();
-}
-
-SubmitReply
-SubmitReply::decode(const std::vector<std::uint8_t> &frame)
-{
-    openFrame(frame, MessageType::SubmitReply).requireEnd();
-    return SubmitReply{};
-}
-
-std::vector<std::uint8_t>
-StatusReply::encode() const
-{
-    ByteWriter w;
-    writeHeader(w, MessageType::StatusReply);
-    writeJobProgress(w, job);
-    return w.take();
-}
-
-StatusReply
-StatusReply::decode(const std::vector<std::uint8_t> &frame)
-{
-    ByteReader r = openFrame(frame, MessageType::StatusReply);
-    StatusReply reply;
-    reply.job = readJobProgress(r);
-    r.requireEnd();
-    return reply;
-}
-
-std::vector<std::uint8_t>
-ListReply::encode() const
-{
-    ByteWriter w;
-    writeHeader(w, MessageType::ListReply);
-    w.u32(std::uint32_t(jobs.size()));
-    for (const JobProgress &job : jobs)
-        writeJobProgress(w, job);
-    return w.take();
-}
-
-ListReply
-ListReply::decode(const std::vector<std::uint8_t> &frame)
-{
-    ByteReader r = openFrame(frame, MessageType::ListReply);
-    ListReply reply;
-    const std::size_t jobs = r.count(1);
-    reply.jobs.reserve(jobs);
-    for (std::size_t k = 0; k < jobs; ++k)
-        reply.jobs.push_back(readJobProgress(r));
-    r.requireEnd();
-    return reply;
-}
-
-std::vector<std::uint8_t>
-StatsReply::encode() const
-{
-    ByteWriter w;
-    writeHeader(w, MessageType::StatsReply);
-    writeTotals(w, totals);
-    return w.take();
-}
-
-StatsReply
-StatsReply::decode(const std::vector<std::uint8_t> &frame)
-{
-    ByteReader r = openFrame(frame, MessageType::StatsReply);
-    StatsReply reply;
-    reply.totals = readTotals(r);
-    r.requireEnd();
-    return reply;
-}
-
-std::vector<std::uint8_t>
-ResultReply::encode() const
-{
-    ByteWriter w;
-    writeHeader(w, MessageType::ResultReply);
-    writeJobProgress(w, job);
-    writeRunResult(w, result);
-    return w.take();
-}
-
-ResultReply
-ResultReply::decode(const std::vector<std::uint8_t> &frame)
-{
-    ByteReader r = openFrame(frame, MessageType::ResultReply);
-    ResultReply reply;
-    reply.job = readJobProgress(r);
-    reply.result = readRunResult(r);
-    r.requireEnd();
-    return reply;
-}
-
-std::vector<std::uint8_t>
-CancelReply::encode() const
-{
-    ByteWriter w;
-    writeHeader(w, MessageType::CancelReply);
-    w.u8(std::uint8_t(outcome));
-    return w.take();
-}
-
-CancelReply
-CancelReply::decode(const std::vector<std::uint8_t> &frame)
-{
-    ByteReader r = openFrame(frame, MessageType::CancelReply);
-    CancelReply reply;
-    const std::uint8_t outcome = r.u8();
-    if (outcome >
-        std::uint8_t(JobService::CancelOutcome::AlreadyTerminal)) {
-        throw SerializeError("cancel outcome " +
-                                 std::to_string(outcome) +
+    job.id = r.str();
+    const std::uint8_t state = r.u8();
+    if (state > std::uint8_t(JobState::Cancelled)) {
+        throw SerializeError("job state " + std::to_string(state) +
                                  " out of range",
                              r.offset());
     }
-    reply.outcome = JobService::CancelOutcome(outcome);
-    r.requireEnd();
-    return reply;
+    job.state = JobState(state);
+    job.error = r.str();
+    const std::size_t shards = r.count(11);
+    job.shards.resize(shards);
+    for (ShardProgress &shard : job.shards) {
+        const std::uint8_t shard_state = r.u8();
+        if (shard_state > std::uint8_t(ShardState::Failed)) {
+            throw SerializeError("shard state " +
+                                     std::to_string(shard_state) +
+                                     " out of range",
+                                 r.offset());
+        }
+        shard.state = ShardState(shard_state);
+        shard.attempts = r.u32();
+        shard.worker = r.i32();
+        shard.stolen = r.boolean();
+        shard.wallMillis = r.f64();
+    }
+    job.shardsDone = r.u32();
+    job.retries = r.u32();
+    job.trajectories = r.i32();
+    job.observables = r.u32();
+    job.trajectoriesDone = r.u64();
+    job.prefixStateHits = r.u64();
+    job.sinceSubmitMillis = r.f64();
+    job.activeMillis = r.f64();
+    job.trajectoriesPerSecond = r.f64();
 }
 
-std::vector<std::uint8_t>
-ShutdownReply::encode() const
+void
+writeBody(ByteWriter &w, const ServiceTotals &totals)
 {
-    ByteWriter w;
-    writeHeader(w, MessageType::ShutdownReply);
-    return w.take();
+    w.u64(totals.jobsAdmitted);
+    w.u64(totals.jobsDone);
+    w.u64(totals.jobsFailed);
+    w.u64(totals.jobsCancelled);
+    w.u64(totals.shardsExecuted);
+    w.u64(totals.shardFailures);
+    w.u64(totals.shardRetries);
+    w.u64(totals.shardsStolen);
+    w.u64(totals.trajectoriesDone);
+    w.u64(totals.prefixStateHits);
+    w.f64(totals.upMillis);
+    w.f64(totals.trajectoriesPerSecond);
 }
 
-ShutdownReply
-ShutdownReply::decode(const std::vector<std::uint8_t> &frame)
+void
+readBody(ByteReader &r, ServiceTotals &totals)
 {
-    openFrame(frame, MessageType::ShutdownReply).requireEnd();
-    return ShutdownReply{};
+    totals.jobsAdmitted = r.u64();
+    totals.jobsDone = r.u64();
+    totals.jobsFailed = r.u64();
+    totals.jobsCancelled = r.u64();
+    totals.shardsExecuted = r.u64();
+    totals.shardFailures = r.u64();
+    totals.shardRetries = r.u64();
+    totals.shardsStolen = r.u64();
+    totals.trajectoriesDone = r.u64();
+    totals.prefixStateHits = r.u64();
+    totals.upMillis = r.f64();
+    totals.trajectoriesPerSecond = r.f64();
 }
 
-std::vector<std::uint8_t>
-PingReply::encode() const
+void
+writeBody(ByteWriter &w, const std::vector<JobProgress> &jobs)
 {
-    ByteWriter w;
-    writeHeader(w, MessageType::PingReply);
-    return w.take();
+    w.u32(std::uint32_t(jobs.size()));
+    for (const JobProgress &job : jobs)
+        writeBody(w, job);
 }
 
-PingReply
-PingReply::decode(const std::vector<std::uint8_t> &frame)
+void
+readBody(ByteReader &r, std::vector<JobProgress> &jobs)
 {
-    openFrame(frame, MessageType::PingReply).requireEnd();
-    return PingReply{};
+    jobs.resize(r.count(1));
+    for (JobProgress &job : jobs)
+        readBody(r, job);
 }
 
-std::vector<std::uint8_t>
-ErrorReply::encode() const
+void
+writeBody(ByteWriter &w, const ResultReply &reply)
 {
-    ByteWriter w;
-    writeHeader(w, MessageType::ErrorReply);
-    w.u8(std::uint8_t(kind));
-    w.str(message);
-    return w.take();
+    writeBody(w, reply.job);
+    writeRunResult(w, reply.result);
 }
 
-ErrorReply
-ErrorReply::decode(const std::vector<std::uint8_t> &frame)
+void
+readBody(ByteReader &r, ResultReply &reply)
 {
-    ByteReader r = openFrame(frame, MessageType::ErrorReply);
-    ErrorReply reply;
+    readBody(r, reply.job);
+    reply.result = readRunResult(r);
+}
+
+void
+writeBody(ByteWriter &w, JobService::CancelOutcome outcome)
+{
+    w.u8(std::uint8_t(outcome));
+}
+
+void
+readBody(ByteReader &r, JobService::CancelOutcome &outcome)
+{
+    const std::uint8_t value = r.u8();
+    if (value >
+        std::uint8_t(JobService::CancelOutcome::AlreadyTerminal)) {
+        throw SerializeError("cancel outcome " +
+                                 std::to_string(value) +
+                                 " out of range",
+                             r.offset());
+    }
+    outcome = JobService::CancelOutcome(value);
+}
+
+void
+writeBody(ByteWriter &w, const ErrorReply &reply)
+{
+    w.u8(std::uint8_t(reply.kind));
+    w.str(reply.message);
+}
+
+void
+readBody(ByteReader &r, ErrorReply &reply)
+{
     const std::uint8_t kind = r.u8();
-    if (kind > std::uint8_t(Kind::Payload)) {
+    if (kind > std::uint8_t(ErrorReply::Kind::Payload)) {
         throw SerializeError("error kind " + std::to_string(kind) +
                                  " out of range",
                              r.offset());
     }
-    reply.kind = Kind(kind);
+    reply.kind = ErrorReply::Kind(kind);
     reply.message = r.str();
-    r.requireEnd();
-    return reply;
 }
 
 void

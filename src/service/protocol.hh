@@ -7,9 +7,11 @@
  * versioned, endian-stable payload in the house serialization
  * format (common/serialize.hh):
  *
- *   u32 magic 'CSQP' | u8 version | u8 type | type-specific body
+ *   u32 magic 'CSQP' | u8 version | u8 type | body (may be empty)
  *
- * with the body encoded field-by-field little-endian.  Job specs
+ * with the body encoded field-by-field little-endian; MessageBody
+ * names each type's body.  tests/golden/protocol_frames.txt pins
+ * the bytes of one frame of every type.  Job specs
  * travel as embedded ShardSpec payloads -- the exact bytes
  * `casq_shard plan` writes -- so the daemon re-validates them with
  * the same decoder and the job fingerprint machinery applies
@@ -74,140 +76,40 @@ enum class MessageType : std::uint8_t
 };
 
 /**
- * Validate a frame's magic + version and return its message type
- * without consuming the body (the dispatcher peeks, then hands the
- * frame to the right decoder).  Throws SerializeError.
+ * Read a frame's header and return its message type without
+ * consuming the body (the dispatcher peeks, then hands the frame to
+ * that type's decoder).  Magic, version and type are checked here
+ * and nowhere else: every decoder reads its header through the same
+ * routine.  Throws SerializeError.
  */
 MessageType peekMessageType(const std::vector<std::uint8_t> &frame);
 
-// -------------------------------------------------------- requests
+// ---------------------------------------------------------- bodies
+//
+// A message is a type plus at most one body.  List, Stats, Shutdown
+// and Ping requests and Submit, Shutdown and Ping replies carry
+// none: they are header-only frames.  Status and Cancel requests
+// carry a job id (a plain string).
 
-struct SubmitRequest
-{
-    JobSpec job;
-
-    std::vector<std::uint8_t> encode() const;
-    static SubmitRequest decode(const std::vector<std::uint8_t> &frame);
-};
-
-struct StatusRequest
-{
-    std::string id;
-
-    std::vector<std::uint8_t> encode() const;
-    static StatusRequest decode(const std::vector<std::uint8_t> &frame);
-};
-
-struct ListRequest
-{
-    std::vector<std::uint8_t> encode() const;
-    static ListRequest decode(const std::vector<std::uint8_t> &frame);
-};
-
-struct StatsRequest
-{
-    std::vector<std::uint8_t> encode() const;
-    static StatsRequest decode(const std::vector<std::uint8_t> &frame);
-};
-
+/** ResultRequest body. */
 struct ResultRequest
 {
     std::string id;
     bool wait = false; //!< block until the job is terminal
-
-    std::vector<std::uint8_t> encode() const;
-    static ResultRequest decode(const std::vector<std::uint8_t> &frame);
 };
 
-struct CancelRequest
-{
-    std::string id;
-
-    std::vector<std::uint8_t> encode() const;
-    static CancelRequest decode(const std::vector<std::uint8_t> &frame);
-};
-
-struct ShutdownRequest
-{
-    std::vector<std::uint8_t> encode() const;
-    static ShutdownRequest
-    decode(const std::vector<std::uint8_t> &frame);
-};
-
-struct PingRequest
-{
-    std::vector<std::uint8_t> encode() const;
-    static PingRequest decode(const std::vector<std::uint8_t> &frame);
-};
-
-// --------------------------------------------------------- replies
-
-struct SubmitReply
-{
-    std::vector<std::uint8_t> encode() const;
-    static SubmitReply decode(const std::vector<std::uint8_t> &frame);
-};
-
-struct StatusReply
-{
-    JobProgress job;
-
-    std::vector<std::uint8_t> encode() const;
-    static StatusReply decode(const std::vector<std::uint8_t> &frame);
-};
-
-struct ListReply
-{
-    std::vector<JobProgress> jobs;
-
-    std::vector<std::uint8_t> encode() const;
-    static ListReply decode(const std::vector<std::uint8_t> &frame);
-};
-
-struct StatsReply
-{
-    ServiceTotals totals;
-
-    std::vector<std::uint8_t> encode() const;
-    static StatsReply decode(const std::vector<std::uint8_t> &frame);
-};
-
+/** ResultReply body. */
 struct ResultReply
 {
-    JobProgress job;   //!< terminal snapshot
-    RunResult result;  //!< merged estimate (Done jobs)
-
-    std::vector<std::uint8_t> encode() const;
-    static ResultReply decode(const std::vector<std::uint8_t> &frame);
-};
-
-struct CancelReply
-{
-    JobService::CancelOutcome outcome =
-        JobService::CancelOutcome::Unknown;
-
-    std::vector<std::uint8_t> encode() const;
-    static CancelReply decode(const std::vector<std::uint8_t> &frame);
-};
-
-struct ShutdownReply
-{
-    std::vector<std::uint8_t> encode() const;
-    static ShutdownReply
-    decode(const std::vector<std::uint8_t> &frame);
-};
-
-struct PingReply
-{
-    std::vector<std::uint8_t> encode() const;
-    static PingReply decode(const std::vector<std::uint8_t> &frame);
+    JobProgress job;  //!< terminal snapshot
+    RunResult result; //!< merged estimate (Done jobs)
 };
 
 /**
- * Any request can be answered with this instead of its success
- * reply.  `kind` preserves the error taxonomy across the wire so
- * the client can rethrow the matching exception type (backpressure
- * is retryable, admission is not).
+ * ErrorReply body.  Any request can be answered with it instead of
+ * its success reply.  `kind` preserves the error taxonomy across the
+ * wire so the client can rethrow the matching exception type
+ * (backpressure is retryable, admission is not).
  */
 struct ErrorReply
 {
@@ -222,12 +124,116 @@ struct ErrorReply
     Kind kind = Kind::Service;
     std::string message;
 
-    std::vector<std::uint8_t> encode() const;
-    static ErrorReply decode(const std::vector<std::uint8_t> &frame);
-
     /** Rethrow as the exception type `kind` names. */
     [[noreturn]] void raise() const;
 };
+
+/** The body a message type carries; header-only types have none. */
+template <MessageType> struct MessageBody;
+template <> struct MessageBody<MessageType::SubmitRequest>
+{
+    using type = JobSpec;
+};
+template <> struct MessageBody<MessageType::StatusRequest>
+{
+    using type = std::string;
+};
+template <> struct MessageBody<MessageType::ResultRequest>
+{
+    using type = ResultRequest;
+};
+template <> struct MessageBody<MessageType::CancelRequest>
+{
+    using type = std::string;
+};
+template <> struct MessageBody<MessageType::StatusReply>
+{
+    using type = JobProgress;
+};
+template <> struct MessageBody<MessageType::ListReply>
+{
+    using type = std::vector<JobProgress>;
+};
+template <> struct MessageBody<MessageType::StatsReply>
+{
+    using type = ServiceTotals;
+};
+template <> struct MessageBody<MessageType::ResultReply>
+{
+    using type = ResultReply;
+};
+template <> struct MessageBody<MessageType::CancelReply>
+{
+    using type = JobService::CancelOutcome;
+};
+template <> struct MessageBody<MessageType::ErrorReply>
+{
+    using type = ErrorReply;
+};
+
+template <MessageType T>
+using BodyOf = typename MessageBody<T>::type;
+
+/** One codec per body kind; decoders range-check every enum. */
+void writeBody(ByteWriter &w, const std::string &jobId);
+void readBody(ByteReader &r, std::string &jobId);
+void writeBody(ByteWriter &w, const JobSpec &job);
+void readBody(ByteReader &r, JobSpec &job);
+void writeBody(ByteWriter &w, const ResultRequest &request);
+void readBody(ByteReader &r, ResultRequest &request);
+void writeBody(ByteWriter &w, const JobProgress &job);
+void readBody(ByteReader &r, JobProgress &job);
+void writeBody(ByteWriter &w, const std::vector<JobProgress> &jobs);
+void readBody(ByteReader &r, std::vector<JobProgress> &jobs);
+void writeBody(ByteWriter &w, const ServiceTotals &totals);
+void readBody(ByteReader &r, ServiceTotals &totals);
+void writeBody(ByteWriter &w, const ResultReply &reply);
+void readBody(ByteReader &r, ResultReply &reply);
+void writeBody(ByteWriter &w, JobService::CancelOutcome outcome);
+void readBody(ByteReader &r, JobService::CancelOutcome &outcome);
+void writeBody(ByteWriter &w, const ErrorReply &reply);
+void readBody(ByteReader &r, ErrorReply &reply);
+
+// --------------------------------------------------------- framing
+
+/** A writer holding the header of a `type` frame. */
+ByteWriter frameWriter(MessageType type);
+
+/**
+ * A reader past the header of `frame`, which must be a `want`
+ * message.  Throws SerializeError.
+ */
+ByteReader frameReader(const std::vector<std::uint8_t> &frame,
+                       MessageType want);
+
+/** Encode a header-only message. */
+std::vector<std::uint8_t> encodeMessage(MessageType type);
+
+/** Check that `frame` is exactly a header-only `type` message. */
+void decodeMessage(const std::vector<std::uint8_t> &frame,
+                   MessageType type);
+
+/** Encode a `T` message carrying `body`. */
+template <MessageType T>
+std::vector<std::uint8_t>
+encodeMessage(const BodyOf<T> &body)
+{
+    ByteWriter w = frameWriter(T);
+    writeBody(w, body);
+    return w.take();
+}
+
+/** Decode the body of a `T` message; throws SerializeError. */
+template <MessageType T>
+BodyOf<T>
+decodeMessage(const std::vector<std::uint8_t> &frame)
+{
+    ByteReader r = frameReader(frame, T);
+    BodyOf<T> body{};
+    readBody(r, body);
+    r.requireEnd();
+    return body;
+}
 
 } // namespace casq
 

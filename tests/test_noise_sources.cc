@@ -659,5 +659,58 @@ TEST(NoiseSources, RecipeStringsRejectJunk)
     }
 }
 
+/**
+ * A seeded mutation loop over valid recipes: every mutant either
+ * throws SerializeError or parses to a model whose rendered recipe
+ * parses back to the same model.  Mutations replace, insert or
+ * delete one character, drawn mostly from the grammar's own
+ * alphabet so mutants reach deep into the parser.
+ */
+TEST(NoiseSources, FuzzedRecipesThrowOrParse)
+{
+    const std::vector<std::string> seeds = {
+        "standard", "pauli:0.5", "ideal+corr:0.02:2",
+        "coherent+drift:0.002", "standard:0.5+corr:0.03:1.5+drift"};
+    const std::string alphabet = "standardpaulicoherentidealcorrdrift"
+                                 "+:.-e0123456789 x";
+    Rng rng(0xF022);
+    std::size_t parsed = 0, rejected = 0;
+    for (int round = 0; round < 4000; ++round) {
+        std::string recipe = seeds[rng.uniformInt(seeds.size())];
+        const int edits = 1 + int(rng.uniformInt(3));
+        for (int e = 0; e < edits; ++e) {
+            const std::size_t at = rng.uniformInt(recipe.size() + 1);
+            const char c =
+                rng.uniformInt(8) == 0
+                    ? char(rng.uniformInt(256))
+                    : alphabet[rng.uniformInt(alphabet.size())];
+            switch (rng.uniformInt(3)) {
+              case 0:
+                if (at < recipe.size())
+                    recipe[at] = c;
+                break;
+              case 1: recipe.insert(recipe.begin() + at, c); break;
+              default:
+                if (at < recipe.size())
+                    recipe.erase(at, 1);
+                break;
+            }
+        }
+        try {
+            const NoiseModel model = noiseModelFromRecipe(recipe);
+            EXPECT_EQ(noiseModelFromRecipe(noiseModelRecipe(model)),
+                      model)
+                << "'" << recipe << "'";
+            ++parsed;
+        } catch (const SerializeError &) {
+            ++rejected;
+        } catch (const std::exception &err) {
+            ADD_FAILURE() << "'" << recipe << "': " << err.what();
+        }
+    }
+    EXPECT_GT(parsed, 100u);
+    EXPECT_GT(rejected, 100u);
+}
+
 } // namespace
 } // namespace casq

@@ -683,45 +683,44 @@ TEST(ServiceScheduler, DuplicateSubmitRejectedAtServiceLevel)
 
 TEST(ServiceProtocol, SubmitRoundTripPreservesTheJob)
 {
-    SubmitRequest request;
-    request.job = testJob("proto-1");
-    const SubmitRequest back =
-        SubmitRequest::decode(request.encode());
-    EXPECT_EQ(back.job.id, "proto-1");
-    EXPECT_EQ(back.job.work.jobFingerprint(),
-              request.job.work.jobFingerprint());
-    EXPECT_EQ(back.job.work.encode(), request.job.work.encode());
+    const JobSpec job = testJob("proto-1");
+    const JobSpec back = decodeMessage<MessageType::SubmitRequest>(
+        encodeMessage<MessageType::SubmitRequest>(job));
+    EXPECT_EQ(back.id, "proto-1");
+    EXPECT_EQ(back.work.jobFingerprint(), job.work.jobFingerprint());
+    EXPECT_EQ(back.work.encode(), job.work.encode());
 }
 
 TEST(ServiceProtocol, RepliesRoundTrip)
 {
-    StatusReply status;
-    status.job.id = "j";
-    status.job.state = JobState::Running;
-    status.job.shards.resize(3);
-    status.job.shards[1].state = ShardState::Done;
-    status.job.shards[1].attempts = 2;
-    status.job.shards[1].stolen = true;
-    status.job.shards[1].wallMillis = 12.5;
-    status.job.trajectories = 61;
-    status.job.trajectoriesDone = 20;
-    const StatusReply status2 =
-        StatusReply::decode(status.encode());
-    EXPECT_EQ(status2.job.id, "j");
-    EXPECT_EQ(status2.job.state, JobState::Running);
-    ASSERT_EQ(status2.job.shards.size(), 3u);
-    EXPECT_TRUE(status2.job.shards[1].stolen);
-    EXPECT_EQ(status2.job.shards[1].attempts, 2u);
-    EXPECT_EQ(status2.job.shards[1].wallMillis, 12.5);
+    JobProgress status;
+    status.id = "j";
+    status.state = JobState::Running;
+    status.shards.resize(3);
+    status.shards[1].state = ShardState::Done;
+    status.shards[1].attempts = 2;
+    status.shards[1].stolen = true;
+    status.shards[1].wallMillis = 12.5;
+    status.trajectories = 61;
+    status.trajectoriesDone = 20;
+    const JobProgress status2 = decodeMessage<MessageType::StatusReply>(
+        encodeMessage<MessageType::StatusReply>(status));
+    EXPECT_EQ(status2.id, "j");
+    EXPECT_EQ(status2.state, JobState::Running);
+    ASSERT_EQ(status2.shards.size(), 3u);
+    EXPECT_TRUE(status2.shards[1].stolen);
+    EXPECT_EQ(status2.shards[1].attempts, 2u);
+    EXPECT_EQ(status2.shards[1].wallMillis, 12.5);
 
-    StatsReply stats;
-    stats.totals.jobsAdmitted = 5;
-    stats.totals.shardRetries = 2;
-    stats.totals.trajectoriesPerSecond = 123.5;
-    const StatsReply stats2 = StatsReply::decode(stats.encode());
-    EXPECT_EQ(stats2.totals.jobsAdmitted, 5u);
-    EXPECT_EQ(stats2.totals.shardRetries, 2u);
-    EXPECT_EQ(stats2.totals.trajectoriesPerSecond, 123.5);
+    ServiceTotals stats;
+    stats.jobsAdmitted = 5;
+    stats.shardRetries = 2;
+    stats.trajectoriesPerSecond = 123.5;
+    const ServiceTotals stats2 = decodeMessage<MessageType::StatsReply>(
+        encodeMessage<MessageType::StatsReply>(stats));
+    EXPECT_EQ(stats2.jobsAdmitted, 5u);
+    EXPECT_EQ(stats2.shardRetries, 2u);
+    EXPECT_EQ(stats2.trajectoriesPerSecond, 123.5);
 
     ResultReply result;
     result.job.id = "j";
@@ -729,8 +728,8 @@ TEST(ServiceProtocol, RepliesRoundTrip)
     result.result.means = {0.5, -0.25};
     result.result.stderrs = {0.01, 0.02};
     result.result.trajectories = 61;
-    const ResultReply result2 =
-        ResultReply::decode(result.encode());
+    const ResultReply result2 = decodeMessage<MessageType::ResultReply>(
+        encodeMessage<MessageType::ResultReply>(result));
     EXPECT_EQ(result2.result.means, result.result.means);
     EXPECT_EQ(result2.result.stderrs, result.result.stderrs);
     EXPECT_EQ(result2.result.trajectories, 61);
@@ -741,13 +740,15 @@ TEST(ServiceProtocol, ErrorReplyRethrowsTyped)
     ErrorReply backpressure;
     backpressure.kind = ErrorReply::Kind::Backpressure;
     backpressure.message = "queue full";
-    const ErrorReply decoded =
-        ErrorReply::decode(backpressure.encode());
+    const ErrorReply decoded = decodeMessage<MessageType::ErrorReply>(
+        encodeMessage<MessageType::ErrorReply>(backpressure));
     EXPECT_THROW(decoded.raise(), BackpressureError);
 
     ErrorReply admission;
     admission.kind = ErrorReply::Kind::Admission;
-    EXPECT_THROW(ErrorReply::decode(admission.encode()).raise(),
+    EXPECT_THROW(decodeMessage<MessageType::ErrorReply>(
+                     encodeMessage<MessageType::ErrorReply>(admission))
+                     .raise(),
                  AdmissionError);
 }
 
@@ -755,20 +756,23 @@ TEST(ServiceProtocol, RejectsForeignAndCorruptFrames)
 {
     EXPECT_THROW(peekMessageType({1, 2, 3}), SerializeError);
 
-    std::vector<std::uint8_t> frame = PingRequest{}.encode();
+    const std::vector<std::uint8_t> ping =
+        encodeMessage(MessageType::PingRequest);
+    std::vector<std::uint8_t> frame = ping;
     frame[0] ^= 0xff; // magic
     EXPECT_THROW(peekMessageType(frame), SerializeError);
 
-    frame = PingRequest{}.encode();
+    frame = ping;
     frame[4] = 9; // version
     EXPECT_THROW(peekMessageType(frame), SerializeError);
 
-    frame = StatusRequest{"j"}.encode();
+    frame = encodeMessage<MessageType::StatusRequest>("j");
     frame.push_back(0); // trailing byte
-    EXPECT_THROW(StatusRequest::decode(frame), SerializeError);
+    EXPECT_THROW(decodeMessage<MessageType::StatusRequest>(frame),
+                 SerializeError);
 
     // Wrong message type for the decoder.
-    EXPECT_THROW(StatusRequest::decode(PingRequest{}.encode()),
+    EXPECT_THROW(decodeMessage<MessageType::StatusRequest>(ping),
                  SerializeError);
 }
 
@@ -788,28 +792,32 @@ frameError(Decode &&decode)
 
 TEST(ServiceProtocol, HeaderErrorsNameTheirByte)
 {
-    std::vector<std::uint8_t> frame = PingRequest{}.encode();
+    const std::vector<std::uint8_t> ping =
+        encodeMessage(MessageType::PingRequest);
+    std::vector<std::uint8_t> frame = ping;
     frame[0] ^= 0xff;
     EXPECT_EQ(frameError([&] { peekMessageType(frame); }),
               std::make_pair(std::string("not a casq service frame "
                                          "(bad magic)"),
                              std::size_t(0)));
 
-    frame = PingRequest{}.encode();
+    frame = ping;
     frame[4] = 9;
-    EXPECT_EQ(frameError([&] { PingRequest::decode(frame); }),
+    EXPECT_EQ(frameError([&] {
+                  decodeMessage(frame, MessageType::PingRequest);
+              }),
               std::make_pair(std::string("unsupported protocol "
                                          "version 9 (expected 3)"),
                              std::size_t(4)));
 
-    frame = PingRequest{}.encode();
+    frame = ping;
     frame[5] = 200;
     EXPECT_EQ(frameError([&] { peekMessageType(frame); }),
               std::make_pair(std::string("unknown message type 200"),
                              std::size_t(5)));
 
     EXPECT_EQ(frameError([&] {
-                  StatusRequest::decode(PingRequest{}.encode());
+                  decodeMessage<MessageType::StatusRequest>(ping);
               }),
               std::make_pair(std::string("unexpected message type 8 "
                                          "(expected 2)"),
@@ -851,11 +859,6 @@ canonicalProgress()
 std::vector<std::pair<std::string, std::vector<std::uint8_t>>>
 canonicalFrames()
 {
-    SubmitRequest submit;
-    submit.job = testJob("job-7", 2);
-    ResultRequest result_request;
-    result_request.id = "job-7";
-    result_request.wait = true;
 
     ServiceTotals totals;
     totals.jobsAdmitted = 9;
@@ -884,26 +887,31 @@ canonicalFrames()
     error.kind = ErrorReply::Kind::Admission;
     error.message = "job 'job-7' already exists";
 
+    using T = MessageType;
     return {
-        {"SubmitRequest", submit.encode()},
-        {"StatusRequest", StatusRequest{"job-7"}.encode()},
-        {"ListRequest", ListRequest{}.encode()},
-        {"StatsRequest", StatsRequest{}.encode()},
-        {"ResultRequest", result_request.encode()},
-        {"CancelRequest", CancelRequest{"job-7"}.encode()},
-        {"ShutdownRequest", ShutdownRequest{}.encode()},
-        {"PingRequest", PingRequest{}.encode()},
-        {"SubmitReply", SubmitReply{}.encode()},
-        {"StatusReply", StatusReply{canonicalProgress()}.encode()},
-        {"ListReply", ListReply{{canonicalProgress(), done}}.encode()},
-        {"StatsReply", StatsReply{totals}.encode()},
-        {"ResultReply", result.encode()},
+        {"SubmitRequest",
+         encodeMessage<T::SubmitRequest>(testJob("job-7", 2))},
+        {"StatusRequest", encodeMessage<T::StatusRequest>("job-7")},
+        {"ListRequest", encodeMessage(T::ListRequest)},
+        {"StatsRequest", encodeMessage(T::StatsRequest)},
+        {"ResultRequest",
+         encodeMessage<T::ResultRequest>({"job-7", true})},
+        {"CancelRequest", encodeMessage<T::CancelRequest>("job-7")},
+        {"ShutdownRequest", encodeMessage(T::ShutdownRequest)},
+        {"PingRequest", encodeMessage(T::PingRequest)},
+        {"SubmitReply", encodeMessage(T::SubmitReply)},
+        {"StatusReply",
+         encodeMessage<T::StatusReply>(canonicalProgress())},
+        {"ListReply",
+         encodeMessage<T::ListReply>({canonicalProgress(), done})},
+        {"StatsReply", encodeMessage<T::StatsReply>(totals)},
+        {"ResultReply", encodeMessage<T::ResultReply>(result)},
         {"CancelReply",
-         CancelReply{JobService::CancelOutcome::AlreadyTerminal}
-             .encode()},
-        {"ShutdownReply", ShutdownReply{}.encode()},
-        {"PingReply", PingReply{}.encode()},
-        {"ErrorReply", error.encode()},
+         encodeMessage<T::CancelReply>(
+             JobService::CancelOutcome::AlreadyTerminal)},
+        {"ShutdownReply", encodeMessage(T::ShutdownReply)},
+        {"PingReply", encodeMessage(T::PingReply)},
+        {"ErrorReply", encodeMessage<T::ErrorReply>(error)},
     };
 }
 
@@ -952,6 +960,82 @@ TEST(ServiceProtocol, FramesMatchTheGolden)
         << "missing or stale tests/golden/protocol_frames.txt";
     for (std::size_t i = 0; i < fresh.size(); ++i)
         EXPECT_EQ(fresh[i], golden[i]) << "line " << i + 1;
+}
+
+/** Decode `frame` with the decoder of message type `type`. */
+void
+decodeAs(MessageType type, const std::vector<std::uint8_t> &frame)
+{
+    using T = MessageType;
+    switch (type) {
+      case T::SubmitRequest: decodeMessage<T::SubmitRequest>(frame); return;
+      case T::StatusRequest: decodeMessage<T::StatusRequest>(frame); return;
+      case T::ResultRequest: decodeMessage<T::ResultRequest>(frame); return;
+      case T::CancelRequest: decodeMessage<T::CancelRequest>(frame); return;
+      case T::StatusReply: decodeMessage<T::StatusReply>(frame); return;
+      case T::ListReply: decodeMessage<T::ListReply>(frame); return;
+      case T::StatsReply: decodeMessage<T::StatsReply>(frame); return;
+      case T::ResultReply: decodeMessage<T::ResultReply>(frame); return;
+      case T::CancelReply: decodeMessage<T::CancelReply>(frame); return;
+      case T::ErrorReply: decodeMessage<T::ErrorReply>(frame); return;
+      default: decodeMessage(frame, type); return;
+    }
+}
+
+std::vector<std::uint8_t>
+unhex(const std::string &text)
+{
+    std::vector<std::uint8_t> bytes;
+    for (std::size_t k = 0; k + 1 < text.size(); k += 2)
+        bytes.push_back(
+            std::uint8_t(std::stoi(text.substr(k, 2), nullptr, 16)));
+    return bytes;
+}
+
+/**
+ * Every truncation and a byte-flip sweep (three masks at every byte)
+ * of each golden frame, fed to its type's decoder: each must decode
+ * or throw SerializeError, never anything else.
+ */
+TEST(ServiceProtocol, FuzzedFramesThrowOrDecode)
+{
+    const std::vector<std::string> golden = goldenFrameLines();
+    ASSERT_EQ(golden.size(), 17u);
+    std::size_t cases = 0, decoded = 0;
+    for (const std::string &line : golden) {
+        const std::string name = line.substr(0, line.find(' '));
+        const std::vector<std::uint8_t> frame =
+            unhex(line.substr(line.find(' ') + 1));
+        const MessageType type = peekMessageType(frame);
+        ASSERT_NO_THROW(decodeAs(type, frame)) << name;
+
+        const auto attempt = [&](const std::vector<std::uint8_t> &bytes,
+                                 const std::string &what) {
+            ++cases;
+            try {
+                decodeAs(type, bytes);
+                ++decoded;
+            } catch (const SerializeError &) {
+            } catch (const std::exception &err) {
+                ADD_FAILURE() << name << " " << what << ": "
+                              << err.what();
+            }
+        };
+        for (std::size_t size = 0; size < frame.size(); ++size)
+            attempt({frame.begin(), frame.begin() + size},
+                    "truncated to " + std::to_string(size));
+        for (std::size_t k = 0; k < frame.size(); ++k) {
+            for (std::uint8_t mask : {0x01, 0x80, 0xff}) {
+                std::vector<std::uint8_t> flipped = frame;
+                flipped[k] ^= mask;
+                attempt(flipped, "byte " + std::to_string(k) + " ^ " +
+                                     std::to_string(mask));
+            }
+        }
+    }
+    // Every truncation fails; flips of payload bytes mostly decode.
+    EXPECT_GT(cases, 2000u);
+    EXPECT_GT(decoded, 0u);
 }
 
 // ------------------------------------- corrupt-payload rendering

@@ -81,7 +81,7 @@ roundTrip(const std::string &socket_path,
             "daemon closed the connection without a reply");
     }
     if (peekMessageType(*reply) == MessageType::ErrorReply)
-        ErrorReply::decode(*reply).raise();
+        decodeMessage<MessageType::ErrorReply>(*reply).raise();
     return *reply;
 }
 
@@ -162,39 +162,40 @@ cmdSubmit(const std::string &socket_path, int argc, char **argv)
     workload.finish();
     job.work = std::move(workload.spec);
 
-    SubmitRequest request;
-    request.job = std::move(job);
-    const auto frame = request.encode();
-    (void)SubmitReply::decode(roundTrip(socket_path, frame));
-    std::cerr << "submitted job '" << request.job.id << "' ("
-              << request.job.work.instances << " instances, "
-              << request.job.work.trajectories
-              << " trajectories over " << request.job.shards()
-              << " shard"
-              << (request.job.shards() == 1 ? "" : "s") << ")\n";
+    decodeMessage(
+        roundTrip(socket_path,
+                  encodeMessage<MessageType::SubmitRequest>(job)),
+        MessageType::SubmitReply);
+    std::cerr << "submitted job '" << job.id << "' ("
+              << job.work.instances << " instances, "
+              << job.work.trajectories << " trajectories over "
+              << job.shards() << " shard"
+              << (job.shards() == 1 ? "" : "s") << ")\n";
     return 0;
 }
 
 int
 cmdStatus(const std::string &socket_path, const std::string &id)
 {
-    const StatusReply reply = StatusReply::decode(
-        roundTrip(socket_path, StatusRequest{id}.encode()));
-    printJob(reply.job);
-    printShards(reply.job);
+    const JobProgress job = decodeMessage<MessageType::StatusReply>(
+        roundTrip(socket_path,
+                  encodeMessage<MessageType::StatusRequest>(id)));
+    printJob(job);
+    printShards(job);
     return 0;
 }
 
 int
 cmdList(const std::string &socket_path)
 {
-    const ListReply reply = ListReply::decode(
-        roundTrip(socket_path, ListRequest{}.encode()));
-    if (reply.jobs.empty()) {
+    const std::vector<JobProgress> jobs =
+        decodeMessage<MessageType::ListReply>(roundTrip(
+            socket_path, encodeMessage(MessageType::ListRequest)));
+    if (jobs.empty()) {
         std::cout << "no jobs\n";
         return 0;
     }
-    for (const JobProgress &job : reply.jobs)
+    for (const JobProgress &job : jobs)
         printJob(job);
     return 0;
 }
@@ -202,9 +203,8 @@ cmdList(const std::string &socket_path)
 int
 cmdStats(const std::string &socket_path)
 {
-    const StatsReply reply = StatsReply::decode(
-        roundTrip(socket_path, StatsRequest{}.encode()));
-    const ServiceTotals &t = reply.totals;
+    const ServiceTotals t = decodeMessage<MessageType::StatsReply>(
+        roundTrip(socket_path, encodeMessage(MessageType::StatsRequest)));
     std::cout << "jobsAdmitted " << t.jobsAdmitted << "\n"
               << "jobsDone " << t.jobsDone << "\n"
               << "jobsFailed " << t.jobsFailed << "\n"
@@ -226,11 +226,10 @@ int
 cmdResult(const std::string &socket_path, const std::string &id,
           bool wait, bool hexfloat)
 {
-    ResultRequest request;
-    request.id = id;
-    request.wait = wait;
-    const ResultReply reply = ResultReply::decode(
-        roundTrip(socket_path, request.encode()));
+    const ResultReply reply = decodeMessage<MessageType::ResultReply>(
+        roundTrip(socket_path,
+                  encodeMessage<MessageType::ResultRequest>(
+                      ResultRequest{id, wait})));
 
     if (reply.job.state != JobState::Done) {
         std::cerr << "job '" << id << "' "
@@ -265,9 +264,8 @@ cmdResult(const std::string &socket_path, const std::string &id,
 int
 cmdCancel(const std::string &socket_path, const std::string &id)
 {
-    const CancelReply reply = CancelReply::decode(
-        roundTrip(socket_path, CancelRequest{id}.encode()));
-    switch (reply.outcome) {
+    switch (decodeMessage<MessageType::CancelReply>(roundTrip(
+        socket_path, encodeMessage<MessageType::CancelRequest>(id)))) {
       case JobService::CancelOutcome::Cancelled:
         std::cerr << "cancelled job '" << id << "'\n";
         return 0;
@@ -331,14 +329,18 @@ main(int argc, char **argv)
         if (command == "cancel")
             return cmdCancel(socket_path, id);
         if (command == "shutdown") {
-            (void)ShutdownReply::decode(roundTrip(
-                socket_path, ShutdownRequest{}.encode()));
+            decodeMessage(
+                roundTrip(socket_path,
+                          encodeMessage(MessageType::ShutdownRequest)),
+                MessageType::ShutdownReply);
             std::cerr << "daemon shutting down\n";
             return 0;
         }
         if (command == "ping") {
-            (void)PingReply::decode(
-                roundTrip(socket_path, PingRequest{}.encode()));
+            decodeMessage(
+                roundTrip(socket_path,
+                          encodeMessage(MessageType::PingRequest)),
+                MessageType::PingReply);
             std::cerr << "pong\n";
             return 0;
         }

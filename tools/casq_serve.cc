@@ -38,6 +38,7 @@
 #include <unistd.h>
 
 #include "bench_common.hh"
+#include "common/logging.hh"
 #include "service/job_service.hh"
 #include "service/protocol.hh"
 #include "service/socket.hh"
@@ -81,9 +82,11 @@ using tool::value;
 
 /**
  * Executes shards as `casq_shard run` subprocesses, spooling the
- * spec/result payloads through workDir.  Any subprocess failure --
- * nonzero exit, death by signal (the chaos kill), or a corrupt
- * result payload -- throws ShardExecutionError, which the
+ * spec/result payloads through workDir.  A spec the engine rejects
+ * (exit kExitRejected) throws UserError with the subprocess's
+ * message, which fails the job at once.  Any other subprocess
+ * failure -- nonzero exit, death by signal (the chaos kill), or a
+ * corrupt result payload -- throws ShardExecutionError, which the
  * scheduler's retry budget absorbs.
  */
 class SubprocessShardRunner : public ShardRunner
@@ -168,6 +171,16 @@ class SubprocessShardRunner : public ShardRunner
                 who + " was killed by signal " +
                 std::to_string(WTERMSIG(status)));
         }
+        if (WIFEXITED(status) &&
+            WEXITSTATUS(status) == tool::kExitRejected) {
+            // The engine rejected the spec: fail the job now, as the
+            // in-process runner does, instead of retrying.
+            const std::vector<std::uint8_t> message =
+                readBinaryFile(result_path);
+            ::unlink(result_path.c_str());
+            throw UserError(
+                std::string(message.begin(), message.end()));
+        }
         if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
             ::unlink(result_path.c_str());
             throw ShardExecutionError(
@@ -219,28 +232,28 @@ dispatch(JobService &service,
          const std::vector<std::uint8_t> &frame, bool &shutdown)
 {
     switch (peekMessageType(frame)) {
-      case MessageType::SubmitRequest: {
-        SubmitRequest request = SubmitRequest::decode(frame);
-        service.submit(std::move(request.job));
-        return SubmitReply{}.encode();
-      }
+      case MessageType::SubmitRequest:
+        service.submit(
+            decodeMessage<MessageType::SubmitRequest>(frame));
+        return encodeMessage(MessageType::SubmitReply);
       case MessageType::StatusRequest: {
-        const StatusRequest request = StatusRequest::decode(frame);
-        const auto snapshot = service.status(request.id);
+        const std::string id =
+            decodeMessage<MessageType::StatusRequest>(frame);
+        const auto snapshot = service.status(id);
         if (!snapshot)
-            throw ServiceError("unknown job '" + request.id + "'");
-        return StatusReply{*snapshot}.encode();
+            throw ServiceError("unknown job '" + id + "'");
+        return encodeMessage<MessageType::StatusReply>(*snapshot);
       }
-      case MessageType::ListRequest: {
-        (void)ListRequest::decode(frame);
-        return ListReply{service.list()}.encode();
-      }
-      case MessageType::StatsRequest: {
-        (void)StatsRequest::decode(frame);
-        return StatsReply{service.totals()}.encode();
-      }
+      case MessageType::ListRequest:
+        decodeMessage(frame, MessageType::ListRequest);
+        return encodeMessage<MessageType::ListReply>(service.list());
+      case MessageType::StatsRequest:
+        decodeMessage(frame, MessageType::StatsRequest);
+        return encodeMessage<MessageType::StatsReply>(
+            service.totals());
       case MessageType::ResultRequest: {
-        const ResultRequest request = ResultRequest::decode(frame);
+        const ResultRequest request =
+            decodeMessage<MessageType::ResultRequest>(frame);
         ResultReply reply;
         if (request.wait) {
             reply.job = service.waitTerminal(request.id);
@@ -260,21 +273,18 @@ dispatch(JobService &service,
         }
         if (reply.job.state == JobState::Done)
             reply.result = service.result(request.id);
-        return reply.encode();
+        return encodeMessage<MessageType::ResultReply>(reply);
       }
-      case MessageType::CancelRequest: {
-        const CancelRequest request = CancelRequest::decode(frame);
-        return CancelReply{service.cancel(request.id)}.encode();
-      }
-      case MessageType::ShutdownRequest: {
-        (void)ShutdownRequest::decode(frame);
+      case MessageType::CancelRequest:
+        return encodeMessage<MessageType::CancelReply>(service.cancel(
+            decodeMessage<MessageType::CancelRequest>(frame)));
+      case MessageType::ShutdownRequest:
+        decodeMessage(frame, MessageType::ShutdownRequest);
         shutdown = true;
-        return ShutdownReply{}.encode();
-      }
-      case MessageType::PingRequest: {
-        (void)PingRequest::decode(frame);
-        return PingReply{}.encode();
-      }
+        return encodeMessage(MessageType::ShutdownReply);
+      case MessageType::PingRequest:
+        decodeMessage(frame, MessageType::PingRequest);
+        return encodeMessage(MessageType::PingReply);
       default:
         throw SerializeError(
             "request frame carries a reply message type");
@@ -295,7 +305,8 @@ handleConnection(LocalSocket sock, JobService &service,
             try {
                 reply = dispatch(service, *frame, shutdown);
             } catch (const std::exception &err) {
-                reply = errorReplyFor(err).encode();
+                reply = encodeMessage<MessageType::ErrorReply>(
+                    errorReplyFor(err));
             }
             sock.sendFrame(reply);
             if (shutdown) {

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "bench_common.hh"
+#include "common/logging.hh"
 #include "common/serialize.hh"
 #include "sim/shard.hh"
 #include "tool_common.hh"
@@ -45,7 +46,9 @@ usage(std::ostream &os, int code)
           "  plan   --shards S --out PREFIX [workload options]\n"
           "         write PREFIX.<k>of<S>.spec for every shard\n"
           "  run    --spec FILE --out FILE [--threads N]\n"
-          "         execute one shard spec into a result file\n"
+          "         execute one shard spec into a result file; a\n"
+          "         spec the engine rejects exits 2 and leaves\n"
+          "         the message in FILE\n"
           "  merge  FILE...\n"
           "         merge the result files of one job; estimates\n"
           "         go to stdout, narration to stderr\n"
@@ -165,7 +168,16 @@ cmdRun(int argc, char **argv)
 
     const ShardSpec spec =
         tool::decodePayloadFile<ShardSpec>(spec_path);
-    const ShardResult result = executeShard(spec, threads);
+    ShardResult result;
+    try {
+        result = executeShard(spec, threads);
+    } catch (const UserError &err) {
+        const std::string message = err.what();
+        writeBinaryFile(out_path, std::vector<std::uint8_t>(
+                                      message.begin(), message.end()));
+        std::cerr << "casq_shard: " << message << "\n";
+        return tool::kExitRejected;
+    }
     writeBinaryFile(out_path, result.encode());
     std::cerr << "shard " << spec.shardIndex << "/"
               << spec.shardCount << ": "

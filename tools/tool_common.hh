@@ -81,6 +81,14 @@ decodePayloadFile(const std::string &path)
 }
 
 /**
+ * `casq_shard run`'s exit status when the engine rejects the spec
+ * (a UserError: no attempt can run it).  The message is left at
+ * --out in place of a result, so `casq_serve --spawn` can fail the
+ * job with it instead of retrying the shard.
+ */
+constexpr int kExitRejected = 2;
+
+/**
  * Top-level tool wrapper: run `body`, printing any escaped failure
  * as "<tool>: message" on stderr and returning the failure exit
  * code.
