@@ -859,7 +859,6 @@ canonicalProgress()
 std::vector<std::pair<std::string, std::vector<std::uint8_t>>>
 canonicalFrames()
 {
-
     ServiceTotals totals;
     totals.jobsAdmitted = 9;
     totals.jobsDone = 5;
